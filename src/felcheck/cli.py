@@ -1,6 +1,7 @@
 """Command-line front end with deterministic table, JSON, and TSV output.
 
-Exit codes: 0 success, 1 verification failure, 2 input/validation error.
+Exit codes: 0 success, 1 verification failure, 2 input/validation error or
+an output file that cannot be written.
 Rational values are always rendered exactly ("num/den", integers without the
 "/1"); identical arguments produce byte-identical output.
 """
@@ -13,7 +14,7 @@ import random
 import sys
 from fractions import Fraction
 
-from .hilbert import hilbert_numerator, syzygy_values
+from .hilbert import hilbert_numerator, k_denominator, syzygy_values
 from .semigroup import (
     DEFAULT_BOUND,
     compute_gaps,
@@ -258,10 +259,7 @@ def cmd_examples(args) -> tuple[dict, int]:
         for r in range(EXAMPLE_C_MAX + 1):
             fields.append((f"C[{r}]", str(vals.c[r]), str(_golden_c(powers, r))))
         for p in range(EXAMPLE_P_MAX + 1):
-            denom = (-1) ** S.m * S.pi
-            for j in range(1, S.m + 1):
-                denom *= p + j
-            gold_k = Fraction(_golden_c(powers, S.m + p), denom)
+            gold_k = Fraction(_golden_c(powers, S.m + p), k_denominator(S, p))
             fields.append((f"K[{p}]", str(vals.k[p]), str(gold_k)))
         ok = True
         for name, actual, expected in fields:
@@ -424,8 +422,12 @@ def main(argv=None) -> int:
         return 2
     text = RENDERERS[args.format](doc)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as err:
+            print(f"OSError: {err}", file=sys.stderr)
+            return 2
     else:
         print(text)
     return code

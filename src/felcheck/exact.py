@@ -2,14 +2,17 @@
 
 Everything in this module is exact. Scalars are Python ints or
 ``fractions.Fraction`` (always in lowest terms with positive denominator),
-polynomials are dense integer coefficient vectors in canonical form, and
-power series carry an explicit truncation order that is part of the value.
+polynomials store only their nonzero terms as ascending (exponent,
+coefficient) pairs, and power series carry an explicit truncation order that
+is part of the value.
 No floating point appears anywhere.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import factorial
 
 Rational = Fraction
@@ -28,116 +31,174 @@ class BadConstantTerm(ValueError):
 
 
 class IntPolynomial:
-    """Dense univariate polynomial over the integers.
+    """Sparse univariate polynomial over the integers.
 
-    Coefficients are stored by ascending degree with trailing zeros stripped,
-    so equality is structural and the zero polynomial has an empty coefficient
-    tuple. Multiplication is schoolbook, which is plenty at the scale this
-    library targets.
+    Only the nonzero terms are stored: their exponents, strictly ascending,
+    and their coefficients, as two parallel tuples. Two flat tuples take a
+    quarter of the memory of one tuple of pairs, which counts for a gap
+    polynomial with tens of thousands of terms. The form is canonical, so
+    equality is structural and the zero polynomial has no terms. Every
+    operation loops over nonzero terms only, so a polynomial of huge degree
+    with a handful of terms (a Hilbert numerator, say) stays cheap.
+    ``items()`` iterates over the (exponent, coefficient) pairs; ``coeffs`` is
+    a read-only dense view built on demand.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("_exps", "_coefs")
 
     def __init__(self, coeffs=()):
-        cs = [int(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        """Polynomial from dense coefficients by ascending degree."""
+        exps, coefs = [], []
+        for e, c in enumerate(coeffs):
+            c = int(c)
+            if c:
+                exps.append(e)
+                coefs.append(c)
+        self._store(exps, coefs)
+
+    def _store(self, exps, coefs) -> None:
+        object.__setattr__(self, "_exps", tuple(exps))
+        object.__setattr__(self, "_coefs", tuple(coefs))
 
     def __setattr__(self, name, value):
         raise AttributeError("IntPolynomial is immutable")
+
+    @classmethod
+    def from_terms(cls, terms) -> "IntPolynomial":
+        """Polynomial from (exponent, coefficient) pairs whose exponents are
+        nonnegative and strictly ascending; zero coefficients drop out."""
+        exps, coefs = [], []
+        prev = -1
+        for e, c in terms:
+            if e <= prev:
+                raise ValueError("exponents must be nonnegative and strictly ascending")
+            prev = e
+            if c:
+                exps.append(e)
+                coefs.append(c)
+        poly = object.__new__(cls)
+        poly._store(exps, coefs)
+        return poly
+
+    @classmethod
+    def _summed(cls, acc: dict) -> "IntPolynomial":
+        """Polynomial from an exponent -> coefficient dict in any order."""
+        return cls.from_terms((e, acc[e]) for e in sorted(acc))
 
     @classmethod
     def one_minus_pow(cls, d: int) -> "IntPolynomial":
         """The binomial 1 - z**d (d must be positive)."""
         if d < 1:
             raise ValueError("exponent must be positive")
-        return cls([1] + [0] * (d - 1) + [-1])
+        return cls.from_terms(((0, 1), (d, -1)))
+
+    def items(self):
+        """Iterator over the nonzero terms as (exponent, coefficient) pairs,
+        by ascending exponent."""
+        return zip(self._exps, self._coefs)
+
+    @property
+    def coeffs(self) -> tuple[int, ...]:
+        """Dense coefficients by ascending degree, without trailing zeros."""
+        out = [0] * (self.degree + 1)
+        for e, c in self.items():
+            out[e] = c
+        return tuple(out)
 
     @property
     def degree(self) -> int:
         """Degree, with the zero polynomial reported as -1."""
-        return len(self.coeffs) - 1
+        return self._exps[-1] if self._exps else -1
 
     def coeff(self, n: int) -> int:
-        return self.coeffs[n] if 0 <= n < len(self.coeffs) else 0
+        i = bisect_left(self._exps, n)
+        return self._coefs[i] if i < len(self._exps) and self._exps[i] == n else 0
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self._exps)
 
     def __eq__(self, other):
         if not isinstance(other, IntPolynomial):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self._exps == other._exps and self._coefs == other._coefs
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self._exps, self._coefs))
 
     def __neg__(self):
-        return IntPolynomial(-c for c in self.coeffs)
+        return IntPolynomial.from_terms((e, -c) for e, c in self.items())
 
     def __add__(self, other):
         if not isinstance(other, IntPolynomial):
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return IntPolynomial(out)
+        acc = dict(self.items())
+        for e, c in other.items():
+            acc[e] = acc.get(e, 0) + c
+        return IntPolynomial._summed(acc)
 
     def __sub__(self, other):
         if not isinstance(other, IntPolynomial):
             return NotImplemented
-        return self + (-other)
+        acc = dict(self.items())
+        for e, c in other.items():
+            acc[e] = acc.get(e, 0) - c
+        return IntPolynomial._summed(acc)
 
     def __mul__(self, other):
         if not isinstance(other, IntPolynomial):
             return NotImplemented
-        if not self.coeffs or not other.coeffs:
-            return IntPolynomial()
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        out[i + j] += a * b
-        return IntPolynomial(out)
+        acc = {}
+        for i, a in self.items():
+            for j, b in other.items():
+                acc[i + j] = acc.get(i + j, 0) + a * b
+        return IntPolynomial._summed(acc)
 
     def exact_div(self, divisor: "IntPolynomial") -> "IntPolynomial":
-        """Exact quotient in Z[z]; raises NonExactDivision on any remainder."""
-        if not divisor.coeffs:
+        """Exact quotient in Z[z]; raises NonExactDivision on any remainder
+        or on a quotient that is not integral.
+
+        Long division from the top term down, in integers: each quotient
+        coefficient is a divmod by the divisor's leading coefficient, which
+        must leave nothing over. Remainder exponents still to be cleared
+        wait in a max-heap, so only nonzero terms are ever visited.
+        """
+        if not divisor:
             raise NonExactDivision("division by the zero polynomial")
-        if not self.coeffs:
-            return IntPolynomial()
-        if len(self.coeffs) < len(divisor.coeffs):
-            raise NonExactDivision(
-                f"degree {self.degree} polynomial is not divisible by degree {divisor.degree}"
-            )
-        rem = [Fraction(c) for c in self.coeffs]
-        lead = Fraction(divisor.coeffs[-1])
-        db = len(divisor.coeffs) - 1
-        quot = [Fraction(0)] * (len(rem) - db)
-        for i in range(len(quot) - 1, -1, -1):
-            c = rem[i + db] / lead
-            if c:
-                quot[i] = c
-                for j, b in enumerate(divisor.coeffs):
-                    if b:
-                        rem[i + j] -= c * b
-        if any(rem):
-            raise NonExactDivision("remainder is nonzero")
-        if any(c.denominator != 1 for c in quot):
-            raise NonExactDivision("quotient is not integral")
-        return IntPolynomial(int(c) for c in quot)
+        db, lead = divisor._exps[-1], divisor._coefs[-1]
+        tail = tuple(divisor.items())[:-1]
+        rem = dict(self.items())
+        todo = [-e for e in self._exps]
+        heapify(todo)
+        quot = {}
+        while todo:
+            e = -heappop(todo)
+            c = rem.pop(e)
+            if not c:
+                continue
+            if e < db:
+                raise NonExactDivision("remainder is nonzero")
+            q, r = divmod(c, lead)
+            if r:
+                raise NonExactDivision("quotient is not integral")
+            quot[e - db] = q
+            for j, b in tail:
+                k = e - db + j
+                if k in rem:
+                    rem[k] -= q * b
+                else:
+                    rem[k] = -q * b
+                    heappush(todo, -k)
+        return IntPolynomial._summed(quot)
 
     def __call__(self, x):
-        """Evaluate at x by Horner's rule (exact for int or Fraction input)."""
+        """Evaluate at x by Horner's rule over the nonzero terms (exact for
+        int or Fraction input)."""
         acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        prev = self.degree
+        for e, c in zip(reversed(self._exps), reversed(self._coefs)):
+            acc = acc * x ** (prev - e) + c
+            prev = e
+        return acc * x**prev if prev > 0 else acc
 
     def at_exp(self, order: int) -> "RationalSeries":
         """Truncation of p(e^t): substitute e^t for the variable.
@@ -147,23 +208,22 @@ class IntPolynomial:
         if order < 0:
             raise ValueError("order must be nonnegative")
         sums = [0] * (order + 1)
-        for k, c in enumerate(self.coeffs):
-            if c:
-                pw = 1
-                for n in range(order + 1):
-                    sums[n] += c * pw
-                    pw *= k
+        for k, c in self.items():
+            pw = 1
+            for n in range(order + 1):
+                sums[n] += c * pw
+                pw *= k
         return RationalSeries(Fraction(s, factorial(n)) for n, s in enumerate(sums))
 
     def sparse_str(self) -> str:
         """Nonzero terms as ascending "degree:coefficient" pairs."""
-        return " ".join(f"{i}:{c}" for i, c in enumerate(self.coeffs) if c)
+        return " ".join(f"{e}:{c}" for e, c in self.items())
 
     def __str__(self):
-        return self.sparse_str() if self.coeffs else "0"
+        return self.sparse_str() if self else "0"
 
     def __repr__(self):
-        return f"IntPolynomial({list(self.coeffs)!r})"
+        return f"IntPolynomial.from_terms({list(self.items())!r})"
 
 
 class RationalSeries:

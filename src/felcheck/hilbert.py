@@ -1,9 +1,12 @@
 """Hilbert numerators of semigroup rings and alternating syzygy power sums.
 
-The Hilbert series of the semigroup is Q(z) / prod_i (1 - z^{d_i}); the
-numerator Q is obtained exactly from the gap polynomial without any series
-truncation, via Q = P/(1-z) - Phi*P where P is the generator product
-polynomial and Phi has a unit coefficient at each gap exponent.
+The Hilbert series of the semigroup is Q(z) / prod_i (1 - z^{d_i}). It also
+equals Ap(z) / (1 - z^a), where a is the least generator and Ap(z) has a unit
+coefficient at each element of the Apéry set of a. So the numerator is the
+sparse product Q = Ap(z) * prod (1 - z^{d_i}) over every generator except one
+copy of a: at most a * 2^(m-1) terms, built from the Apéry set alone without
+any series truncation. The gap polynomial Phi and P = prod (1 - z^{d_i}) are
+still built, for the series identities that use them.
 """
 
 from __future__ import annotations
@@ -33,12 +36,7 @@ class SyzygyValues:
 
 def gap_polynomial(gaps: GapData) -> IntPolynomial:
     """Polynomial with coefficient 1 at each gap exponent."""
-    if not gaps.gaps:
-        return IntPolynomial()
-    coeffs = [0] * (gaps.frobenius + 1)
-    for g in gaps.gaps:
-        coeffs[g] = 1
-    return IntPolynomial(coeffs)
+    return IntPolynomial.from_terms((g, 1) for g in gaps.gaps)
 
 
 def product_polynomial(S: SemigroupSpec) -> IntPolynomial:
@@ -50,11 +48,14 @@ def product_polynomial(S: SemigroupSpec) -> IntPolynomial:
 
 
 def hilbert_numerator(S: SemigroupSpec, gaps: GapData) -> HilbertData:
-    """Exact Hilbert numerator computed as P/(1-z) - Phi*P."""
-    prod = product_polynomial(S)
-    phi = gap_polynomial(gaps)
-    numerator = prod.exact_div(IntPolynomial.one_minus_pow(1)) - phi * prod
-    return HilbertData(phi, prod, numerator)
+    """Exact Hilbert numerator computed as Ap(z) * prod_{i != i0} (1 - z^{d_i}),
+    where d_{i0} is one copy of the least generator."""
+    rest = list(S.generators)
+    rest.remove(min(rest))
+    numerator = IntPolynomial.from_terms((w, 1) for w in sorted(gaps.apery))
+    for d in rest:
+        numerator = numerator * IntPolynomial.one_minus_pow(d)
+    return HilbertData(gap_polynomial(gaps), product_polynomial(S), numerator)
 
 
 def alternating_syzygy_sum(h: HilbertData, r: int) -> int:
@@ -62,36 +63,36 @@ def alternating_syzygy_sum(h: HilbertData, r: int) -> int:
     if r < 0:
         raise ValueError("power must be nonnegative")
     diff = IntPolynomial([1]) - h.numerator
-    return sum(c * n**r for n, c in enumerate(diff.coeffs) if c)
+    return sum(c * n**r for n, c in diff.items())
 
 
 def alternating_syzygy_sums(h: HilbertData, r_max: int) -> list[int]:
     """All alternating syzygy power sums for 0 <= r <= r_max in one pass."""
     diff = IntPolynomial([1]) - h.numerator
     out = [0] * (r_max + 1)
-    for n, c in enumerate(diff.coeffs):
-        if c:
-            pw = 1
-            for r in range(r_max + 1):
-                out[r] += c * pw
-                pw *= n
+    for n, c in diff.items():
+        pw = 1
+        for r in range(r_max + 1):
+            out[r] += c * pw
+            pw *= n
     return out
 
 
+def k_denominator(S: SemigroupSpec, p: int) -> int:
+    """The normaliser of the p-th invariant: (-1)^m * pi * (m+p)!/p!."""
+    return (-1) ** S.m * S.pi * (factorial(S.m + p) // factorial(p))
+
+
 def k_invariant(S: SemigroupSpec, h: HilbertData, p: int) -> Fraction:
-    """Normalized invariant: the (m+p)-th alternating sum divided by (-1)^m * pi * (m+p)!/p!."""
+    """Normalized invariant: the (m+p)-th alternating sum divided by k_denominator(S, p)."""
     if p < 0:
         raise ValueError("p must be nonnegative")
-    denom = (-1) ** S.m * S.pi * (factorial(S.m + p) // factorial(p))
-    return Fraction(alternating_syzygy_sum(h, S.m + p), denom)
+    return Fraction(alternating_syzygy_sum(h, S.m + p), k_denominator(S, p))
 
 
 def syzygy_values(S: SemigroupSpec, h: HilbertData, p_max: int) -> SyzygyValues:
     """Alternating sums for r <= m + p_max together with the invariants for p <= p_max."""
     sums = alternating_syzygy_sums(h, S.m + p_max)
     c = dict(enumerate(sums))
-    k = {}
-    for p in range(p_max + 1):
-        denom = (-1) ** S.m * S.pi * (factorial(S.m + p) // factorial(p))
-        k[p] = Fraction(sums[S.m + p], denom)
+    k = {p: Fraction(sums[S.m + p], k_denominator(S, p)) for p in range(p_max + 1)}
     return SyzygyValues(c, k)

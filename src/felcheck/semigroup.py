@@ -6,12 +6,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
 from math import gcd
+from operator import index
 
 DEFAULT_BOUND = 10**7
 
 
 class EmptyGenerators(ValueError):
     """At least one generator is required."""
+
+
+class NonIntegerGenerator(ValueError):
+    """Generators must be integers: not floats, strings or bools."""
 
 
 class NonPositiveGenerator(ValueError):
@@ -40,6 +45,7 @@ class GapData:
     gaps: tuple[int, ...]  # strictly increasing
     frobenius: int  # -1 when the gap set is empty
     genus: int
+    apery: tuple[int, ...]  # apery[r]: least element of S congruent to r mod min(generators)
 
 
 @dataclass(frozen=True)
@@ -51,8 +57,21 @@ class GeneratorStats:
 
 
 def make_semigroup(generators) -> SemigroupSpec:
-    """Validate a generator list (positive integers with gcd 1)."""
-    gens = tuple(int(d) for d in generators)
+    """Validate a generator list (positive integers with gcd 1).
+
+    Anything that is not an integer is refused rather than truncated: floats,
+    strings and bools raise NonIntegerGenerator; int subclasses and other
+    types with ``__index__`` are accepted.
+    """
+    gens = []
+    for d in generators:
+        if isinstance(d, bool):
+            raise NonIntegerGenerator(f"generator {d!r} is a bool, not an integer")
+        try:
+            gens.append(index(d))
+        except TypeError:
+            raise NonIntegerGenerator(f"generator {d!r} is not an integer") from None
+    gens = tuple(gens)
     if not gens:
         raise EmptyGenerators("at least one generator is required")
     for d in gens:
@@ -104,7 +123,7 @@ def compute_gaps(S: SemigroupSpec, bound: int = DEFAULT_BOUND) -> GapData:
         raise BoundExceeded(
             f"min*max generator product {a * max(S.generators)} exceeds bound {bound}"
         )
-    apery = apery_set(S)
+    apery = tuple(apery_set(S))
     gaps = []
     for w in apery:
         n = w - a
@@ -113,7 +132,7 @@ def compute_gaps(S: SemigroupSpec, bound: int = DEFAULT_BOUND) -> GapData:
             n -= a
     gaps.sort()
     frobenius = max(apery) - a  # equals -1 exactly when a == 1 (no gaps)
-    return GapData(tuple(gaps), frobenius, len(gaps))
+    return GapData(tuple(gaps), frobenius, len(gaps), apery)
 
 
 def gap_power_sum(gaps: GapData, r: int) -> int:

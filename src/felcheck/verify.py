@@ -341,7 +341,17 @@ def verify_companions(n_max: int = 3, samples: int = 20, seed: int = 0) -> Verif
 
 
 def random_semigroup(rng, m_max: int, d_max: int, m_min: int = 1, d_min: int = 1) -> SemigroupSpec:
-    """Sample a generator list with gcd 1 (rejection sampling)."""
+    """Sample a generator list with gcd 1 (rejection sampling).
+
+    m is drawn from [m_min, m_max] and each generator from [d_min, d_max].
+    Ranges from which no coprime list can ever be drawn raise ValueError up
+    front instead of looping forever.
+    """
+    empty = m_min > m_max or d_min > d_max or m_max < 1 or d_min < 1
+    if empty or (d_min > 1 and (d_max == d_min or m_max < 2)):
+        raise ValueError(
+            f"no coprime generator list has m in [{m_min}, {m_max}] and entries in [{d_min}, {d_max}]"
+        )
     while True:
         m = rng.randint(m_min, m_max)
         gens = [rng.randint(d_min, d_max) for _ in range(m)]

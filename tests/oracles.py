@@ -77,3 +77,92 @@ def umbral_power_multinomial(d, r, b1_plus=False):
             term *= bern(k) * di**k
         total += term
     return total
+
+
+# Dense reference arithmetic on coefficient lists (index = exponent), kept
+# deliberately naive: the sparse IntPolynomial is checked against these.
+
+
+def dense_trim(a):
+    """Copy of a with trailing zeros removed."""
+    a = list(a)
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def dense_add(a, b):
+    out = [0] * max(len(a), len(b))
+    for i, c in enumerate(a):
+        out[i] += c
+    for i, c in enumerate(b):
+        out[i] += c
+    return dense_trim(out)
+
+
+def dense_sub(a, b):
+    return dense_add(a, [-c for c in b])
+
+
+def dense_mul(a, b):
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return dense_trim(out)
+
+
+def dense_divmod(a, b):
+    """Long division over the rationals: (quotient, remainder) as trimmed
+    Fraction lists with deg remainder < deg b."""
+    b = dense_trim(b)
+    rem = [Fraction(c) for c in dense_trim(a)]
+    quot = [Fraction(0)] * max(len(rem) - len(b) + 1, 0)
+    for i in range(len(quot) - 1, -1, -1):
+        c = rem[i + len(b) - 1] / b[-1]
+        quot[i] = c
+        for j, y in enumerate(b):
+            rem[i + j] -= c * y
+    return dense_trim(quot), dense_trim(rem)
+
+
+def dense_eval(a, x):
+    return sum(c * x**k for k, c in enumerate(a))
+
+
+def dense_at_exp(a, order):
+    """Coefficients of a(e^t) up to t^order: sum_k a_k k^n / n!, with 0^0 = 1."""
+    return [Fraction(sum(c * k**n for k, c in enumerate(a)), factorial(n)) for n in range(order + 1)]
+
+
+def product_by_lists(gens):
+    """Dense coefficients of prod (1 - z^d)."""
+    out = [1]
+    for d in gens:
+        out = dense_mul(out, [1] + [0] * (d - 1) + [-1])
+    return out
+
+
+def numerator_by_gap_route(gens):
+    """Hilbert numerator as P/(1-z) - Phi*P, with Phi from the table oracle's gaps."""
+    prod = product_by_lists(gens)
+    quot, rem = dense_divmod(prod, [1, -1])
+    assert rem == []
+    gaps = gaps_by_table(gens)
+    phi = [0] * (max(gaps) + 1 if gaps else 0)
+    for g in gaps:
+        phi[g] = 1
+    return dense_sub([int(c) for c in quot], dense_mul(phi, prod))
+
+
+def numerator_by_membership(gens):
+    """Hilbert numerator as the membership series of the semigroup times
+    prod (1 - z^d), truncated past the degree the numerator can reach."""
+    prod = product_by_lists(gens)
+    gaps = gaps_by_table(gens)
+    limit = len(prod) + (max(gaps) if gaps else 0)
+    member = representable_table(gens, limit)
+    series = [1 if member[n] else 0 for n in range(limit + 1)]
+    return dense_trim(dense_mul(series, prod)[: limit + 1])

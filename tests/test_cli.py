@@ -155,3 +155,11 @@ class TestOutput:
         assert out == ""
         doc = json.loads(target.read_text())
         assert doc["gaps"] == [1, 2, 4, 7]
+
+    def test_unwritable_out_path(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "report.json"
+        code, out, err = run_cli(capsys, "invariants", "3", "5", "--out", str(target))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("OSError: ") and "missing" in err
+        assert not target.parent.exists()

@@ -1,0 +1,79 @@
+"""Golden CLI output, pinned byte for byte.
+
+The literals and digests below were recorded from the dense
+P/(1-z) - Phi*P numerator pipeline, before the numerator was rebuilt from
+the Apéry set. Any change to what the CLI prints, however small, fails here.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from felcheck import cli
+
+H456_C = (
+    "1 0 -240 -7920 -203520 -4804800 -109393920 -2448526080 -54345891840 "
+    "-1201109437440 -26488005427200 -583475293040640"
+)
+H456_K = "11 212/3 2002/3 37984/5 1457456/15 28305152/21 139017296/7 2759167232/9 221013368576/45"
+
+H456_TABLE = f"generators: 4 5 6\nQ: 0:1 10:-1 12:-1 22:1\nC: {H456_C}\nK: {H456_K}\n"
+H456_TSV = f"key\tvalue\ngenerators\t4 5 6\nQ\t0:1 10:-1 12:-1 22:1\nC\t{H456_C}\nK\t{H456_K}\n"
+
+# SHA-256 of the full stdout of each command line.
+DIGESTS = {
+    ("examples", "--format", "json"): "9b062aea357cd4c3824f05ae4db2d8ad64c24f54159091619211dcf738f65b39",
+    ("hilbert", "4", "5", "6", "--format", "json"): "85f48e9056c72c24f7961cfd598ef5ca4e662c083f7b2bcf93debe919dd91e75",
+    ("hilbert", "1009", "1013", "1019", "--format", "json"): (
+        "260e1df6175732752118fa0acc3bf43e57827bf97627e718b8381a778b8bb209"
+    ),
+    ("verify", "211", "223", "227", "--p-max", "6", "--format", "json"): (
+        "53641ad3ef9dc97b3ca2ecd26d8a5bb82c450f6a1828c2d0d744923c0ea2bd55"
+    ),
+    ("verify", "23", "29", "31", "37", "--p-max", "64", "--format", "json"): (
+        "bd7ace2cddc83922c10b782e6189a39d540c7f30409679b386883faf25c9fb57"
+    ),
+    ("verify", "--random", "--seed", "7", "--count", "50", "--format", "json"): (
+        "84bcb61afeef6dc869a2a0c592bd958f39dc4ba047b2793434c219ddcdd40907"
+    ),
+    ("verify", "--random", "--seed", "3", "--count", "30", "--m-max", "5", "--d-max", "40", "--p-max", "4"): (
+        "2c31587c8d27c7e87acf0ce0e82b478d0f2b2b02d4b4bd87b1326ecfbd2c5f55"
+    ),
+}
+
+
+def run_cli(capsys, *argv):
+    code = cli.main(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.out
+
+
+@pytest.mark.parametrize("argv", sorted(DIGESTS), ids=" ".join)
+def test_digest(capsys, argv):
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == DIGESTS[argv]
+
+
+@pytest.mark.parametrize("fmt, expected", [("table", H456_TABLE), ("tsv", H456_TSV)])
+def test_hilbert_456_literal(capsys, fmt, expected):
+    code, out = run_cli(capsys, "hilbert", "4", "5", "6", "--format", fmt)
+    assert code == 0
+    assert out == expected
+
+
+def test_hilbert_456_json_literal(capsys):
+    _, out = run_cli(capsys, "hilbert", "4", "5", "6", "--format", "json")
+    doc = json.loads(out)
+    assert doc["Q"] == "0:1 10:-1 12:-1 22:1"
+    assert " ".join(doc["C"]) == H456_C
+    assert " ".join(doc["K"]) == H456_K
+
+
+def test_hilbert_large_numerator(capsys):
+    _, out = run_cli(capsys, "hilbert", "1009", "1013", "1019", "--format", "json")
+    doc = json.loads(out)
+    assert doc["Q"] == "0:1 5065:-1 206845:-1 206857:-1 208883:1 209884:1"
+    assert doc["C"][:3] == ["1", "0", "-2083074446"]
+    assert doc["K"][:2] == ["105346", "87737777161/12"]

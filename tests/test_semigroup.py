@@ -8,6 +8,7 @@ from felcheck.semigroup import (
     BoundExceeded,
     EmptyGenerators,
     GcdNotOne,
+    NonIntegerGenerator,
     NonPositiveGenerator,
     compute_gaps,
     gap_power_sum,
@@ -47,6 +48,23 @@ class TestMakeSemigroup:
             make_semigroup([3, 0])
         with pytest.raises(NonPositiveGenerator):
             make_semigroup([3, -5])
+
+    def test_rejects_non_integers(self):
+        for bad in ([3.7, 5], [3, 5.0], [True, 2], [3, False], ["4", 5], [None, 3]):
+            with pytest.raises(NonIntegerGenerator):
+                make_semigroup(bad)
+
+    def test_accepts_int_subclasses(self):
+        class Small(int):
+            pass
+
+        S = make_semigroup([Small(3), 5])
+        assert S.generators == (3, 5) and type(S.generators[0]) is int
+
+    def test_apery_set_kept_with_gaps(self):
+        gaps = compute_gaps(make_semigroup([4, 5, 6]))
+        assert gaps.apery == (0, 5, 6, 11)
+        assert compute_gaps(make_semigroup([1])).apery == (0,)
 
     def test_duplicates_kept(self):
         S = make_semigroup([2, 3, 2])
