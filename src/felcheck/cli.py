@@ -22,7 +22,7 @@ from .semigroup import (
     generator_stats,
     make_semigroup,
 )
-from .universal import t_symbolic, t_value
+from .universal import SYMBOLIC_N_MAX, SymbolicOrderTooLarge, t_symbolic, t_value
 from .verify import (
     VerificationReport,
     random_semigroup,
@@ -175,6 +175,8 @@ def cmd_tn(args) -> tuple[dict, int]:
     at = None
     if args.at is not None:
         at = tuple(Fraction(tok.strip()) for tok in args.at.split(","))
+    elif args.n_max > SYMBOLIC_N_MAX:
+        raise SymbolicOrderTooLarge(args.n_max)
     terms = []
     for n in range(args.n_max + 1):
         if at is None:

@@ -14,6 +14,7 @@ from bisect import bisect_left
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import factorial
+from operator import index
 
 Rational = Fraction
 
@@ -47,10 +48,17 @@ class IntPolynomial:
     __slots__ = ("_exps", "_coefs")
 
     def __init__(self, coeffs=()):
-        """Polynomial from dense coefficients by ascending degree."""
+        """Polynomial from dense coefficients by ascending degree.
+
+        Coefficients must be integers: floats, Fractions and bools raise
+        TypeError instead of being truncated; int subclasses and other types
+        with ``__index__`` are accepted.
+        """
         exps, coefs = [], []
         for e, c in enumerate(coeffs):
-            c = int(c)
+            if isinstance(c, bool):
+                raise TypeError(f"coefficient {c!r} is a bool, not an integer")
+            c = index(c)
             if c:
                 exps.append(e)
                 coefs.append(c)

@@ -12,6 +12,20 @@ where lambda_k are the log coefficients of (e^u - 1)/u. Dividing the same
 product by (e^t - 1)/t instead gives the shifted values: coefficient n times
 n!/2^n equals T_n evaluated at delta_k = (s_k - 1)/2^k.
 
+The numeric series are built in integers, as exponential generating
+functions (EGFs: n! times the u^n coefficient). With q the lcm of the
+denominators of x and p_i = q x_i, the product prod_i (e^{p_i u} - 1) has
+integer EGF coefficients E[N]; each factor, with coefficients p_i^k for
+k >= 1, multiplies in by the binomial convolution
+out[N] = sum_k C(N, k) p_i^k e[N-k]. Substituting u = t/q and dividing by
+t^m prod x_i turns E into the sigma series: coefficient n is
+E[n+m] / ((n+m)! prod p_i q^n). The factor t/(e^t - 1) has EGF coefficients
+B_k (Bernoulli numbers, minus convention), which are B_k q^k in u; scaled by
+L = lcm of their denominators they are integers too, so the delta series and
+the Bernoulli-umbra series are one more convolution each, and the only
+division is by L in the final conversion to Fraction. No Fraction arithmetic
+runs inside the loops.
+
 Bernoulli numbers, zig-zag (secant/tangent) numbers, the inclusion-exclusion
 subset power sum, and the Bernoulli-umbra powers used by the first Sylvester
 wave are included because the identities under test relate all of them to T_n.
@@ -21,30 +35,93 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, lcm
+from math import comb, factorial, lcm, prod
 
-from .exact import RationalSeries, exp_series
+from .exact import RationalSeries
 
 
 class ZeroVariable(ValueError):
     """The series factors (e^{x t} - 1)/(x t) need every variable nonzero."""
 
 
-def _unit_factor(c, order: int) -> RationalSeries:
-    """Truncation of (e^{c t} - 1)/(c t); coefficient k is c^k / (k+1)!."""
-    c = Fraction(c)
-    out = []
-    pw = Fraction(1)
-    for k in range(order + 1):
-        out.append(pw / factorial(k + 1))
-        pw *= c
-    return RationalSeries(out)
+# Largest n for which symbolic T_n is built. `felcheck tn N` takes 3.6 s at
+# N = 30 and 8.9 s at N = 34 on a 2-core VM, and more than 20 s at N = 40.
+SYMBOLIC_N_MAX = 30
 
 
-def _check_variables(x):
-    for c in x:
-        if c == 0:
-            raise ZeroVariable("variables must be nonzero")
+class SymbolicOrderTooLarge(ValueError):
+    """Symbolic T_n is refused above SYMBOLIC_N_MAX, before any work is done."""
+
+    def __init__(self, n: int):
+        super().__init__(f"symbolic T_n is limited to n <= {SYMBOLIC_N_MAX}, got {n}")
+
+
+@lru_cache(maxsize=None)
+def _binomial_row(n: int) -> tuple[int, ...]:
+    return tuple(comb(n, k) for k in range(n + 1))
+
+
+def _egf_mul(a, b, n_max: int) -> list[int]:
+    """Binomial convolution: out[n] = sum_k C(n, k) a[k] b[n-k] for n <= n_max.
+
+    With a and b the EGF coefficients (n! times the u^n coefficient) of two
+    series, out holds those of their product; all entries are integers.
+    """
+    return [
+        sum(c * x * y for c, x, y in zip(_binomial_row(n), a, reversed(b[: n + 1])))
+        for n in range(n_max + 1)
+    ]
+
+
+def _powers(p: int, n_max: int) -> list[int]:
+    out = [1]
+    for _ in range(n_max):
+        out.append(out[-1] * p)
+    return out
+
+
+def _integer_variables(x) -> tuple[list[int], int]:
+    """Integers p_i and q with x_i = p_i / q, q the lcm of the denominators."""
+    xs = [Fraction(c) for c in x]
+    if any(c == 0 for c in xs):
+        raise ZeroVariable("variables must be nonzero")
+    q = lcm(*(c.denominator for c in xs))
+    return [c.numerator * (q // c.denominator) for c in xs], q
+
+
+def _exp_minus_one_product(ps, n_max: int) -> list[int]:
+    """EGF coefficients of prod_i (e^{p_i u} - 1) up to u^n_max, one factor
+    at a time. A factor's EGF coefficients are p^k for k >= 1 and 0 at k = 0."""
+    e = [1] + [0] * n_max
+    for p in ps:
+        factor = _powers(p, n_max)
+        factor[0] = 0
+        e = _egf_mul(factor, e, n_max)
+    return e
+
+
+@lru_cache(maxsize=None)
+def _scaled_bernoulli(n_max: int) -> tuple[int, tuple[int, ...]]:
+    """L and the integers L * B_k for k <= n_max, with B_k in the minus
+    convention (B_1 = -1/2) and L the lcm of their denominators."""
+    table = list(_bernoulli_table(n_max))
+    if n_max:
+        table[1] = -table[1]
+    L = lcm(*(b.denominator for b in table))
+    return L, tuple(b.numerator * (L // b.denominator) for b in table)
+
+
+def _egf_to_series(values, shift: int, scale: int, q: int, order: int) -> RationalSeries:
+    """Series whose t^n coefficient is values[n + shift] / ((n + shift)! * scale * q^n)."""
+    return RationalSeries(
+        Fraction(values[n + shift], factorial(n + shift) * scale * q**n)
+        for n in range(order + 1)
+    )
+
+
+def _check_order(order: int) -> None:
+    if order < 0:
+        raise ValueError("order must be nonnegative")
 
 
 def sigma_egf(x, order: int) -> RationalSeries:
@@ -52,16 +129,22 @@ def sigma_egf(x, order: int) -> RationalSeries:
 
     The empty product is the constant series 1.
     """
-    _check_variables(x)
-    s = RationalSeries.constant(1, order)
-    for c in x:
-        s = s * _unit_factor(c, order)
-    return s
+    _check_order(order)
+    ps, q = _integer_variables(x)
+    m = len(ps)
+    e = _exp_minus_one_product(ps, order + m)
+    return _egf_to_series(e, m, prod(ps), q, order)
 
 
 def delta_egf(x, order: int) -> RationalSeries:
     """t/(e^t - 1) times the sigma series; coefficient n is 2^n T_n(delta)/n!."""
-    return sigma_egf(x, order) / _unit_factor(1, order)
+    _check_order(order)
+    ps, q = _integer_variables(x)
+    m = len(ps)
+    L, bern = _scaled_bernoulli(order + m)
+    scaled = [b * qk for b, qk in zip(bern, _powers(q, order + m))]
+    d = _egf_mul(scaled, _exp_minus_one_product(ps, order + m), order + m)
+    return _egf_to_series(d, m, L * prod(ps), q, order)
 
 
 def t_value(x, n: int) -> Fraction:
@@ -241,6 +324,8 @@ def t_symbolic(n: int) -> SigmaPolynomial:
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
+    if n > SYMBOLIC_N_MAX:
+        raise SymbolicOrderTooLarge(n)
     if n == 0:
         return SigmaPolynomial.one()
     lam = lambda_table(n)
@@ -318,10 +403,12 @@ def umbral_series(d, order: int) -> RationalSeries:
     gens = tuple(int(v) for v in d)
     if any(v < 1 for v in gens):
         raise ValueError("umbral variables must be positive integers")
-    s = exp_series(sum(gens), order)
+    _check_order(order)
+    L, bern = _scaled_bernoulli(order)
+    u = _powers(sum(gens), order)
     for di in gens:
-        s = s / _unit_factor(di, order)
-    return s
+        u = _egf_mul([b * dk for b, dk in zip(bern, _powers(di, order))], u, order)
+    return _egf_to_series(u, 0, L ** len(gens), 1, order)
 
 
 def umbral_power(d, r: int) -> Fraction:

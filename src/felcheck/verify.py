@@ -17,6 +17,7 @@ from .exact import IntPolynomial, RationalSeries
 from .hilbert import (
     alternating_syzygy_sums,
     hilbert_numerator,
+    k_denominator,
     k_invariant,
 )
 from .semigroup import (
@@ -124,7 +125,7 @@ def verify_fel_main(
     c_sums = alternating_syzygy_sums(h, S.m + p_max)
     report = VerificationReport(S.generators)
     for p in range(p_max + 1):
-        lhs = k_invariant(S, h, p)
+        lhs = Fraction(c_sums[S.m + p], k_denominator(S, p))
         bracket = Fraction(2 ** (p + 1), p + 1) * t_del[p + 1]
         for r in range(p + 1):
             bracket += comb(p, r) * t_sig[p - r] * G[r]

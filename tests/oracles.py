@@ -166,3 +166,49 @@ def numerator_by_membership(gens):
     member = representable_table(gens, limit)
     series = [1 if member[n] else 0 for n in range(limit + 1)]
     return dense_trim(dense_mul(series, prod)[: limit + 1])
+
+
+# The Fraction route to the T_n generating series: truncated power series
+# over Fraction, as plain lists, multiplied and divided term by term. The
+# library builds the same series by integer binomial convolution.
+
+
+def unit_factor(c, order):
+    """Coefficients of (e^{c t} - 1)/(c t) up to t^order: c^k / (k+1)!."""
+    c = Fraction(c)
+    return [c**k / factorial(k + 1) for k in range(order + 1)]
+
+
+def series_mul(a, b):
+    n = min(len(a), len(b))
+    return [sum(a[i] * b[k - i] for i in range(k + 1)) for k in range(n)]
+
+
+def series_div(a, b):
+    """Quotient a / b of truncated series; b needs a nonzero constant term."""
+    out = []
+    for k in range(min(len(a), len(b))):
+        out.append((a[k] - sum(out[j] * b[k - j] for j in range(k))) / b[0])
+    return out
+
+
+def sigma_by_series(x, order):
+    """Product of the unit factors (e^{x_i t} - 1)/(x_i t)."""
+    out = [Fraction(1)] + [Fraction(0)] * order
+    for c in x:
+        out = series_mul(out, unit_factor(c, order))
+    return out
+
+
+def delta_by_series(x, order):
+    """The sigma series divided by (e^t - 1)/t."""
+    return series_div(sigma_by_series(x, order), unit_factor(1, order))
+
+
+def umbral_by_series(d, order):
+    """exp(s1 t) divided by (e^{d_i t} - 1)/(d_i t) for each d_i."""
+    s1 = sum(d)
+    out = [Fraction(s1**k, factorial(k)) for k in range(order + 1)]
+    for di in d:
+        out = series_div(out, unit_factor(di, order))
+    return out

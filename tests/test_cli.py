@@ -1,6 +1,7 @@
 import json
 
 from felcheck import cli
+from felcheck.universal import SYMBOLIC_N_MAX
 
 
 def run_cli(capsys, *argv):
@@ -76,6 +77,23 @@ class TestTn:
         code, _, err = run_cli(capsys, "tn", "2", "--at", "3,x")
         assert code == 2
         assert "ValueError" in err
+
+    def test_symbolic_limit_refused_up_front(self, capsys, monkeypatch):
+        def never(n):
+            raise AssertionError(f"t_symbolic({n}) ran")
+
+        monkeypatch.setattr(cli, "t_symbolic", never)
+        code, out, err = run_cli(capsys, "tn", str(SYMBOLIC_N_MAX + 1))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("SymbolicOrderTooLarge")
+        assert f"n <= {SYMBOLIC_N_MAX}" in err
+
+    def test_evaluated_past_symbolic_limit(self, capsys):
+        n = SYMBOLIC_N_MAX + 10
+        code, out, _ = run_cli(capsys, "tn", str(n), "--at", "1")
+        assert code == 0
+        assert out.splitlines()[-1] == f"T_{n} = 1/{n + 1}"
 
 
 class TestVerify:

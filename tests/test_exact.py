@@ -26,6 +26,11 @@ class TestIntPolynomial:
         assert P().degree == -1
         assert P(5).degree == 0
 
+    def test_rejects_non_integer_coefficients(self):
+        for bad in ([0.5], [2.0], [F(1, 2)], [F(4)], [True], [1, False, 3]):
+            with pytest.raises(TypeError):
+                IntPolynomial(bad)
+
     def test_mul(self):
         assert P(1, -1) * P(1, 1) == P(1, 0, -1)
         one_minus_z3 = IntPolynomial.one_minus_pow(3)

@@ -1,6 +1,8 @@
 """Property tests: the Apéry-built Hilbert numerator against two independent
-routes, and the sparse IntPolynomial against dense reference arithmetic."""
+routes, the sparse IntPolynomial against dense reference arithmetic, and the
+integer-built T_n generating series against the Fraction series route."""
 
+from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -12,6 +14,7 @@ from hypothesis import strategies as st  # noqa: E402
 from felcheck.exact import IntPolynomial, NonExactDivision  # noqa: E402
 from felcheck.hilbert import hilbert_numerator  # noqa: E402
 from felcheck.semigroup import compute_gaps, make_semigroup  # noqa: E402
+from felcheck.universal import delta_egf, sigma_egf, umbral_series  # noqa: E402
 
 from oracles import (  # noqa: E402
     dense_add,
@@ -21,8 +24,11 @@ from oracles import (  # noqa: E402
     dense_mul,
     dense_sub,
     dense_trim,
+    delta_by_series,
     numerator_by_gap_route,
     numerator_by_membership,
+    sigma_by_series,
+    umbral_by_series,
 )
 
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -139,3 +145,36 @@ def test_huge_degree_stays_sparse():
     assert len(tuple(q.items())) == 4 and q.degree == 2 * 10**9 + 7
     assert q.exact_div(IntPolynomial.one_minus_pow(10**9)) == IntPolynomial.one_minus_pow(10**9 + 7)
     assert (q(0), q(1), q(-1)) == (1, 0, 0)
+
+
+# Vectors of 0-5 nonzero rationals, negative and non-integer ones included;
+# a drawn flag repeats the first entry, so duplicates occur often.
+@st.composite
+def rational_vectors(draw):
+    entry = st.fractions(min_value=-9, max_value=9, max_denominator=9).filter(bool)
+    xs = draw(st.lists(entry, max_size=5))
+    if xs and draw(st.booleans()):
+        xs.append(xs[0])
+    return tuple(xs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(rational_vectors(), st.integers(0, 70))
+@example((), 0)
+@example((), 70)
+@example((1,), 0)
+@example((Fraction(-7, 3), Fraction(5, 2), Fraction(5, 2)), 70)
+@example((3, 3, 5, 7), 70)
+def test_egf_series_match_fraction_route(x, order):
+    assert list(sigma_egf(x, order).coeffs) == sigma_by_series(x, order)
+    assert list(delta_egf(x, order).coeffs) == delta_by_series(x, order)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(1, 9), max_size=4), st.integers(0, 70))
+@example([], 0)
+@example([], 12)
+@example([4, 4], 0)
+@example([1, 1, 9], 70)
+def test_umbral_series_matches_fraction_route(d, order):
+    assert list(umbral_series(d, order).coeffs) == umbral_by_series(d, order)

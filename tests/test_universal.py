@@ -6,7 +6,9 @@ import pytest
 
 from felcheck.exact import RationalSeries
 from felcheck.universal import (
+    SYMBOLIC_N_MAX,
     SigmaPolynomial,
+    SymbolicOrderTooLarge,
     ZeroVariable,
     bernoulli,
     delta_egf,
@@ -172,6 +174,10 @@ class TestSymbolic:
         assert (
             t_symbolic(4).pretty() == "(15*s1^4 + 30*s1^2*s2 + 5*s2^2 - 2*s4)/240"
         )
+
+    def test_limit(self):
+        with pytest.raises(SymbolicOrderTooLarge):
+            t_symbolic(SYMBOLIC_N_MAX + 1)
 
 
 class TestSubsetPowerSum:
