@@ -32,6 +32,17 @@ from .verify import (
 
 SCHEMA_VERSION = 1
 
+
+class ZeroDenominator(ValueError):
+    """A rational given on the command line has denominator 0."""
+
+
+def _parse_rational(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ZeroDenominator(f"{text!r} has denominator 0") from None
+
 PARAM_LABEL = {
     "FEL_MAIN": "p",
     "EQ_FINAL": "p",
@@ -133,6 +144,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_invariants(args) -> tuple[dict, int]:
+    if args.p_max < 0:
+        raise ValueError("p_max must be nonnegative")
     S = make_semigroup(args.generators)
     gaps = compute_gaps(S, args.bound)
     stats = generator_stats(S, args.p_max + 1)
@@ -174,7 +187,7 @@ def cmd_tn(args) -> tuple[dict, int]:
         raise ValueError("n_max must be nonnegative")
     at = None
     if args.at is not None:
-        at = tuple(Fraction(tok.strip()) for tok in args.at.split(","))
+        at = tuple(_parse_rational(tok.strip()) for tok in args.at.split(","))
     elif args.n_max > SYMBOLIC_N_MAX:
         raise SymbolicOrderTooLarge(args.n_max)
     terms = []

@@ -14,9 +14,12 @@ from bisect import bisect_left
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import factorial
-from operator import index
+from operator import index, mul
 
 Rational = Fraction
+
+# Terms per block in IntPolynomial.power_sums.
+_POWER_BLOCK = 512
 
 
 class NonExactDivision(ValueError):
@@ -208,19 +211,32 @@ class IntPolynomial:
             prev = e
         return acc * x**prev if prev > 0 else acc
 
+    def power_sums(self, n_max: int) -> list[int]:
+        """The integers sum_k p_k * k^n for 0 <= n <= n_max, with 0^0 = 1:
+        n! times the t^n coefficient of p(e^t).
+
+        Each power is one C-level pass of map(mul) over a block of terms;
+        blocks of _POWER_BLOCK terms keep the big-integer lists short, so a
+        gap polynomial with tens of thousands of terms adds no memory peak.
+        """
+        if n_max < 0:
+            raise ValueError("order must be nonnegative")
+        out = [0] * (n_max + 1)
+        for i in range(0, len(self._exps), _POWER_BLOCK):
+            exps = self._exps[i : i + _POWER_BLOCK]
+            terms = self._coefs[i : i + _POWER_BLOCK]
+            out[0] += sum(terms)
+            for n in range(1, n_max + 1):
+                terms = list(map(mul, terms, exps))
+                out[n] += sum(terms)
+        return out
+
     def at_exp(self, order: int) -> "RationalSeries":
         """Truncation of p(e^t): substitute e^t for the variable.
 
         The t^n coefficient is (sum_k p_k * k^n) / n!, with 0^0 = 1.
         """
-        if order < 0:
-            raise ValueError("order must be nonnegative")
-        sums = [0] * (order + 1)
-        for k, c in self.items():
-            pw = 1
-            for n in range(order + 1):
-                sums[n] += c * pw
-                pw *= k
+        sums = self.power_sums(order)
         return RationalSeries(Fraction(s, factorial(n)) for n, s in enumerate(sums))
 
     def sparse_str(self) -> str:

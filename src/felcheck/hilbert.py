@@ -68,14 +68,7 @@ def alternating_syzygy_sum(h: HilbertData, r: int) -> int:
 
 def alternating_syzygy_sums(h: HilbertData, r_max: int) -> list[int]:
     """All alternating syzygy power sums for 0 <= r <= r_max in one pass."""
-    diff = IntPolynomial([1]) - h.numerator
-    out = [0] * (r_max + 1)
-    for n, c in diff.items():
-        pw = 1
-        for r in range(r_max + 1):
-            out[r] += c * pw
-            pw *= n
-    return out
+    return (IntPolynomial([1]) - h.numerator).power_sums(r_max)
 
 
 def k_denominator(S: SemigroupSpec, p: int) -> int:
@@ -92,6 +85,8 @@ def k_invariant(S: SemigroupSpec, h: HilbertData, p: int) -> Fraction:
 
 def syzygy_values(S: SemigroupSpec, h: HilbertData, p_max: int) -> SyzygyValues:
     """Alternating sums for r <= m + p_max together with the invariants for p <= p_max."""
+    if p_max < 0:
+        raise ValueError("p_max must be nonnegative")
     sums = alternating_syzygy_sums(h, S.m + p_max)
     c = dict(enumerate(sums))
     k = {p: Fraction(sums[S.m + p], k_denominator(S, p)) for p in range(p_max + 1)}

@@ -6,7 +6,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
 from math import gcd
-from operator import index
+from operator import add, index, mul
+
+from .exact import IntPolynomial, NonExactDivision
 
 DEFAULT_BOUND = 10**7
 
@@ -143,14 +145,34 @@ def gap_power_sum(gaps: GapData, r: int) -> int:
 
 
 def gap_power_sums(gaps: GapData, r_max: int) -> list[int]:
-    """All gap power sums for 0 <= r <= r_max in one pass."""
-    out = [0] * (r_max + 1)
-    for g in gaps.gaps:
-        pw = 1
-        for r in range(r_max + 1):
-            out[r] += pw
-            pw *= g
-    return out
+    """All gap power sums G_r for 0 <= r <= r_max, from the Apéry set alone.
+
+    The gaps congruent to w mod a (w in the Apéry set, a the least
+    generator) are w - a, w - 2a, ... down to the least positive one, so
+    Phi(z) (z^a - 1) = sum_w z^w - sum_{r<a} z^r. At z = e^t the n-th EGF
+    coefficient reads sum_{k=1..n} C(n, k) a^k G_{n-k} = W_n - R_n, with
+    W_n = sum_w w^n and R_n = sum_{r<a} r^n; its k = 1 term n a G_{n-1}
+    is solved for, exactly. This costs O(a r_max + r_max^2) instead of
+    O(genus r_max) (Tuenter, J. Number Theory 117, 2006).
+    """
+    if r_max < 0:
+        raise ValueError("power must be nonnegative")
+    a = len(gaps.apery)
+    apery = IntPolynomial.from_terms((w, 1) for w in sorted(gaps.apery))
+    w_minus_r = (apery - IntPolynomial([1] * a)).power_sums(r_max + 1)
+    G = []
+    row = [1]  # Pascal's triangle: row n once updated in the loop
+    for n in range(1, r_max + 2):
+        row = [1, *map(add, row, row[1:]), 1]
+        # sum_{k=2..n} C(n, k) a^k G_{n-k}, by Horner's rule in a
+        acc = 0
+        for term in map(mul, row[n:1:-1], G):
+            acc = acc * a + term
+        g, rem = divmod(w_minus_r[n] - acc * a * a, n * a)
+        if rem:
+            raise NonExactDivision(f"G_{n - 1} from the Apéry set is not an integer")
+        G.append(g)
+    return G
 
 
 def generator_stats(S: SemigroupSpec, K: int) -> GeneratorStats:

@@ -36,6 +36,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, lcm, prod
+from operator import mul
 
 from .exact import RationalSeries
 
@@ -68,7 +69,7 @@ def _egf_mul(a, b, n_max: int) -> list[int]:
     series, out holds those of their product; all entries are integers.
     """
     return [
-        sum(c * x * y for c, x, y in zip(_binomial_row(n), a, reversed(b[: n + 1])))
+        sum(map(mul, map(mul, _binomial_row(n), a), reversed(b[: n + 1])))
         for n in range(n_max + 1)
     ]
 
@@ -104,7 +105,7 @@ def _exp_minus_one_product(ps, n_max: int) -> list[int]:
 def _scaled_bernoulli(n_max: int) -> tuple[int, tuple[int, ...]]:
     """L and the integers L * B_k for k <= n_max, with B_k in the minus
     convention (B_1 = -1/2) and L the lcm of their denominators."""
-    table = list(_bernoulli_table(n_max))
+    table = list(_bernoulli_table(_table_size(n_max))[: n_max + 1])
     if n_max:
         table[1] = -table[1]
     L = lcm(*(b.denominator for b in table))
@@ -258,15 +259,22 @@ class SigmaPolynomial:
     __rmul__ = __mul__
 
     def evaluate(self, sigma) -> Fraction:
-        """Evaluate with sigma[k-1] as the value of s_k."""
-        total = Fraction(0)
+        """Evaluate with sigma[k-1] as the value of s_k.
+
+        The terms are summed over the lcm of the coefficient denominators,
+        so at integer power sums the sum is an integer and one Fraction is
+        made at the end.
+        """
+        values = [v if type(v) is int else Fraction(v) for v in sigma]
+        den = lcm(*(c.denominator for c in self.terms.values()))
+        acc = 0
         for mono, c in self.terms.items():
-            term = c
+            term = c.numerator * (den // c.denominator)
             for i, e in enumerate(mono):
                 if e:
-                    term *= Fraction(sigma[i]) ** e
-            total += term
-        return total
+                    term *= values[i] ** e
+            acc += term
+        return Fraction(acc) / den
 
     def weights(self) -> set[int]:
         """Weighted degrees of the monomials, with s_k carrying weight k."""
@@ -362,6 +370,12 @@ def subset_power_sum(x, n: int) -> Fraction:
     return total
 
 
+def _table_size(n: int) -> int:
+    """Entries 0..n come from a table sized to the next power of two (at
+    least 8), so that asking for every n up to 128 builds five tables."""
+    return max(8, 1 << (n - 1).bit_length())
+
+
 @lru_cache(maxsize=None)
 def _bernoulli_table(n_max: int) -> tuple[Fraction, ...]:
     # inverse of (1 - e^{-u})/u, whose k-th coefficient is (-1)^k/(k+1)!
@@ -376,7 +390,7 @@ def bernoulli(n: int) -> Fraction:
     """Bernoulli number with the plus convention (entry 1 is +1/2)."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return _bernoulli_table(max(n, 8))[n]
+    return _bernoulli_table(_table_size(n))[n]
 
 
 @lru_cache(maxsize=None)
@@ -395,11 +409,12 @@ def zigzag(j: int) -> Fraction:
     """Zig-zag number: j! times the x^j coefficient of sec x + tan x."""
     if j < 0:
         raise ValueError("j must be nonnegative")
-    return _zigzag_table(max(j, 8))[j]
+    return _zigzag_table(_table_size(j))[j]
 
 
-def umbral_series(d, order: int) -> RationalSeries:
-    """Generating series exp(s1 t) * prod_i d_i t/(e^{d_i t} - 1); constant term 1."""
+def _umbral_egf(d, order: int) -> tuple[list[int], int]:
+    """Integer EGF coefficients u and the scale s with u[n] / s equal to n!
+    times the t^n coefficient of umbral_series(d, order)."""
     gens = tuple(int(v) for v in d)
     if any(v < 1 for v in gens):
         raise ValueError("umbral variables must be positive integers")
@@ -408,7 +423,13 @@ def umbral_series(d, order: int) -> RationalSeries:
     u = _powers(sum(gens), order)
     for di in gens:
         u = _egf_mul([b * dk for b, dk in zip(bern, _powers(di, order))], u, order)
-    return _egf_to_series(u, 0, L ** len(gens), 1, order)
+    return u, L ** len(gens)
+
+
+def umbral_series(d, order: int) -> RationalSeries:
+    """Generating series exp(s1 t) * prod_i d_i t/(e^{d_i t} - 1); constant term 1."""
+    u, scale = _umbral_egf(d, order)
+    return _egf_to_series(u, 0, scale, 1, order)
 
 
 def umbral_power(d, r: int) -> Fraction:
@@ -419,4 +440,5 @@ def umbral_power(d, r: int) -> Fraction:
     """
     if r < 0:
         raise ValueError("r must be nonnegative")
-    return factorial(r) * umbral_series(d, r).coeff(r)
+    u, scale = _umbral_egf(d, r)
+    return Fraction(u[r], scale)

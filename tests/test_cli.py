@@ -181,3 +181,23 @@ class TestOutput:
         assert out == ""
         assert err.startswith("OSError: ") and "missing" in err
         assert not target.parent.exists()
+
+
+class TestRejectedArguments:
+    def test_zero_denominator_in_at(self, capsys):
+        code, out, err = run_cli(capsys, "tn", "3", "--at", "1/0")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("ZeroDenominator") and "'1/0'" in err
+
+    def test_negative_p_max_for_hilbert(self, capsys):
+        code, out, err = run_cli(capsys, "hilbert", "3", "5", "--p-max", "-1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("ValueError") and "p_max" in err
+
+    def test_negative_p_max_for_invariants_names_p_max(self, capsys):
+        code, out, err = run_cli(capsys, "invariants", "3", "5", "--p-max", "-1")
+        assert code == 2
+        assert out == ""
+        assert "p_max" in err and "K must" not in err

@@ -176,3 +176,12 @@ class TestRationalSeries:
         assert (s * 3).coeffs == (F(3), F(6))
         assert (1 + s.shift(1)).coeffs == (F(1), F(1), F(2))
         assert (s / 2).coeffs == (F(1, 2), F(1))
+
+
+def test_power_sums_across_term_blocks():
+    # more terms than one block of power_sums, with a zero exponent and signs
+    terms = [(e, (-1) ** e * (e % 7 + 1)) for e in range(0, 3000, 2)]
+    p = IntPolynomial.from_terms(terms)
+    expected = [sum(c * e**n for e, c in terms) for n in range(6)]
+    assert p.power_sums(5) == expected
+    assert IntPolynomial().power_sums(2) == [0, 0, 0]

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 from math import gcd
 
+import pytest
+
 from felcheck.exact import IntPolynomial
 from felcheck.hilbert import (
     alternating_syzygy_sum,
@@ -181,3 +183,9 @@ class TestKInvariant:
         assert set(vals.c) == set(range(S.m + 4))
         for p in range(4):
             assert vals.k[p] == k_invariant(S, h, p)
+
+
+def test_syzygy_values_rejects_negative_p_max():
+    S = make_semigroup([3, 5])
+    with pytest.raises(ValueError, match="p_max"):
+        syzygy_values(S, hilbert_numerator(S, compute_gaps(S)), -1)

@@ -1,6 +1,8 @@
 """Property tests: the Apéry-built Hilbert numerator against two independent
-routes, the sparse IntPolynomial against dense reference arithmetic, and the
-integer-built T_n generating series against the Fraction series route."""
+routes, the Apéry-built gap power sums against the gap list of a
+representability table, the sparse IntPolynomial against dense reference
+arithmetic, and the integer-built T_n generating series against the Fraction
+series route."""
 
 from fractions import Fraction
 from math import gcd
@@ -13,7 +15,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from felcheck.exact import IntPolynomial, NonExactDivision  # noqa: E402
 from felcheck.hilbert import hilbert_numerator  # noqa: E402
-from felcheck.semigroup import compute_gaps, make_semigroup  # noqa: E402
+from felcheck.semigroup import compute_gaps, gap_power_sums, make_semigroup  # noqa: E402
 from felcheck.universal import delta_egf, sigma_egf, umbral_series  # noqa: E402
 
 from oracles import (  # noqa: E402
@@ -25,6 +27,7 @@ from oracles import (  # noqa: E402
     dense_sub,
     dense_trim,
     delta_by_series,
+    gaps_by_table,
     numerator_by_gap_route,
     numerator_by_membership,
     sigma_by_series,
@@ -178,3 +181,15 @@ def test_egf_series_match_fraction_route(x, order):
 @example([1, 1, 9], 70)
 def test_umbral_series_matches_fraction_route(d, order):
     assert list(umbral_series(d, order).coeffs) == umbral_by_series(d, order)
+
+
+@SETTINGS
+@given(generator_lists(), st.integers(0, 14))
+@example([1], 6)
+@example([1, 1], 3)
+@example([4, 4, 5], 9)
+@example([7, 3, 3, 7], 12)
+def test_apery_gap_sums_match_table_oracle(gens, r_max):
+    gaps = gaps_by_table(gens)
+    expected = [sum(g**r for g in gaps) for r in range(r_max + 1)]
+    assert gap_power_sums(compute_gaps(make_semigroup(gens)), r_max) == expected

@@ -294,3 +294,16 @@ class TestCompanionIdentities:
         rhs = zigzag(1) * comb(3, 1) * T[2] / T[1] ** 2 - zigzag(3) * comb(3, 3) * T[0]
         assert lhs == F(49, 32)
         assert lhs == rhs
+
+
+def test_bernoulli_and_zigzag_tables_are_shared_across_sizes():
+    from felcheck.universal import _bernoulli_table, _zigzag_table
+
+    _bernoulli_table.cache_clear()
+    _zigzag_table.cache_clear()
+    values = [bernoulli(k) for k in range(71)]
+    zig = [zigzag(k) for k in range(71)]
+    assert _bernoulli_table.cache_info().currsize <= 5
+    assert _zigzag_table.cache_info().currsize <= 5
+    assert values == [-bernoulli_minus(k) if k == 1 else bernoulli_minus(k) for k in range(71)]
+    assert zig[:8] == [1, 1, 1, 2, 5, 16, 61, 272]
