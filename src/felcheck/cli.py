@@ -13,6 +13,7 @@ import json
 import random
 import sys
 from fractions import Fraction
+from math import factorial
 
 from .hilbert import hilbert_numerator, k_denominator, syzygy_values
 from .semigroup import (
@@ -22,8 +23,9 @@ from .semigroup import (
     generator_stats,
     make_semigroup,
 )
-from .universal import SYMBOLIC_N_MAX, SymbolicOrderTooLarge, t_symbolic, t_value
+from .universal import SYMBOLIC_N_MAX, SymbolicOrderTooLarge, sigma_egf, t_symbolic
 from .verify import (
+    IDENTITIES,
     VerificationReport,
     random_semigroup,
     verify_companions,
@@ -42,21 +44,6 @@ def _parse_rational(text: str) -> Fraction:
         return Fraction(text)
     except ZeroDivisionError:
         raise ZeroDenominator(f"{text!r} has denominator 0") from None
-
-PARAM_LABEL = {
-    "FEL_MAIN": "p",
-    "EQ_FINAL": "p",
-    "THM_KP": "r",
-    "LOW_ORDER_K": "p",
-    "M2_CLOSED_FORM": "p",
-    "LEMMA_SERIES_C": "order",
-    "LEMMA_SERIES_PHI": "order",
-    "LEMMA_SERIES_P": "order",
-    "LEMMA_SERIES_PDIV": "order",
-    "LEMMA_ONE_MINUS_Q": "order",
-    "FEL1_SIGNFLIP": "n",
-    "FEL2_ZIGZAG": "n",
-}
 
 
 # The three embedded reference examples: generators, gap set, sparse numerator,
@@ -190,12 +177,13 @@ def cmd_tn(args) -> tuple[dict, int]:
         at = tuple(_parse_rational(tok.strip()) for tok in args.at.split(","))
     elif args.n_max > SYMBOLIC_N_MAX:
         raise SymbolicOrderTooLarge(args.n_max)
-    terms = []
-    for n in range(args.n_max + 1):
-        if at is None:
-            terms.append({"n": n, "T": t_symbolic(n).pretty()})
-        else:
-            terms.append({"n": n, "T": str(t_value(at, n))})
+    if at is None:
+        values = [t_symbolic(n).pretty() for n in range(args.n_max + 1)]
+    else:
+        # coefficient n of the series is T_n(at) / n!
+        series = sigma_egf(at, args.n_max)
+        values = [str(factorial(n) * series.coeff(n)) for n in range(args.n_max + 1)]
+    terms = [{"n": n, "T": value} for n, value in enumerate(values)]
     doc = {
         "schema": SCHEMA_VERSION,
         "command": "tn",
@@ -227,21 +215,24 @@ def _report_doc(report: VerificationReport) -> dict:
 
 
 def cmd_verify(args) -> tuple[dict, int]:
-    reports = []
     if args.random:
+        if args.generators:
+            raise ValueError("give generators or --random, not both")
+        if args.count < 1:
+            raise ValueError(f"--count must be at least 1, got {args.count}")
         rng = random.Random(args.seed)
         semigroups = [
             random_semigroup(rng, args.m_max, args.d_max) for _ in range(args.count)
         ]
         semigroups.sort(key=lambda S: S.generators)
-        for S in semigroups:
-            reports.append(verify_semigroup(S, args.p_max, args.order, args.bound))
     elif args.generators:
-        S = make_semigroup(args.generators)
-        reports.append(verify_semigroup(S, args.p_max, args.order, args.bound))
+        semigroups = [make_semigroup(args.generators)]
     else:
         raise ValueError("give generators or use --random")
-    reports.append(verify_companions(3, args.samples, args.seed).sort())
+    # first, so that a bad --samples is refused before any semigroup is verified
+    companions = verify_companions(3, args.samples, args.seed).sort()
+    reports = [verify_semigroup(S, args.p_max, args.order, args.bound) for S in semigroups]
+    reports.append(companions)
     passed = all(r.passed for r in reports)
     doc = {
         "schema": SCHEMA_VERSION,
@@ -308,7 +299,7 @@ def render_json(doc: dict) -> str:
 
 
 def _check_line(check: dict) -> str:
-    label = PARAM_LABEL.get(check["identity"], "k")
+    label = IDENTITIES[check["identity"]]
     param = check["parameter"]
     head = f"{check['identity']} {label}={param if param is not None else '-'}"
     if check["status"] == "pass":

@@ -5,8 +5,8 @@ equals Ap(z) / (1 - z^a), where a is the least generator and Ap(z) has a unit
 coefficient at each element of the Apéry set of a. So the numerator is the
 sparse product Q = Ap(z) * prod (1 - z^{d_i}) over every generator except one
 copy of a: at most a * 2^(m-1) terms, built from the Apéry set alone without
-any series truncation. The gap polynomial Phi and P = prod (1 - z^{d_i}) are
-still built, for the series identities that use them.
+any series truncation. HilbertData holds the series as that numerator over
+P = prod (1 - z^{d_i}); the gap polynomial Phi is built only on request.
 """
 
 from __future__ import annotations
@@ -21,7 +21,8 @@ from .semigroup import GapData, SemigroupSpec
 
 @dataclass(frozen=True)
 class HilbertData:
-    phi: IntPolynomial  # gap polynomial, 0/1 coefficients at gap exponents
+    """The Hilbert series numerator / prod."""
+
     prod: IntPolynomial  # product of (1 - z^{d_i})
     numerator: IntPolynomial  # Hilbert numerator Q, constant term 1
 
@@ -55,15 +56,7 @@ def hilbert_numerator(S: SemigroupSpec, gaps: GapData) -> HilbertData:
     numerator = IntPolynomial.from_terms((w, 1) for w in sorted(gaps.apery))
     for d in rest:
         numerator = numerator * IntPolynomial.one_minus_pow(d)
-    return HilbertData(gap_polynomial(gaps), product_polynomial(S), numerator)
-
-
-def alternating_syzygy_sum(h: HilbertData, r: int) -> int:
-    """Sum of n^r times the z^n coefficient of 1 - Q(z), with 0^0 = 1."""
-    if r < 0:
-        raise ValueError("power must be nonnegative")
-    diff = IntPolynomial([1]) - h.numerator
-    return sum(c * n**r for n, c in diff.items())
+    return HilbertData(product_polynomial(S), numerator)
 
 
 def alternating_syzygy_sums(h: HilbertData, r_max: int) -> list[int]:
@@ -80,7 +73,7 @@ def k_invariant(S: SemigroupSpec, h: HilbertData, p: int) -> Fraction:
     """Normalized invariant: the (m+p)-th alternating sum divided by k_denominator(S, p)."""
     if p < 0:
         raise ValueError("p must be nonnegative")
-    return Fraction(alternating_syzygy_sum(h, S.m + p), k_denominator(S, p))
+    return Fraction(alternating_syzygy_sums(h, S.m + p)[-1], k_denominator(S, p))
 
 
 def syzygy_values(S: SemigroupSpec, h: HilbertData, p_max: int) -> SyzygyValues:

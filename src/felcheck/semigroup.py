@@ -137,13 +137,6 @@ def compute_gaps(S: SemigroupSpec, bound: int = DEFAULT_BOUND) -> GapData:
     return GapData(tuple(gaps), frobenius, len(gaps), apery)
 
 
-def gap_power_sum(gaps: GapData, r: int) -> int:
-    """Sum of the r-th powers of the gaps; r = 0 gives the genus."""
-    if r < 0:
-        raise ValueError("power must be nonnegative")
-    return sum(g**r for g in gaps.gaps)
-
-
 def gap_power_sums(gaps: GapData, r_max: int) -> list[int]:
     """All gap power sums G_r for 0 <= r <= r_max, from the Apéry set alone.
 

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from math import comb, factorial, lcm, prod
 from operator import mul
 
@@ -105,7 +106,7 @@ def _exp_minus_one_product(ps, n_max: int) -> list[int]:
 def _scaled_bernoulli(n_max: int) -> tuple[int, tuple[int, ...]]:
     """L and the integers L * B_k for k <= n_max, with B_k in the minus
     convention (B_1 = -1/2) and L the lcm of their denominators."""
-    table = list(_bernoulli_table(_table_size(n_max))[: n_max + 1])
+    table = [bernoulli(k) for k in range(n_max + 1)]
     if n_max:
         table[1] = -table[1]
     L = lcm(*(b.denominator for b in table))
@@ -170,8 +171,8 @@ def lambda_table(K: int) -> tuple[Fraction, ...]:
     """
     if K < 1:
         raise ValueError("K must be at least 1")
-    base = RationalSeries(Fraction(1, factorial(k + 1)) for k in range(K + 1))
-    return base.log().coeffs
+    # the derivative of log((e^u - 1)/u) is 1/(1 - e^{-u}) - 1/u = sum_k B_k u^(k-1)/k!
+    return (Fraction(0), *(bernoulli(k) / (k * factorial(k)) for k in range(1, K + 1)))
 
 
 class SigmaPolynomial:
@@ -377,39 +378,40 @@ def _table_size(n: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _bernoulli_table(n_max: int) -> tuple[Fraction, ...]:
-    # inverse of (1 - e^{-u})/u, whose k-th coefficient is (-1)^k/(k+1)!
-    base = RationalSeries(
-        Fraction((-1) ** k, factorial(k + 1)) for k in range(n_max + 1)
-    )
-    inv = RationalSeries.constant(1, n_max) / base
-    return tuple(inv.coeff(n) * factorial(n) for n in range(n_max + 1))
+def _zigzag_table(n_max: int) -> tuple[int, ...]:
+    """Zig-zag numbers A_0 .. A_n_max from the Seidel-Entringer boustrophedon:
+    row n is the running sum of row n - 1 reversed, starting at 0, and A_n
+    is its last entry."""
+    row = [1]
+    out = [1]
+    for _ in range(n_max):
+        row = list(accumulate(reversed(row), initial=0))
+        out.append(row[-1])
+    return tuple(out)
 
 
 def bernoulli(n: int) -> Fraction:
-    """Bernoulli number with the plus convention (entry 1 is +1/2)."""
+    """Bernoulli number with the plus convention (entry 1 is +1/2).
+
+    B_2k = (-1)^(k-1) 2k A_{2k-1} / (4^k (4^k - 1)), with the tangent number
+    A_{2k-1} read from the zig-zag table (Brent and Harvey, arXiv:1108.0286).
+    """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return _bernoulli_table(_table_size(n))[n]
-
-
-@lru_cache(maxsize=None)
-def _zigzag_table(j_max: int) -> tuple[Fraction, ...]:
-    coeffs_sin = [Fraction(0)] * (j_max + 1)
-    coeffs_cos = [Fraction(0)] * (j_max + 1)
-    for k in range(0, j_max + 1, 2):
-        coeffs_cos[k] = Fraction((-1) ** (k // 2), factorial(k))
-    for k in range(1, j_max + 1, 2):
-        coeffs_sin[k] = Fraction((-1) ** (k // 2), factorial(k))
-    ratio = (RationalSeries.constant(1, j_max) + RationalSeries(coeffs_sin)) / RationalSeries(coeffs_cos)
-    return tuple(ratio.coeff(j) * factorial(j) for j in range(j_max + 1))
+    if n < 2:
+        return Fraction(1, n + 1)
+    if n % 2:
+        return Fraction(0)
+    four = 4 ** (n // 2)
+    tangent = _zigzag_table(_table_size(n))[n - 1]
+    return Fraction((-1) ** (n // 2 - 1) * n * tangent, four * (four - 1))
 
 
 def zigzag(j: int) -> Fraction:
     """Zig-zag number: j! times the x^j coefficient of sec x + tan x."""
     if j < 0:
         raise ValueError("j must be nonnegative")
-    return _zigzag_table(_table_size(j))[j]
+    return Fraction(_zigzag_table(_table_size(j))[j])
 
 
 def _umbral_egf(d, order: int) -> tuple[list[int], int]:

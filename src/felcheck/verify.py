@@ -7,8 +7,9 @@ is recorded in the report, so every run is reproducible.
 The per-semigroup identities are checked on integers. In exponential
 generating function (EGF) form, where a sequence v stands for the series
 sum_n v[n] t^n / n!, every side of every identity is an integer sequence, or
-one divided by L (n + 1). So one immutable table of integer invariants is
-built per semigroup, at N = order + 1:
+one divided by L (n + 1). So invariants(S, p_max, order) builds one frozen
+Invariants bundle per semigroup: the gaps, the Hilbert numerator, and to
+index N = max(order, m + 3) + 1
 
 - E, the EGF of prod_i (e^{d_i t} - 1), one factor at a time; E[n] = 0 for
   n < m;
@@ -18,6 +19,9 @@ built per semigroup, at N = order + 1:
 - G, the gap power sums, from the Apéry set alone by the recurrence in
   semigroup.gap_power_sums, never from the gap list;
 - EG, the EGF product of E and G.
+
+verify_semigroup builds the bundle once and passes it to each check, which
+takes nothing else: verify_fel_main(inv), verify_thm_kp(inv), and so on.
 
 With n = m + p, Fel's bracket is p! (D[n+1] + (n+1) L EG[n]) / ((n+1)! pi L),
 so FEL_MAIN and EQ_FINAL both hold iff (n+1) L c[n] = (-1)^m (D[n+1] +
@@ -32,16 +36,13 @@ so FEL_MAIN and EQ_FINAL both hold iff (n+1) L c[n] = (-1)^m (D[n+1] +
 - LEMMA_SERIES_PDIV: (n+1) L (P/(1 - z))(e^t) against -(-1)^m D[n+1];
 - LEMMA_ONE_MINUS_Q: c against [n = 0] + (-1)^m (EG[n] + D[n+1] / ((n+1) L)).
 
-verify_semigroup builds the table once and the verify_* calls it makes read
-it; a standalone verify_* call builds its own. A Fraction is made only to
-print a record, one per printed coefficient, and a passing record prints
-one value for both sides.
+A Fraction is made only to print a record, one per printed coefficient, and
+a passing record prints one value for both sides.
 """
 
 from __future__ import annotations
 
 import random
-from contextvars import ContextVar
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, factorial, gcd, prod
@@ -50,6 +51,7 @@ from .exact import IntPolynomial
 from .hilbert import (
     HilbertData,
     alternating_syzygy_sums,
+    gap_polynomial,
     hilbert_numerator,
     k_denominator,
     k_invariant,  # noqa: F401  no check here uses it; perfbench's tracer test reads it off this module
@@ -73,20 +75,22 @@ from .universal import (
     zigzag,
 )
 
-IDENTITIES = (
-    "FEL_MAIN",
-    "THM_KP",
-    "LOW_ORDER_K",
-    "M2_CLOSED_FORM",
-    "LEMMA_SERIES_C",
-    "LEMMA_SERIES_PHI",
-    "LEMMA_SERIES_P",
-    "LEMMA_SERIES_PDIV",
-    "LEMMA_ONE_MINUS_Q",
-    "EQ_FINAL",
-    "FEL1_SIGNFLIP",
-    "FEL2_ZIGZAG",
-)
+# Every identity, in report order, with the name of its parameter.
+IDENTITIES = {
+    "FEL_MAIN": "p",
+    "THM_KP": "r",
+    "LOW_ORDER_K": "p",
+    "M2_CLOSED_FORM": "p",
+    "LEMMA_SERIES_C": "order",
+    "LEMMA_SERIES_PHI": "order",
+    "LEMMA_SERIES_P": "order",
+    "LEMMA_SERIES_PDIV": "order",
+    "LEMMA_ONE_MINUS_Q": "order",
+    "EQ_FINAL": "p",
+    "FEL1_SIGNFLIP": "n",
+    "FEL2_ZIGZAG": "n",
+}
+_RANK = {identity: rank for rank, identity in enumerate(IDENTITIES)}
 
 PASS, FAIL, SKIP = "pass", "fail", "skip"
 
@@ -119,7 +123,7 @@ class VerificationReport:
         """Deterministic ordering by identity then parameter (stable for samples)."""
         self.checks.sort(
             key=lambda c: (
-                IDENTITIES.index(c.identity),
+                _RANK[c.identity],
                 c.parameter if c.parameter is not None else -1,
             )
         )
@@ -148,14 +152,17 @@ def _ratio_record(identity, parameter, lhs, rhs, dens, note="") -> CheckRecord:
 
 
 @dataclass(frozen=True)
-class _Table:
-    """Integer invariants of one semigroup to a series order; see the module
-    docstring. E and D run to index order + 1, the rest to order. Every
-    entry is independent of the order, so a table serves any lower order."""
+class Invariants:
+    """Everything the per-semigroup checks read, built once by invariants().
+
+    E and D run to index max(order, m + 3) + 1, c, G and EG to one less;
+    see the module docstring.
+    """
 
     S: SemigroupSpec
     gaps: GapData
     h: HilbertData
+    p_max: int
     order: int
     E: tuple[int, ...]
     L: int
@@ -164,52 +171,46 @@ class _Table:
     G: tuple[int, ...]
     EG: tuple[int, ...]
 
+    def k(self, p: int) -> Fraction:
+        """The normalized invariant K_p."""
+        return Fraction(self.c[self.S.m + p], k_denominator(self.S, p))
 
-# The table verify_semigroup built, while it runs.
-_SHARED: ContextVar[_Table | None] = ContextVar("felcheck_verify_table", default=None)
 
+def invariants(
+    S: SemigroupSpec, p_max: int = 8, order: int | None = None, bound: int = DEFAULT_BOUND
+) -> Invariants:
+    """The invariants of S for identities up to p_max and series to the order.
 
-def _build_table(S: SemigroupSpec, gaps: GapData, h: HilbertData, order: int) -> _Table:
-    N = order + 1
-    E = _exp_minus_one_product(S.generators, N)
-    L, bern = _scaled_bernoulli(N)
-    G = gap_power_sums(gaps, order)
-    return _Table(
+    order defaults to m + p_max + 2; an explicit order below m + p_max, or a
+    negative p_max, raises ValueError.
+    """
+    if p_max < 0:
+        raise ValueError("p_max must be nonnegative")
+    if order is not None and order < S.m + p_max:
+        raise ValueError(f"order {order} is below m + p_max = {S.m + p_max}")
+    order = effective_order(S.m, p_max, order)[0]
+    gaps = compute_gaps(S, bound)
+    h = hilbert_numerator(S, gaps)
+    top = max(order, S.m + 3)
+    E = _exp_minus_one_product(S.generators, top + 1)
+    L, bern = _scaled_bernoulli(top + 1)
+    G = gap_power_sums(gaps, top)
+    return Invariants(
         S,
         gaps,
         h,
+        p_max,
         order,
         tuple(E),
         L,
-        tuple(_egf_mul(bern, E, N)),
-        tuple(alternating_syzygy_sums(h, order)),
+        tuple(_egf_mul(bern, E, top + 1)),
+        tuple(alternating_syzygy_sums(h, top)),
         tuple(G),
-        tuple(_egf_mul(E, G, order)),
+        tuple(_egf_mul(E, G, top)),
     )
 
 
-def _table(S, gaps, h, bound, order: int) -> _Table:
-    """The table verify_semigroup is running on, if these are its arguments
-    and it reaches the order; otherwise a new one."""
-    shared = _SHARED.get()
-    if (
-        shared is not None
-        and shared.S is S
-        and shared.gaps is gaps
-        and shared.h is h
-        and shared.order >= order
-    ):
-        return shared
-    if gaps is None:
-        gaps = compute_gaps(S, bound)
-    if h is None:
-        h = hilbert_numerator(S, gaps)
-    return _build_table(S, gaps, h, order)
-
-
-def verify_fel_main(
-    S: SemigroupSpec, p_max: int, gaps=None, h=None, bound: int = DEFAULT_BOUND
-) -> VerificationReport:
+def verify_fel_main(inv: Invariants) -> VerificationReport:
     """Check the main identity for 0 <= p <= p_max.
 
     The left side is the normalized alternating syzygy sum from the Hilbert
@@ -218,30 +219,27 @@ def verify_fel_main(
     routes are exact and share no code, so agreement is a genuine
     cross-check. The un-normalized form is recorded alongside as EQ_FINAL.
     """
-    if p_max < 0:
-        raise ValueError("p_max must be nonnegative")
-    t = _table(S, gaps, h, bound, S.m + p_max)
+    S, L = inv.S, inv.L
     sign = (-1) ** S.m
     report = VerificationReport(S.generators)
-    for p in range(p_max + 1):
+    for p in range(inv.p_max + 1):
         n = S.m + p
-        scaled_c = (n + 1) * t.L * t.c[n]
-        bracket = t.D[n + 1] + (n + 1) * t.L * t.EG[n]
-        den = factorial(n + 1) * t.L
-        fel_den = S.pi * t.L * (factorial(n + 1) // factorial(p))
+        scaled_c = (n + 1) * L * inv.c[n]
+        bracket = inv.D[n + 1] + (n + 1) * L * inv.EG[n]
+        den = factorial(n + 1) * L
+        fel_den = S.pi * L * (factorial(n + 1) // factorial(p))
         report.checks.append(_ratio_record("FEL_MAIN", p, [sign * scaled_c], [bracket], [fel_den]))
         report.checks.append(_ratio_record("EQ_FINAL", p, [scaled_c], [sign * bracket], [den]))
     return report
 
 
-def verify_thm_kp(
-    S: SemigroupSpec, gaps=None, h=None, bound: int = DEFAULT_BOUND
-) -> VerificationReport:
+def verify_thm_kp(inv: Invariants) -> VerificationReport:
     """Check the three structural clauses of the low-index alternating sums.
 
     Applies to two or more generators; for a single generator the statement
     is vacuous and a skip record is emitted instead.
     """
+    S = inv.S
     report = VerificationReport(S.generators)
     if S.m == 1:
         report.checks.append(
@@ -250,27 +248,23 @@ def verify_thm_kp(
             )
         )
         return report
-    c = _table(S, gaps, h, bound, S.m - 1).c
     expected = [1] + [0] * (S.m - 2) + [(-1) ** S.m * factorial(S.m - 1) * S.pi]
     for r, value in enumerate(expected):
-        report.checks.append(_ratio_record("THM_KP", r, [c[r]], [value], [1]))
+        report.checks.append(_ratio_record("THM_KP", r, [inv.c[r]], [value], [1]))
     return report
 
 
-def verify_low_order(
-    S: SemigroupSpec, gaps=None, h=None, bound: int = DEFAULT_BOUND
-) -> VerificationReport:
+def verify_low_order(inv: Invariants) -> VerificationReport:
     """Check the four low-order closed forms for the normalized invariants.
 
     The coefficient of G_1 in the p = 3 row is binom(3,1) * T_2
     = (3*s1^2 + s2)/4; see the decisions ledger for the provenance of that
     coefficient.
     """
-    t = _table(S, gaps, h, bound, S.m + 3)
-    stats = generator_stats(S, 4)
+    stats = generator_stats(inv.S, 4)
     s1, s2 = stats.sigma[0], stats.sigma[1]
     d1, d2, d4 = stats.delta[0], stats.delta[1], stats.delta[3]
-    G = t.G
+    G = inv.G
     closed = [
         G[0] + d1,
         G[1] + Fraction(s1, 2) * G[0] + (3 * d1**2 + d2) / 6,
@@ -284,18 +278,16 @@ def verify_low_order(
         + Fraction(s1 * (s1**2 + s2), 8) * G[0]
         + (15 * d1**4 + 30 * d1**2 * d2 + 5 * d2**2 - 2 * d4) / 60,
     ]
-    report = VerificationReport(S.generators)
+    report = VerificationReport(inv.S.generators)
     for p, rhs in enumerate(closed):
-        k = Fraction(t.c[S.m + p], k_denominator(S, p))
-        report.checks.append(_record("LOW_ORDER_K", p, k, rhs))
+        report.checks.append(_record("LOW_ORDER_K", p, inv.k(p), rhs))
     return report
 
 
-def verify_m2_closed_form(
-    S: SemigroupSpec, p_max: int, gaps=None, h=None, bound: int = DEFAULT_BOUND
-) -> VerificationReport:
+def verify_m2_closed_form(inv: Invariants) -> VerificationReport:
     """For two coprime generators: the numerator is 1 - z^{d1*d2} and
     the invariants are (d1*d2)^{p+1} / ((p+1)(p+2))."""
+    S = inv.S
     report = VerificationReport(S.generators)
     if S.m != 2:
         report.checks.append(
@@ -304,59 +296,53 @@ def verify_m2_closed_form(
             )
         )
         return report
-    t = _table(S, gaps, h, bound, S.m + p_max)
     expected = IntPolynomial.one_minus_pow(S.pi)
     report.checks.append(
-        _record("M2_CLOSED_FORM", None, t.h.numerator, expected, "numerator form")
+        _record("M2_CLOSED_FORM", None, inv.h.numerator, expected, "numerator form")
     )
-    for p in range(p_max + 1):
+    for p in range(inv.p_max + 1):
         # K_p = c[p+2] / (pi (p+1)(p+2)) against pi^{p+2} over the same denominator
         report.checks.append(
             _ratio_record(
-                "M2_CLOSED_FORM", p, [t.c[p + 2]], [S.pi ** (p + 2)], [k_denominator(S, p)]
+                "M2_CLOSED_FORM", p, [inv.c[p + 2]], [S.pi ** (p + 2)], [k_denominator(S, p)]
             )
         )
     return report
 
 
-def verify_series_lemmas(
-    S: SemigroupSpec, order: int, gaps=None, h=None, bound: int = DEFAULT_BOUND
-) -> VerificationReport:
+def verify_series_lemmas(inv: Invariants) -> VerificationReport:
     """Check the five series identities coefficient-by-coefficient to the order.
 
     Each side is an integer EGF sequence, compared entry by entry over the
     denominator n! (or (n+1)! L); see the module docstring.
     """
-    if order < S.m:
-        raise ValueError(f"order {order} is below the generator count {S.m}")
-    t = _table(S, gaps, h, bound, order)
-    sign = (-1) ** S.m
-    L = t.L
+    order, L, h = inv.order, inv.L, inv.h
+    sign = (-1) ** inv.S.m
     ns = range(order + 1)
-    c = t.c[: order + 1]
+    c = inv.c[: order + 1]
     facts = [factorial(n) for n in ns]
     scaled = [factorial(n + 1) * L for n in ns]
-    report = VerificationReport(S.generators, order=order)
+    report = VerificationReport(inv.S.generators, order=order)
 
-    phi = t.h.phi.power_sums(order)
-    p_sums = t.h.prod.power_sums(order)
-    p_div = t.h.prod.exact_div(IntPolynomial.one_minus_pow(1)).power_sums(order)
+    phi = gap_polynomial(inv.gaps).power_sums(order)
+    p_sums = h.prod.power_sums(order)
+    p_div = h.prod.exact_div(IntPolynomial.one_minus_pow(1)).power_sums(order)
     phi_p = _egf_mul(phi, p_sums, order)
     one_minus_q = [(n == 0) - p_div[n] + phi_p[n] for n in ns]
     report.checks.append(_ratio_record("LEMMA_SERIES_C", order, one_minus_q, c, facts))
 
-    report.checks.append(_ratio_record("LEMMA_SERIES_PHI", order, phi, t.G[: order + 1], facts))
+    report.checks.append(_ratio_record("LEMMA_SERIES_PHI", order, phi, inv.G[: order + 1], facts))
 
-    rhs_p = [sign * e for e in t.E[: order + 1]]
+    rhs_p = [sign * e for e in inv.E[: order + 1]]
     report.checks.append(_ratio_record("LEMMA_SERIES_P", order, p_sums, rhs_p, facts))
 
     lhs_pdiv = [(n + 1) * L * v for n, v in zip(ns, p_div)]
-    rhs_pdiv = [-sign * t.D[n + 1] for n in ns]
+    rhs_pdiv = [-sign * inv.D[n + 1] for n in ns]
     report.checks.append(_ratio_record("LEMMA_SERIES_PDIV", order, lhs_pdiv, rhs_pdiv, scaled))
 
     lhs_q = [(n + 1) * L * v for n, v in zip(ns, c)]
     assembled = [
-        (n == 0) * L + sign * ((n + 1) * L * t.EG[n] + t.D[n + 1]) for n in ns
+        (n == 0) * L + sign * ((n + 1) * L * inv.EG[n] + inv.D[n + 1]) for n in ns
     ]
     report.checks.append(_ratio_record("LEMMA_ONE_MINUS_Q", order, lhs_q, assembled, scaled))
     return report
@@ -406,6 +392,7 @@ def verify_companions(n_max: int = 3, samples: int = 20, seed: int = 0) -> Verif
         raise ValueError("samples must be at least 1")
     rng = random.Random(seed)
     report = VerificationReport(None, seed=seed)
+    tangent = [int(zigzag(2 * j + 1)) for j in range(n_max + 1)]
 
     for n in range(1, n_max + 1):
         K = 2 * n + 1
@@ -425,7 +412,7 @@ def verify_companions(n_max: int = 3, samples: int = 20, seed: int = 0) -> Verif
             rhs = 0
             for j in range(n + 1):
                 term = (
-                    int(zigzag(2 * j + 1))
+                    tangent[j]
                     * comb(K, 2 * j + 1)
                     * tau[2 * n - 2 * j]
                     * tau[1] ** (2 * j + 1)
@@ -490,29 +477,20 @@ def verify_semigroup(
     order: int | None = None,
     bound: int = DEFAULT_BOUND,
 ) -> VerificationReport:
-    """Run every per-semigroup identity and merge the records into one report.
-
-    One table serves every part: it reaches the series order and m + 3,
-    the highest index LOW_ORDER_K reads.
-    """
-    if p_max < 0:
-        raise ValueError("p_max must be nonnegative")
+    """Run every per-semigroup identity on one invariants bundle and merge
+    the records into one report. An order below m + p_max is raised to it,
+    with a warning."""
     order, warning = effective_order(S.m, p_max, order)
-    gaps = compute_gaps(S, bound)
-    h = hilbert_numerator(S, gaps)
+    inv = invariants(S, p_max, order, bound)
     report = VerificationReport(S.generators, order=order)
     if warning:
         report.warnings.append(warning)
-    token = _SHARED.set(_build_table(S, gaps, h, max(order, S.m + 3)))
-    try:
-        for part in (
-            verify_fel_main(S, p_max, gaps, h),
-            verify_thm_kp(S, gaps, h),
-            verify_low_order(S, gaps, h),
-            verify_m2_closed_form(S, p_max, gaps, h),
-            verify_series_lemmas(S, order, gaps, h),
-        ):
-            report.checks.extend(part.checks)
-    finally:
-        _SHARED.reset(token)
+    for check in (
+        verify_fel_main,
+        verify_thm_kp,
+        verify_low_order,
+        verify_m2_closed_form,
+        verify_series_lemmas,
+    ):
+        report.checks.extend(check(inv).checks)
     return report.sort()

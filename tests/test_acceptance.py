@@ -18,6 +18,7 @@ from felcheck.hilbert import hilbert_numerator, k_invariant
 from felcheck.semigroup import compute_gaps, make_semigroup
 from felcheck.universal import SigmaPolynomial, subset_power_sum, t_symbolic, t_value
 from felcheck.verify import (
+    invariants,
     random_semigroup,
     verify_companions,
     verify_fel_main,
@@ -112,7 +113,7 @@ def test_criterion_03_low_order_closed_forms():
     rng = random.Random(1003)
     for _ in range(200):
         S = random_semigroup(rng, 4, 30)
-        report = verify_low_order(S)
+        report = verify_low_order(invariants(S))
         assert report.passed, S.generators
     _pass(3, "low-order closed forms on 200 random semigroups")
 
@@ -121,7 +122,7 @@ def test_criterion_04_main_identity_sweep():
     rng = random.Random(1004)
     for _ in range(100):
         S = random_semigroup(rng, 5, 40)
-        report = verify_fel_main(S, 8)
+        report = verify_fel_main(invariants(S, 8))
         assert report.passed, S.generators
     _pass(4, "main identity sweep, p <= 8 on 100 random semigroups")
 
@@ -130,7 +131,7 @@ def test_criterion_05_structural_clauses():
     rng = random.Random(1005)
     for _ in range(100):
         S = random_semigroup(rng, 5, 40, m_min=2)
-        report = verify_thm_kp(S)
+        report = verify_thm_kp(invariants(S))
         assert report.passed, S.generators
         assert all(c.status == "pass" for c in report.checks)
     _pass(5, "alternating-sum structural clauses for m >= 2")
@@ -140,7 +141,7 @@ def test_criterion_06_series_lemmas():
     rng = random.Random(1006)
     for _ in range(50):
         S = random_semigroup(rng, 5, 40)
-        report = verify_series_lemmas(S, S.m + 10)
+        report = verify_series_lemmas(invariants(S, order=S.m + 10))
         assert report.passed, S.generators
     _pass(6, "series lemma suite to order m + 10 on 50 random semigroups")
 
@@ -192,7 +193,7 @@ def test_criterion_09_two_generator_closed_forms():
         assert h.numerator == IntPolynomial.one_minus_pow(d1 * d2)
         for p in range(7):
             assert k_invariant(S, h, p) == F((d1 * d2) ** (p + 1), (p + 1) * (p + 2))
-        assert verify_m2_closed_form(S, 6, gaps, h).passed
+        assert verify_m2_closed_form(invariants(S, 6)).passed
     _pass(9, "two-generator closed forms on 50 random coprime pairs")
 
 

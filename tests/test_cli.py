@@ -1,7 +1,8 @@
 import json
+from fractions import Fraction as F
 
 from felcheck import cli
-from felcheck.universal import SYMBOLIC_N_MAX
+from felcheck.universal import SYMBOLIC_N_MAX, t_value
 
 
 def run_cli(capsys, *argv):
@@ -73,6 +74,10 @@ class TestTn:
         _, out, _ = run_cli(capsys, "tn", "2", "--at", "7/2,1/3")
         assert out.splitlines()[1] == "T_1 = 23/12"
 
+    def test_evaluated_matches_t_value(self, capsys):
+        _, out, _ = run_cli(capsys, "tn", "12", "--at", "1/2,3,-5")
+        assert out.splitlines() == [f"T_{n} = {t_value((F(1, 2), 3, -5), n)}" for n in range(13)]
+
     def test_bad_point(self, capsys):
         code, _, err = run_cli(capsys, "tn", "2", "--at", "3,x")
         assert code == 2
@@ -112,6 +117,29 @@ class TestVerify:
         code, _, err = run_cli(capsys, "verify")
         assert code == 2
         assert "generators" in err
+
+    def test_random_count_below_one_refused(self, capsys):
+        for count in ("0", "-4"):
+            code, out, err = run_cli(capsys, "verify", "--random", "--count", count)
+            assert code == 2
+            assert out == ""
+            assert err.startswith("ValueError") and "--count" in err
+
+    def test_generators_with_random_refused(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "3", "5", "--random", "--count", "1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("ValueError") and "--random" in err
+
+    def test_samples_below_one_refused_before_any_semigroup(self, capsys, monkeypatch):
+        def never(*args):
+            raise AssertionError("verify_semigroup ran")
+
+        monkeypatch.setattr(cli, "verify_semigroup", never)
+        code, out, err = run_cli(capsys, "verify", "--random", "--count", "5", "--samples", "0")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("ValueError") and "samples" in err
 
     def test_order_warning(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "5", "6", "8", "9", "--order", "5", "--samples", "1")

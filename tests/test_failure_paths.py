@@ -1,5 +1,8 @@
 """Every check can still fail: corrupt one input and the checks that read it
-report fail, while the checks that do not read it keep passing."""
+report fail, while the checks that do not read it keep passing.
+
+The corrupt input goes in where the invariants bundle is built, by
+replacing the compute_gaps or hilbert_numerator that verify calls."""
 
 from dataclasses import replace
 
@@ -8,6 +11,7 @@ from felcheck.exact import IntPolynomial
 from felcheck.hilbert import hilbert_numerator
 from felcheck.semigroup import compute_gaps, make_semigroup
 from felcheck.verify import (
+    invariants,
     verify_fel_main,
     verify_semigroup,
     verify_series_lemmas,
@@ -33,12 +37,21 @@ def bumped_numerator(h):
     return replace(h, numerator=IntPolynomial.from_terms(sorted(terms.items())))
 
 
-def test_changed_numerator_coefficient_fails_fel_main_eq_final_and_one_minus_q():
-    bad = bumped_numerator(H)
-    main = statuses(verify_fel_main(S, 6, GAPS, bad))
+def corrupted(monkeypatch, gaps=GAPS, h=None):
+    """The bundle for S at p_max 6 and ORDER, built from the given gap data and,
+    if h is given, that numerator instead of the one computed from the gaps."""
+    monkeypatch.setattr(verify, "compute_gaps", lambda S, bound: gaps)
+    if h is not None:
+        monkeypatch.setattr(verify, "hilbert_numerator", lambda S, gaps: h)
+    return invariants(S, 6, ORDER)
+
+
+def test_changed_numerator_coefficient_fails_fel_main_eq_final_and_one_minus_q(monkeypatch):
+    inv = corrupted(monkeypatch, h=bumped_numerator(H))
+    main = statuses(verify_fel_main(inv))
     assert main["FEL_MAIN"] == {"fail"}
     assert main["EQ_FINAL"] == {"fail"}
-    lemmas = statuses(verify_series_lemmas(S, ORDER, GAPS, bad))
+    lemmas = statuses(verify_series_lemmas(inv))
     assert lemmas["LEMMA_ONE_MINUS_Q"] == {"fail"}
     assert lemmas["LEMMA_SERIES_PHI"] == {"pass"}
 
@@ -54,16 +67,16 @@ def test_changed_numerator_fails_inside_verify_semigroup(monkeypatch):
     assert fails[0].lhs != fails[0].rhs
 
 
-def test_dropped_gap_with_apery_kept_fails_series_phi():
-    bad = replace(GAPS, gaps=GAPS.gaps[:-1], genus=GAPS.genus - 1)
-    lemmas = statuses(verify_series_lemmas(S, ORDER, bad, hilbert_numerator(S, bad)))
-    assert lemmas["LEMMA_SERIES_PHI"] == {"fail"}
+def test_dropped_gap_with_apery_kept_fails_series_phi(monkeypatch):
+    inv = corrupted(monkeypatch, replace(GAPS, gaps=GAPS.gaps[:-1], genus=GAPS.genus - 1))
+    assert inv.h == H
+    assert statuses(verify_series_lemmas(inv))["LEMMA_SERIES_PHI"] == {"fail"}
     # G comes from the Apéry set alone, so the main identity does not see it
-    assert statuses(verify_fel_main(S, 6, bad, H))["FEL_MAIN"] == {"pass"}
+    assert statuses(verify_fel_main(inv))["FEL_MAIN"] == {"pass"}
 
 
-def test_changed_apery_entry_fails_fel_main():
+def test_changed_apery_entry_fails_fel_main(monkeypatch):
     apery = list(GAPS.apery)
     apery[1] += min(S.generators)
-    bad = replace(GAPS, apery=tuple(apery))
-    assert "fail" in statuses(verify_fel_main(S, 6, bad, H))["FEL_MAIN"]
+    inv = corrupted(monkeypatch, replace(GAPS, apery=tuple(apery)), H)
+    assert "fail" in statuses(verify_fel_main(inv))["FEL_MAIN"]

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from felcheck.exact import IntPolynomial, NonExactDivision  # noqa: E402
-from felcheck.hilbert import hilbert_numerator  # noqa: E402
+from felcheck.hilbert import gap_polynomial, hilbert_numerator  # noqa: E402
 from felcheck.semigroup import compute_gaps, gap_power_sums, make_semigroup  # noqa: E402
 from felcheck.universal import delta_egf, sigma_egf, umbral_series  # noqa: E402
 
@@ -61,11 +61,12 @@ def generator_lists(draw):
 @example([2, 3])
 def test_apery_numerator_matches_both_oracles(gens):
     S = make_semigroup(gens)
-    h = hilbert_numerator(S, compute_gaps(S))
+    gaps = compute_gaps(S)
+    h = hilbert_numerator(S, gaps)
     assert tuple(h.numerator.items()) == terms_of(numerator_by_gap_route(gens))
     assert tuple(h.numerator.items()) == terms_of(numerator_by_membership(gens))
     one_minus_z = IntPolynomial.one_minus_pow(1)
-    assert h.numerator == h.prod.exact_div(one_minus_z) - h.phi * h.prod
+    assert h.numerator == h.prod.exact_div(one_minus_z) - gap_polynomial(gaps) * h.prod
 
 
 small_coeffs = st.lists(st.integers(-4, 4), max_size=9)

@@ -3,10 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from felcheck.semigroup import make_semigroup
+from felcheck.hilbert import hilbert_numerator, k_invariant
+from felcheck.semigroup import compute_gaps, make_semigroup
 from felcheck.verify import (
     VerificationReport,
     effective_order,
+    invariants,
     random_semigroup,
     verify_companions,
     verify_fel_main,
@@ -26,22 +28,22 @@ def _by_identity(report, identity):
 
 class TestFelMain:
     def test_worked_example(self):
-        report = verify_fel_main(make_semigroup([3, 5]), 5)
+        report = verify_fel_main(invariants(make_semigroup([3, 5]), 5))
         assert report.passed
         first = _by_identity(report, "FEL_MAIN")[0]
         assert (first.parameter, first.lhs, first.rhs) == (0, "15/2", "15/2")
 
     def test_trivial_semigroup(self):
-        report = verify_fel_main(make_semigroup([1]), 3)
+        report = verify_fel_main(invariants(make_semigroup([1]), 3))
         assert report.passed
         for c in _by_identity(report, "FEL_MAIN"):
             assert c.lhs == c.rhs == "0"
 
     def test_four_generators(self):
-        assert verify_fel_main(make_semigroup([5, 6, 8, 9]), 4).passed
+        assert verify_fel_main(invariants(make_semigroup([5, 6, 8, 9]), 4)).passed
 
     def test_includes_unnormalized_form(self):
-        report = verify_fel_main(make_semigroup([3, 5]), 2)
+        report = verify_fel_main(invariants(make_semigroup([3, 5]), 2))
         finals = _by_identity(report, "EQ_FINAL")
         assert [c.parameter for c in finals] == [0, 1, 2]
         assert all(c.status == "pass" for c in finals)
@@ -52,39 +54,39 @@ class TestFelMain:
         rng = random.Random(103)
         for _ in range(15):
             S = random_semigroup(rng, 5, 40)
-            assert verify_fel_main(S, 8).passed
+            assert verify_fel_main(invariants(S, 8)).passed
 
     def test_non_minimal_generators(self):
-        assert verify_fel_main(make_semigroup([2, 3]), 6).passed
-        assert verify_fel_main(make_semigroup([2, 3, 4]), 6).passed
+        assert verify_fel_main(invariants(make_semigroup([2, 3]), 6)).passed
+        assert verify_fel_main(invariants(make_semigroup([2, 3, 4]), 6)).passed
 
 
 class TestThmKp:
     def test_three_generators(self):
-        report = verify_thm_kp(make_semigroup([4, 5, 6]))
+        report = verify_thm_kp(invariants(make_semigroup([4, 5, 6])))
         assert report.passed
         recs = _by_identity(report, "THM_KP")
         assert [(c.parameter, c.lhs) for c in recs] == [(0, "1"), (1, "0"), (2, "-240")]
 
     def test_two_generators(self):
-        report = verify_thm_kp(make_semigroup([3, 5]))
+        report = verify_thm_kp(invariants(make_semigroup([3, 5])))
         recs = _by_identity(report, "THM_KP")
         assert [(c.parameter, c.lhs) for c in recs] == [(0, "1"), (1, "15")]
 
     def test_four_generators(self):
-        report = verify_thm_kp(make_semigroup([5, 6, 8, 9]))
+        report = verify_thm_kp(invariants(make_semigroup([5, 6, 8, 9])))
         recs = _by_identity(report, "THM_KP")
         assert [c.lhs for c in recs] == ["1", "0", "0", "12960"]
 
     def test_skipped_for_single_generator(self):
-        report = verify_thm_kp(make_semigroup([1]))
+        report = verify_thm_kp(invariants(make_semigroup([1])))
         assert report.checks[0].status == "skip"
         assert report.passed
 
 
 class TestLowOrder:
     def test_values(self):
-        report = verify_low_order(make_semigroup([3, 5]))
+        report = verify_low_order(invariants(make_semigroup([3, 5])))
         assert report.passed
         recs = _by_identity(report, "LOW_ORDER_K")
         assert recs[0].lhs == "15/2"
@@ -92,25 +94,25 @@ class TestLowOrder:
         assert recs[3].lhs == str(F(10125, 4))
 
     def test_simplest_pair(self):
-        report = verify_low_order(make_semigroup([2, 3]))
+        report = verify_low_order(invariants(make_semigroup([2, 3])))
         assert report.passed
         assert _by_identity(report, "LOW_ORDER_K")[0].lhs == "3"
 
     def test_trivial(self):
-        report = verify_low_order(make_semigroup([1]))
+        report = verify_low_order(invariants(make_semigroup([1])))
         assert report.passed
         assert all(c.lhs == "0" for c in report.checks)
 
 
 class TestM2ClosedForm:
     def test_pairs(self):
-        report = verify_m2_closed_form(make_semigroup([3, 5]), 6)
+        report = verify_m2_closed_form(invariants(make_semigroup([3, 5]), 6))
         assert report.passed
         poly_rec = [c for c in report.checks if c.parameter is None][0]
         assert poly_rec.lhs == "0:1 15:-1"
 
     def test_skip_other_m(self):
-        report = verify_m2_closed_form(make_semigroup([4, 5, 6]), 3)
+        report = verify_m2_closed_form(invariants(make_semigroup([4, 5, 6]), 3))
         assert report.checks[0].status == "skip"
 
 
@@ -119,19 +121,43 @@ class TestSeriesLemmas:
         "gens,order", [([3, 5], 8), ([1], 4), ([4, 5, 6], 9)]
     )
     def test_worked_examples(self, gens, order):
-        report = verify_series_lemmas(make_semigroup(gens), order)
+        report = verify_series_lemmas(invariants(make_semigroup(gens), 0, order))
         assert report.passed
         assert len(report.checks) == 5
 
     def test_order_below_m_rejected(self):
-        with pytest.raises(ValueError):
-            verify_series_lemmas(make_semigroup([5, 6, 8, 9]), 3)
+        with pytest.raises(ValueError, match="order"):
+            invariants(make_semigroup([5, 6, 8, 9]), 0, 3)
 
     def test_random_sweep(self):
         rng = random.Random(107)
         for _ in range(10):
             S = random_semigroup(rng, 5, 30)
-            assert verify_series_lemmas(S, S.m + 10).passed
+            assert verify_series_lemmas(invariants(S, order=S.m + 10)).passed
+
+
+class TestInvariants:
+    def test_rejects_negative_p_max(self):
+        with pytest.raises(ValueError, match="p_max"):
+            invariants(make_semigroup([3, 5]), -1)
+
+    def test_rejects_order_below_m_plus_p_max(self):
+        S = make_semigroup([3, 5])
+        with pytest.raises(ValueError, match="m \\+ p_max"):
+            invariants(S, 4, 5)
+        assert invariants(S, 4, 6).order == 6
+        assert invariants(S, 4).order == 8
+
+    def test_k_is_the_normalized_invariant(self):
+        S = make_semigroup([4, 5, 6])
+        inv = invariants(S, 3)
+        h = hilbert_numerator(S, compute_gaps(S))
+        assert [inv.k(p) for p in range(4)] == [k_invariant(S, h, p) for p in range(4)]
+
+    def test_reaches_the_low_order_index(self):
+        inv = invariants(make_semigroup([2, 3]), 0, 2)
+        assert len(inv.c) == len(inv.G) == len(inv.EG) == 2 + 3 + 1
+        assert len(inv.E) == len(inv.D) == 2 + 3 + 2
 
 
 class TestRandomSemigroup:
