@@ -30,10 +30,6 @@ class NonInvertibleConstantTerm(ValueError):
     """Series division requires a nonzero constant term in the divisor."""
 
 
-class BadConstantTerm(ValueError):
-    """Series log requires constant term 1; series exp requires constant term 0."""
-
-
 class IntPolynomial:
     """Sparse univariate polynomial over the integers.
 
@@ -255,8 +251,7 @@ class RationalSeries:
 
     A series of order o carries exact coefficients for t^0 .. t^o. Binary
     operations between two series return the minimum of the two orders, so
-    precision is never silently invented; multiplying by t^k (``shift``)
-    raises the order because the new low coefficients are exact zeros.
+    precision is never silently invented.
     """
 
     __slots__ = ("coeffs",)
@@ -270,10 +265,6 @@ class RationalSeries:
     def __setattr__(self, name, value):
         raise AttributeError("RationalSeries is immutable")
 
-    @classmethod
-    def constant(cls, value, order: int) -> "RationalSeries":
-        return cls([Fraction(value)] + [Fraction(0)] * order)
-
     @property
     def order(self) -> int:
         return len(self.coeffs) - 1
@@ -285,12 +276,6 @@ class RationalSeries:
         if order > self.order:
             raise ValueError("cannot extend a truncated series")
         return RationalSeries(self.coeffs[: order + 1])
-
-    def shift(self, k: int) -> "RationalSeries":
-        """Multiply by t^k; order grows by k."""
-        if k < 0:
-            raise ValueError("shift must be nonnegative")
-        return RationalSeries((Fraction(0),) * k + self.coeffs)
 
     def __eq__(self, other):
         if not isinstance(other, RationalSeries):
@@ -351,46 +336,9 @@ class RationalSeries:
             return RationalSeries(out)
         return self * (Fraction(1) / Fraction(other))
 
-    def log(self) -> "RationalSeries":
-        """Series logarithm; requires constant term 1."""
-        if self.coeffs[0] != 1:
-            raise BadConstantTerm("series log requires constant term 1")
-        n = self.order
-        out = [Fraction(0)] * (n + 1)
-        for k in range(1, n + 1):
-            acc = k * self.coeffs[k]
-            for j in range(1, k):
-                acc -= j * out[j] * self.coeffs[k - j]
-            out[k] = acc / k
-        return RationalSeries(out)
-
-    def exp(self) -> "RationalSeries":
-        """Series exponential; requires constant term 0."""
-        if self.coeffs[0] != 0:
-            raise BadConstantTerm("series exp requires constant term 0")
-        n = self.order
-        out = [Fraction(1)] + [Fraction(0)] * n
-        for k in range(1, n + 1):
-            acc = Fraction(0)
-            for j in range(1, k + 1):
-                if self.coeffs[j]:
-                    acc += j * self.coeffs[j] * out[k - j]
-            out[k] = acc / k
-        return RationalSeries(out)
-
     def __str__(self):
         return " ".join(str(c) for c in self.coeffs)
 
     def __repr__(self):
         return f"RationalSeries([{', '.join(str(c) for c in self.coeffs)}])"
 
-
-def exp_series(c, order: int) -> RationalSeries:
-    """Truncation of e^{c t} at the given order."""
-    if order < 0:
-        raise ValueError("order must be nonnegative")
-    c = Fraction(c)
-    out = [Fraction(1)]
-    for n in range(1, order + 1):
-        out.append(out[-1] * c / n)
-    return RationalSeries(out)

@@ -2,7 +2,8 @@
 
 Nothing here shares code with the library paths it checks: gaps come from a
 boolean representability table, Bernoulli numbers from the classical
-recurrence, and the umbral powers from a literal multinomial expansion.
+recurrence, partition counts from the recurrence on the largest part, and
+the umbral powers from a literal multinomial expansion.
 """
 
 from fractions import Fraction
@@ -38,6 +39,17 @@ def gaps_by_table(gens):
             run = 0
             gaps.append(n)
     return gaps
+
+
+@lru_cache(maxsize=None)
+def partition_count(n, largest=None):
+    """Number of partitions of n into parts of size at most largest
+    (default n), by the recurrence on the largest part."""
+    if largest is None or largest > n:
+        largest = n
+    if n == 0:
+        return 1
+    return sum(partition_count(n - k, k) for k in range(1, largest + 1))
 
 
 @lru_cache(maxsize=None)
@@ -189,6 +201,16 @@ def series_div(a, b):
     out = []
     for k in range(min(len(a), len(b))):
         out.append((a[k] - sum(out[j] * b[k - j] for j in range(k))) / b[0])
+    return out
+
+
+def series_log(a):
+    """Logarithm of a truncated series with constant term 1, from
+    a' = a (log a)': k b_k = k a_k - sum_{0<j<k} j b_j a_{k-j}."""
+    assert a[0] == 1
+    out = [Fraction(0)]
+    for k in range(1, len(a)):
+        out.append((k * a[k] - sum(j * out[j] * a[k - j] for j in range(1, k))) / k)
     return out
 
 

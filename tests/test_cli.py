@@ -1,8 +1,9 @@
 import json
 from fractions import Fraction as F
 
-from felcheck import cli
+from felcheck import cli, verify
 from felcheck.universal import SYMBOLIC_N_MAX, t_value
+from felcheck.verify import ORDER_MAX
 
 
 def run_cli(capsys, *argv):
@@ -140,6 +141,19 @@ class TestVerify:
         assert code == 2
         assert out == ""
         assert err.startswith("ValueError") and "samples" in err
+
+    def test_order_limit_refused_before_any_gaps(self, capsys, monkeypatch):
+        def never(*args):
+            raise AssertionError("compute_gaps ran")
+
+        monkeypatch.setattr(verify, "compute_gaps", never)
+        p_max = ORDER_MAX - 1  # resolved order m + p_max + 2 = ORDER_MAX + 3
+        for argv in (("--p-max", str(p_max)), ("--order", str(ORDER_MAX + 1))):
+            code, out, err = run_cli(capsys, "verify", "3", "5", *argv)
+            assert code == 2
+            assert out == ""
+            assert err.startswith("OrderTooLarge")
+            assert f"limited to {ORDER_MAX}" in err
 
     def test_order_warning(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "5", "6", "8", "9", "--order", "5", "--samples", "1")

@@ -2,7 +2,9 @@
 
 The literals and digests below were recorded from the dense
 P/(1-z) - Phi*P numerator pipeline, before the numerator was rebuilt from
-the Apéry set. Any change to what the CLI prints, however small, fails here.
+the Apéry set; the two `tn` digests were recorded from the exp recurrence
+over the power-sum ring, before T_n was built by the exponential formula.
+Any change to what the CLI prints, however small, fails here.
 """
 
 import hashlib
@@ -39,6 +41,10 @@ DIGESTS = {
     ),
     ("verify", "--random", "--seed", "3", "--count", "30", "--m-max", "5", "--d-max", "40", "--p-max", "4"): (
         "2c31587c8d27c7e87acf0ce0e82b478d0f2b2b02d4b4bd87b1326ecfbd2c5f55"
+    ),
+    ("tn", "30"): "c601e80f572457ed22136dddb881a397aad994ed315ac7c3ab7eb079a4216567",
+    ("tn", "12", "--at", "1/2,3,-5", "--format", "json"): (
+        "834d84370080ef74ce3008180c25c151e146f90c06280e86709aa7e2b3a1c310"
     ),
 }
 

@@ -22,7 +22,7 @@ from felcheck.universal import (
     zigzag,
 )
 
-from oracles import bernoulli_minus, umbral_power_multinomial
+from oracles import bernoulli_minus, partition_count, series_log, umbral_power_multinomial
 
 F = Fraction
 
@@ -55,14 +55,14 @@ class TestLambdaTable:
     def test_matches_bernoulli(self):
         lam = lambda_table(8)
         # the table is read off the Bernoulli numbers; the log series is a second route
-        assert lam == RationalSeries(F(1, factorial(k + 1)) for k in range(9)).log().coeffs
+        assert list(lam) == series_log([F(1, factorial(k + 1)) for k in range(9)])
         for k in range(1, 9):
             assert lam[k] == bernoulli(k) / (k * factorial(k))
 
 
 class TestGeneratingSeries:
     def test_empty_product(self):
-        assert sigma_egf((), 3) == RationalSeries.constant(1, 3)
+        assert sigma_egf((), 3) == RationalSeries([1, 0, 0, 0])
 
     def test_single_unit_variable(self):
         assert sigma_egf((1,), 2).coeffs == (F(1), F(1, 2), F(1, 6))
@@ -76,7 +76,7 @@ class TestGeneratingSeries:
 
     def test_delta_series_single_unit(self):
         # the two factors cancel exactly
-        assert delta_egf((1,), 4) == RationalSeries.constant(1, 4)
+        assert delta_egf((1,), 4) == RationalSeries([1, 0, 0, 0, 0])
 
     def test_delta_series_empty(self):
         assert delta_egf((), 2).coeffs == (F(1), F(-1, 2), F(1, 12))
@@ -146,7 +146,7 @@ class TestTValues:
 
 class TestSymbolic:
     def test_t0_t2_t4(self):
-        assert t_symbolic(0) == SigmaPolynomial.one()
+        assert t_symbolic(0) == SigmaPolynomial({(): 1})
         assert t_symbolic(2) == SigmaPolynomial({(2,): F(1, 4), (0, 1): F(1, 12)})
         assert t_symbolic(4) == SigmaPolynomial(
             {
@@ -180,6 +180,23 @@ class TestSymbolic:
     def test_limit(self):
         with pytest.raises(SymbolicOrderTooLarge):
             t_symbolic(SYMBOLIC_N_MAX + 1)
+
+    def test_every_order_up_to_the_limit(self):
+        # the integer EGF route gives the values; one term per partition of n
+        # into 1s and even parts, i.e. per partition of some i <= n/2. Every
+        # order is evaluated at integer power sums; rational points, where
+        # evaluate works in Fractions, stop at n = 30.
+        integer_vectors = [(2, 3, -5), (-1, 4, 7, 1)]
+        rational_vectors = [(F(1, 2), 3, -5), (F(-2, 3), F(7, 4), 2)]
+        for n in range(SYMBOLIC_N_MAX + 1):
+            poly = t_symbolic(n)
+            assert poly.weights() == {n}
+            assert len(poly.terms) == sum(partition_count(i) for i in range(n // 2 + 1))
+            for x in integer_vectors:
+                sigma = [sum(c**k for c in x) for k in range(1, max(n, 1) + 1)]
+                assert poly.evaluate(sigma) == t_value(x, n), (n, x)
+            for x in rational_vectors if n <= 30 else []:
+                assert poly.evaluate(_sigma_of(x, max(n, 1))) == t_value(x, n), (n, x)
 
 
 class TestSubsetPowerSum:

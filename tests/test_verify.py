@@ -3,9 +3,12 @@ from fractions import Fraction
 
 import pytest
 
+from felcheck import verify
 from felcheck.hilbert import hilbert_numerator, k_invariant
 from felcheck.semigroup import compute_gaps, make_semigroup
 from felcheck.verify import (
+    ORDER_MAX,
+    OrderTooLarge,
     VerificationReport,
     effective_order,
     invariants,
@@ -147,6 +150,22 @@ class TestInvariants:
             invariants(S, 4, 5)
         assert invariants(S, 4, 6).order == 6
         assert invariants(S, 4).order == 8
+
+    def test_order_limit(self, monkeypatch):
+        class Reached(Exception):
+            pass
+
+        def reached(*args):
+            raise Reached
+
+        monkeypatch.setattr(verify, "compute_gaps", reached)
+        S = make_semigroup([3, 5])
+        with pytest.raises(Reached):
+            invariants(S, 0, ORDER_MAX)
+        with pytest.raises(OrderTooLarge):
+            invariants(S, 0, ORDER_MAX + 1)
+        with pytest.raises(OrderTooLarge):
+            invariants(S, ORDER_MAX - 3)  # default order m + p_max + 2
 
     def test_k_is_the_normalized_invariant(self):
         S = make_semigroup([4, 5, 6])
