@@ -26,6 +26,8 @@ from .semigroup import (
 from .universal import SYMBOLIC_N_MAX, SymbolicOrderTooLarge, sigma_egf, t_symbolic
 from .verify import (
     IDENTITIES,
+    ORDER_MAX,
+    OrderTooLarge,
     VerificationReport,
     random_semigroup,
     verify_companions,
@@ -133,6 +135,9 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_invariants(args) -> tuple[dict, int]:
     if args.p_max < 0:
         raise ValueError("p_max must be nonnegative")
+    # G_0 .. G_p_max is a series to order p_max: the same limit as verify
+    if args.p_max > ORDER_MAX:
+        raise OrderTooLarge(args.p_max)
     S = make_semigroup(args.generators)
     gaps = compute_gaps(S, args.bound)
     stats = generator_stats(S, args.p_max + 1)

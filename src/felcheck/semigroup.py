@@ -157,7 +157,8 @@ def gap_power_sums(gaps: GapData, r_max: int) -> list[int]:
     row = [1]  # Pascal's triangle: row n once updated in the loop
     for n in range(1, r_max + 2):
         row = [1, *map(add, row, row[1:]), 1]
-        # sum_{k=2..n} C(n, k) a^k G_{n-k}, by Horner's rule in a
+        # acc = sum_{k=2..n} C(n, k) a^(k-2) G_{n-k}, by Horner's rule in a;
+        # a^2 acc is the k >= 2 part of the sum
         acc = 0
         for term in map(mul, row[n:1:-1], G):
             acc = acc * a + term

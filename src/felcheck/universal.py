@@ -16,16 +16,23 @@ coefficient n times n!/2^n equals T_n evaluated at delta_k = (s_k - 1)/2^k.
 The numeric series are built in integers, as exponential generating
 functions (EGFs: n! times the u^n coefficient). With q the lcm of the
 denominators of x and p_i = q x_i, the product prod_i (e^{p_i u} - 1) has
-integer EGF coefficients E[N]; each factor, with coefficients p_i^k for
-k >= 1, multiplies in by the binomial convolution
-out[N] = sum_k C(N, k) p_i^k e[N-k]. Substituting u = t/q and dividing by
-t^m prod x_i turns E into the sigma series: coefficient n is
+integer EGF coefficients E[N]. They come from one kernel in v = e^u - 1: the
+EGF coefficients of v^j are the surjection numbers j! S(N, j), and a factor
+with p > 0 is (1 + v)^p - 1, a polynomial in v with the nonnegative
+coefficients C(p, j). The positive factors are multiplied as polynomials in
+v, truncated at v^N_max and packed one coefficient per fixed-width slot of
+one integer (Kronecker substitution), so each factor costs one big-integer
+product; then E[N] = sum_j c_j j! S(N, j). A factor with p < 0 is
+-e^{pu} (e^{|p|u} - 1), so the negative factors add one sign and one
+binomial convolution with the powers of their sum. Substituting u = t/q and
+dividing by t^m prod x_i turns E into the sigma series: coefficient n is
 E[n+m] / ((n+m)! prod p_i q^n). The factor t/(e^t - 1) has EGF coefficients
 B_k (Bernoulli numbers, minus convention), which are B_k q^k in u; scaled by
 L = lcm of their denominators they are integers too, so the delta series and
-the Bernoulli-umbra series are one more convolution each, and the only
-division is by L in the final conversion to Fraction. No Fraction arithmetic
-runs inside the loops.
+the Bernoulli-umbra series are one binomial convolution
+out[N] = sum_k C(N, k) a[k] b[N-k] more each, and the only division is by L
+in the final conversion to Fraction. No Fraction arithmetic runs inside the
+loops.
 
 Bernoulli numbers, zig-zag (secant/tangent) numbers, the inclusion-exclusion
 subset power sum, and the Bernoulli-umbra powers used by the first Sylvester
@@ -37,7 +44,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from math import factorial, lcm, prod
+from math import comb, factorial, lcm, prod
 from operator import mul
 
 from .exact import RationalSeries
@@ -97,14 +104,57 @@ def _integer_variables(x) -> tuple[list[int], int]:
     return [c.numerator * (q // c.denominator) for c in xs], q
 
 
+@lru_cache(maxsize=None)
+def _surjection_row(n: int) -> tuple[int, ...]:
+    """The surjection numbers j! S(n, j) for j <= n: entry j is the EGF
+    coefficient at u^n of (e^u - 1)^j.
+
+    Row n comes from row n - 1 by j! S(n, j) = j ((j-1)! S(n-1, j-1) +
+    j! S(n-1, j)). The rows below are fetched in ascending order first, so
+    each fetch finds its predecessor cached and a cold call recurses at most
+    two levels deep, whatever n is.
+    """
+    if n == 0:
+        return (1,)
+    for k in range(n - 1):
+        _surjection_row(k)
+    prev = _surjection_row(n - 1)
+    return (0, *(j * (a + b) for j, a, b in zip(range(1, n + 1), prev, prev[1:] + (0,))))
+
+
 def _exp_minus_one_product(ps, n_max: int) -> list[int]:
-    """EGF coefficients of prod_i (e^{p_i u} - 1) up to u^n_max, one factor
-    at a time. A factor's EGF coefficients are p^k for k >= 1 and 0 at k = 0."""
-    e = [1] + [0] * n_max
-    for p in ps:
-        factor = _powers(p, n_max)
-        factor[0] = 0
-        e = _egf_mul(factor, e, n_max)
+    """EGF coefficients of prod_i (e^{p_i u} - 1) up to u^n_max.
+
+    In v = e^u - 1 the product of the factors with p >= 0 is
+    prod ((1 + v)^p - 1) = sum_j c_j v^j, and v^j has the EGF coefficients
+    j! S(n, j). Every c_j is at most C(sum |p|, j), which fixes a slot width
+    of whole bytes; each factor's coefficients C(p, j), j <= n_max, are
+    packed one per slot, and the running product is masked to n_max + 1
+    slots after each multiplication: the coefficients are nonnegative, so
+    no slot borrows, and carries out of the slots past v^n_max only move
+    upward. A factor with p < 0 is -e^{pu} (e^{|p|u} - 1).
+    """
+    size = n_max + 1
+    total = sum(map(abs, ps))
+    width = (comb(total, min(n_max, total // 2)).bit_length() + 7) // 8
+    mask = (1 << 8 * width * size) - 1
+    packed = 1
+    for p in map(abs, ps):
+        binomials = [0]  # then C(p, j) for 1 <= j <= min(p, n_max)
+        b = 1
+        for j in range(min(p, n_max)):
+            b = b * (p - j) // (j + 1)
+            binomials.append(b)
+        factor = int.from_bytes(b"".join(b.to_bytes(width, "little") for b in binomials), "little")
+        packed = packed * factor & mask
+    data = packed.to_bytes(width * size, "little")
+    c = [int.from_bytes(data[j * width : (j + 1) * width], "little") for j in range(size)]
+    e = [sum(map(mul, c, _surjection_row(n))) for n in range(size)]
+    negative = [p for p in ps if p < 0]
+    if negative:
+        e = _egf_mul(_powers(sum(negative), n_max), e, n_max)
+        if len(negative) % 2:
+            e = [-v for v in e]
     return e
 
 
@@ -186,10 +236,13 @@ class SigmaPolynomial:
 
     Terms map exponent tuples to Fraction coefficients: the key (2, 1) stands
     for s1^2 * s2. Keys carry no trailing zeros and zero coefficients are
-    never stored, so equality is structural. Instances are immutable.
+    never stored, so equality is structural. Instances are immutable. For
+    evaluation the same terms are also kept, once built, as integer
+    numerators over one denominator, each with its sparse (index, exponent)
+    pairs.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "_scaled")
 
     def __init__(self, terms=None):
         clean = {}
@@ -202,6 +255,23 @@ class SigmaPolynomial:
                 mono = mono[:-1]
             clean[mono] = clean.get(mono, Fraction(0)) + c
         object.__setattr__(self, "terms", {m: c for m, c in clean.items() if c})
+        object.__setattr__(self, "_scaled", None)
+
+    def _integer_terms(self):
+        """(den, the largest exponent of each index, and per term the integer
+        numerator over den with its ((index, exponent), ...) pairs), built at
+        the first evaluation: printing T_n never needs it."""
+        if self._scaled is None:
+            den = lcm(*(c.denominator for c in self.terms.values()))
+            tops = {}
+            scaled = []
+            for mono, c in self.terms.items():
+                pairs = tuple((i, e) for i, e in enumerate(mono) if e)
+                for i, e in pairs:
+                    tops[i] = max(tops.get(i, 0), e)
+                scaled.append((c.numerator * (den // c.denominator), pairs))
+            object.__setattr__(self, "_scaled", (den, tops, tuple(scaled)))
+        return self._scaled
 
     def __setattr__(self, name, value):
         raise AttributeError("SigmaPolynomial is immutable")
@@ -215,22 +285,39 @@ class SigmaPolynomial:
         return hash(frozenset(self.terms.items()))
 
     def evaluate(self, sigma) -> Fraction:
-        """Evaluate with sigma[k-1] as the value of s_k.
+        """Evaluate with sigma[k-1] as the value of s_k."""
+        return Fraction(*self.evaluate_ratio(sigma))
 
-        The terms are summed over the lcm of the coefficient denominators,
-        so at integer power sums the sum is an integer and one Fraction is
-        made at the end.
+    def evaluate_ratio(self, sigma) -> tuple[int, int]:
+        """Integers (num, den) whose quotient is evaluate(sigma), summed in
+        integers.
+
+        den is the coefficient denominator times b_k^e for each s_k the
+        polynomial uses, with b_k the denominator of sigma[k-1] and e the
+        largest exponent of s_k; so at integer power sums it depends on the
+        polynomial alone, and two values compare as integers.
         """
-        values = [v if type(v) is int else Fraction(v) for v in sigma]
-        den = lcm(*(c.denominator for c in self.terms.values()))
+        den, tops, terms = self._integer_terms()
+        num_pows, den_pows = {}, {}
+        scale = 1
+        for i, top in tops.items():
+            v = Fraction(sigma[i])
+            num_pows[i] = _powers(v.numerator, top)
+            if v.denominator != 1:
+                den_pows[i] = _powers(v.denominator, top)
+                scale *= den_pows[i][top]
         acc = 0
-        for mono, c in self.terms.items():
-            term = c.numerator * (den // c.denominator)
-            for i, e in enumerate(mono):
-                if e:
-                    term *= values[i] ** e
-            acc += term
-        return Fraction(acc) / den
+        for c, pairs in terms:
+            for i, e in pairs:
+                c *= num_pows[i][e]
+            if scale != 1:
+                d = 1
+                for i, e in pairs:
+                    if i in den_pows:
+                        d *= den_pows[i][e]
+                c *= scale // d
+            acc += c
+        return acc, den * scale
 
     def weights(self) -> set[int]:
         """Weighted degrees of the monomials, with s_k carrying weight k."""

@@ -11,7 +11,9 @@ one divided by L (n + 1). So invariants(S, p_max, order) builds one frozen
 Invariants bundle per semigroup: the gaps, the Hilbert numerator, and to
 index N = max(order, m + 3) + 1
 
-- E, the EGF of prod_i (e^{d_i t} - 1), one factor at a time; E[n] = 0 for
+- E, the EGF of prod_i (e^{d_i t} - 1), expanded around z = e^t = 1: in
+  v = e^t - 1 it is prod_i ((1 + v)^{d_i} - 1), and v^j has the EGF
+  coefficients j! S(n, j) (universal._exp_minus_one_product); E[n] = 0 for
   n < m;
 - L and D = L * (t / (e^t - 1)) * E, with L the lcm of the denominators of
   the Bernoulli numbers B_0 .. B_N;
@@ -32,12 +34,16 @@ so FEL_MAIN and EQ_FINAL both hold iff (n+1) L c[n] = (-1)^m (D[n+1] +
   gap polynomial;
 - LEMMA_SERIES_PHI: Phi(e^t), the only scan of the gap list, against G from
   the Apéry set, so the two sides share no code;
-- LEMMA_SERIES_P: P(e^t) against (-1)^m E;
-- LEMMA_SERIES_PDIV: (n+1) L (P/(1 - z))(e^t) against -(-1)^m D[n+1];
+- LEMMA_SERIES_P: P(e^t) from the sparse z-expansion of P, the power sums
+  sum_j P_j j^n, against (-1)^m E, the expansion around z = 1;
+- LEMMA_SERIES_PDIV: (n+1) L (P/(1 - z))(e^t) against -(-1)^m D[n+1]. The
+  left side is Abel summation over the terms of P, with surjection numbers
+  (_quotient_power_sums), so no polynomial division runs; the right side is
+  the Bernoulli convolution of E;
 - LEMMA_ONE_MINUS_Q: c against [n = 0] + (-1)^m (EG[n] + D[n+1] / ((n+1) L)).
 
-A Fraction is made only to print a record, one per printed coefficient, and
-a passing record prints one value for both sides.
+A record prints each value num/den in lowest terms, reduced by gcd with no
+Fraction made, and a passing record prints one value for both sides.
 """
 
 from __future__ import annotations
@@ -46,6 +52,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, factorial, gcd, prod
+from operator import mul
 
 from .exact import IntPolynomial
 from .hilbert import (
@@ -70,6 +77,7 @@ from .universal import (
     _exp_minus_one_product,
     _integer_variables,
     _scaled_bernoulli,
+    _surjection_row,
     t_symbolic,
     umbral_power,
     zigzag,
@@ -95,9 +103,10 @@ _RANK = {identity: rank for rank, identity in enumerate(IDENTITIES)}
 PASS, FAIL, SKIP = "pass", "fail", "skip"
 
 # Largest series order invariants() builds; the O(N^2) big-integer
-# convolutions of E, D and EG dominate. On a 2-core VM `felcheck verify 3 5
-# --order N` takes 1.2 s at N = 500 and 4.2 s at N = 800; at N = 500,
-# 20 29 37 41 53 59 take 4.4 s and 211 223 227 take 5.4 s.
+# convolutions D and EG and the surjection-number sums of E dominate. At
+# N = 500 on a 2-core VM (medians of 3), `felcheck verify 3 5 --order N`
+# takes 0.7 s, 20 29 37 41 53 59 take 1.8 s, 211 223 227 take 3.6 s and
+# 1009 1013 1019 take 35 s: the limit bounds the order, not the cost.
 ORDER_MAX = 500
 
 
@@ -148,8 +157,17 @@ def _record(identity, parameter, lhs, rhs, note="") -> CheckRecord:
     return CheckRecord(identity, parameter, str(lhs), str(rhs), status, note)
 
 
+def _fraction_str(v: int, d: int) -> str:
+    """What str(Fraction(v, d)) prints, without making the Fraction: lowest
+    terms, the sign on the numerator, no "/1"."""
+    g = gcd(v, d) if d > 0 else -gcd(v, d)
+    v //= g
+    d //= g
+    return f"{v}/{d}" if d != 1 else str(v)
+
+
 def _render(values, dens) -> str:
-    return " ".join(str(Fraction(v, d)) for v, d in zip(values, dens))
+    return " ".join(map(_fraction_str, values, dens))
 
 
 def _ratio_record(identity, parameter, lhs, rhs, dens, note="") -> CheckRecord:
@@ -326,6 +344,27 @@ def verify_m2_closed_form(inv: Invariants) -> VerificationReport:
     return report
 
 
+def _quotient_power_sums(P: IntPolynomial, order: int) -> list[int]:
+    """EGF coefficients of (P/(1 - z))(e^t) up to t^order, for P(1) = 0.
+
+    With z = 1 + v, P = sum_i v^i sum_j P_j C(j, i), and the i = 0 sum is
+    P(1) = 0, so P/(1 - z) = -sum_i v^i a_i with a_i = sum_j P_j C(j, i+1)
+    (Abel summation of the partial sums of P). At z = e^t, v^i has the EGF
+    coefficients i! S(n, i). The binomials run down each term of P, so the
+    cost is O(terms of P * order), whatever the degree of P.
+    """
+    exps, cur = [], []
+    for j, coeff in P.items():
+        exps.append(j)
+        cur.append(coeff)
+    a = []
+    for k in range(1, order + 2):
+        # P_j C(j, k) from P_j C(j, k - 1), exactly
+        cur = [c * (j - k + 1) // k for c, j in zip(cur, exps)]
+        a.append(-sum(cur))
+    return [sum(map(mul, a, _surjection_row(n))) for n in range(order + 1)]
+
+
 def verify_series_lemmas(inv: Invariants) -> VerificationReport:
     """Check the five series identities coefficient-by-coefficient to the order.
 
@@ -342,7 +381,7 @@ def verify_series_lemmas(inv: Invariants) -> VerificationReport:
 
     phi = gap_polynomial(inv.gaps).power_sums(order)
     p_sums = h.prod.power_sums(order)
-    p_div = h.prod.exact_div(IntPolynomial.one_minus_pow(1)).power_sums(order)
+    p_div = _quotient_power_sums(h.prod, order)
     phi_p = _egf_mul(phi, p_sums, order)
     one_minus_q = [(n == 0) - p_div[n] + phi_p[n] for n in ns]
     report.checks.append(_ratio_record("LEMMA_SERIES_C", order, one_minus_q, c, facts))
@@ -446,15 +485,16 @@ def verify_companions(n_max: int = 3, samples: int = 20, seed: int = 0) -> Verif
             d = tuple(rng.randint(1, 9) for _ in range(rng.randint(1, 4)))
             sigma = [sum(v**k for v in d) for k in range(1, n + 1)]
             lhs = umbral_power(d, n)
-            rhs = poly.evaluate(_signflip(sigma, True, n))
-            narrow = poly.evaluate(_signflip(sigma, False, n))
+            # integer power sums: both values share the denominator den
+            wide, den = poly.evaluate_ratio(_signflip(sigma, True, n))
+            narrow, _ = poly.evaluate_ratio(_signflip(sigma, False, n))
             note = f"sample {i}: d = {d}"
-            if narrow != rhs:
+            if narrow != wide:
                 note += (
-                    f"; flipping only s2 and s{n} gives {narrow}, "
+                    f"; flipping only s2 and s{n} gives {_fraction_str(narrow, den)}, "
                     "the identity needs every even-index power sum flipped"
                 )
-            report.checks.append(_record("FEL1_SIGNFLIP", n, lhs, rhs, note))
+            report.checks.append(_record("FEL1_SIGNFLIP", n, lhs, Fraction(wide, den), note))
     return report
 
 

@@ -2,8 +2,10 @@
 
 Nothing here shares code with the library paths it checks: gaps come from a
 boolean representability table, Bernoulli numbers from the classical
-recurrence, partition counts from the recurrence on the largest part, and
-the umbral powers from a literal multinomial expansion.
+recurrence, partition counts from the recurrence on the largest part,
+surjection numbers from inclusion-exclusion, the product of the factors
+e^{p u} - 1 from one binomial convolution per factor, and the umbral powers
+from a literal multinomial expansion.
 """
 
 from fractions import Fraction
@@ -178,6 +180,21 @@ def numerator_by_membership(gens):
     member = representable_table(gens, limit)
     series = [1 if member[n] else 0 for n in range(limit + 1)]
     return dense_trim(dense_mul(series, prod)[: limit + 1])
+
+
+def exp_minus_one_product_by_convolution(ps, n_max):
+    """EGF coefficients of prod (e^{p u} - 1) up to u^n_max, one binomial
+    convolution per factor: a factor's EGF coefficients are p^k, k >= 1."""
+    e = [1] + [0] * n_max
+    for p in ps:
+        factor = [0] + [p**k for k in range(1, n_max + 1)]
+        e = [sum(comb(n, k) * factor[k] * e[n - k] for k in range(n + 1)) for n in range(n_max + 1)]
+    return e
+
+
+def surjection_number(n, j):
+    """j! S(n, j), the number of maps from n points onto j, by inclusion-exclusion."""
+    return sum((-1) ** (j - i) * comb(j, i) * i**n for i in range(j + 1))
 
 
 # The Fraction route to the T_n generating series: truncated power series

@@ -1,6 +1,8 @@
 import json
 from fractions import Fraction as F
 
+import pytest
+
 from felcheck import cli, verify
 from felcheck.universal import SYMBOLIC_N_MAX, t_value
 from felcheck.verify import ORDER_MAX
@@ -36,6 +38,23 @@ class TestInvariants:
         assert code == 0
         assert "frobenius: -1" in out
         assert "gaps: \n" in out + "\n"
+
+    def test_p_max_limit_refused_before_any_gaps(self, capsys, monkeypatch):
+        class GapsReached(Exception):
+            pass
+
+        def reached(*args):
+            raise GapsReached
+
+        monkeypatch.setattr(cli, "compute_gaps", reached)
+        code, out, err = run_cli(capsys, "invariants", "3", "5", "--p-max", str(ORDER_MAX + 1))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("OrderTooLarge")
+        assert f"limited to {ORDER_MAX}" in err
+        # the limit itself passes the guard and goes on to the gaps
+        with pytest.raises(GapsReached):
+            run_cli(capsys, "invariants", "3", "5", "--p-max", str(ORDER_MAX))
 
 
 class TestHilbert:

@@ -2,11 +2,12 @@
 report fail, while the checks that do not read it keep passing.
 
 The corrupt input goes in where the invariants bundle is built, by
-replacing the compute_gaps or hilbert_numerator that verify calls."""
+replacing the compute_gaps or hilbert_numerator that verify calls, or the
+surjection-number rows that E is built from."""
 
 from dataclasses import replace
 
-from felcheck import verify
+from felcheck import universal, verify
 from felcheck.exact import IntPolynomial
 from felcheck.hilbert import hilbert_numerator
 from felcheck.semigroup import compute_gaps, make_semigroup
@@ -80,3 +81,21 @@ def test_changed_apery_entry_fails_fel_main(monkeypatch):
     apery[1] += min(S.generators)
     inv = corrupted(monkeypatch, replace(GAPS, apery=tuple(apery)), H)
     assert "fail" in statuses(verify_fel_main(inv))["FEL_MAIN"]
+
+
+def test_changed_surjection_number_fails_series_p(monkeypatch):
+    rows = universal._surjection_row
+    rows(ORDER + 10)  # every row the bundle reads is cached before the swap
+
+    def corrupt(n):
+        row = rows(n)
+        return row[:5] + (row[5] + 1,) + row[6:] if n == 7 else row
+
+    monkeypatch.setattr(universal, "_surjection_row", corrupt)
+    inv = invariants(S, 6, ORDER)
+    lemmas = statuses(verify_series_lemmas(inv))
+    assert lemmas["LEMMA_SERIES_P"] == {"fail"}
+    assert lemmas["LEMMA_SERIES_PHI"] == {"pass"}
+    # the cached rows themselves were left as they were
+    monkeypatch.undo()
+    assert statuses(verify_series_lemmas(invariants(S, 6, ORDER)))["LEMMA_SERIES_P"] == {"pass"}

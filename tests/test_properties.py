@@ -2,7 +2,8 @@
 routes, the Apéry-built gap power sums against the gap list of a
 representability table, the sparse IntPolynomial against dense reference
 arithmetic, and the integer-built T_n generating series against the Fraction
-series route."""
+series route; the surjection-number kernel for prod (e^{p u} - 1) and for
+P/(1 - z) at z = e^t against binomial convolution and long division."""
 
 from fractions import Fraction
 from math import gcd
@@ -14,9 +15,15 @@ from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from felcheck.exact import IntPolynomial, NonExactDivision  # noqa: E402
-from felcheck.hilbert import gap_polynomial, hilbert_numerator  # noqa: E402
+from felcheck.hilbert import gap_polynomial, hilbert_numerator, product_polynomial  # noqa: E402
 from felcheck.semigroup import compute_gaps, gap_power_sums, make_semigroup  # noqa: E402
-from felcheck.universal import delta_egf, sigma_egf, umbral_series  # noqa: E402
+from felcheck.universal import (  # noqa: E402
+    _exp_minus_one_product,
+    delta_egf,
+    sigma_egf,
+    umbral_series,
+)
+from felcheck.verify import _quotient_power_sums  # noqa: E402
 
 from oracles import (  # noqa: E402
     dense_add,
@@ -27,6 +34,7 @@ from oracles import (  # noqa: E402
     dense_sub,
     dense_trim,
     delta_by_series,
+    exp_minus_one_product_by_convolution,
     gaps_by_table,
     numerator_by_gap_route,
     numerator_by_membership,
@@ -194,3 +202,39 @@ def test_apery_gap_sums_match_table_oracle(gens, r_max):
     gaps = gaps_by_table(gens)
     expected = [sum(g**r for g in gaps) for r in range(r_max + 1)]
     assert gap_power_sums(compute_gaps(make_semigroup(gens)), r_max) == expected
+
+
+# Signed integer vectors for the product of the factors e^{p u} - 1: lengths
+# 0-6 with |p| <= 60; a drawn flag repeats the first entry.
+@st.composite
+def signed_vectors(draw):
+    ps = draw(st.lists(st.integers(-60, 60).filter(bool), max_size=6))
+    if ps and len(ps) < 6 and draw(st.booleans()):
+        ps.append(ps[0])
+    return ps
+
+
+@settings(max_examples=60, deadline=None)
+@given(signed_vectors(), st.integers(0, 80))
+@example([], 0)
+@example([], 80)
+@example([1], 0)
+@example([-1], 80)
+@example([1, -1, 1, -1], 80)
+@example([60, 60, -60, -60, 59, -1], 80)
+@example([3, 3, 3, 3, 3, 3], 2)
+@example([-7, -7, -7], 80)
+def test_exp_minus_one_product_matches_convolution(ps, n_max):
+    assert _exp_minus_one_product(ps, n_max) == exp_minus_one_product_by_convolution(ps, n_max)
+
+
+@SETTINGS
+@given(generator_lists(), st.integers(0, 40))
+@example([1], 0)
+@example([1], 12)
+@example([1, 1, 2], 7)
+@example([30, 29, 28, 27, 26], 40)
+def test_quotient_power_sums_match_long_division(gens, order):
+    P = product_polynomial(make_semigroup(gens))
+    by_division = P.exact_div(IntPolynomial.one_minus_pow(1)).power_sums(order)
+    assert _quotient_power_sums(P, order) == by_division

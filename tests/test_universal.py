@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 from math import comb, factorial
 
@@ -10,6 +11,7 @@ from felcheck.universal import (
     SigmaPolynomial,
     SymbolicOrderTooLarge,
     ZeroVariable,
+    _surjection_row,
     bernoulli,
     delta_egf,
     lambda_table,
@@ -22,7 +24,15 @@ from felcheck.universal import (
     zigzag,
 )
 
-from oracles import bernoulli_minus, partition_count, series_log, umbral_power_multinomial
+from felcheck.verify import ORDER_MAX
+
+from oracles import (
+    bernoulli_minus,
+    partition_count,
+    series_log,
+    surjection_number,
+    umbral_power_multinomial,
+)
 
 F = Fraction
 
@@ -58,6 +68,33 @@ class TestLambdaTable:
         assert list(lam) == series_log([F(1, factorial(k + 1)) for k in range(9)])
         for k in range(1, 9):
             assert lam[k] == bernoulli(k) / (k * factorial(k))
+
+
+class TestSurjectionRow:
+    def test_matches_inclusion_exclusion(self):
+        for n in range(41):
+            assert _surjection_row(n) == tuple(surjection_number(n, j) for j in range(n + 1))
+
+    def test_cold_call_past_the_order_limit_does_not_recurse(self):
+        # invariants() reads rows up to ORDER_MAX + m + 4; a row built by
+        # recursing on its predecessor would need that many frames
+        n = ORDER_MAX + 10
+        expected = surjection_number(n, 7)
+        _surjection_row.cache_clear()
+        limit = sys.getrecursionlimit()
+        depth = 0
+        frame = sys._getframe()
+        while frame:
+            depth += 1
+            frame = frame.f_back
+        sys.setrecursionlimit(depth + 50)
+        try:
+            row = _surjection_row(n)
+        finally:
+            sys.setrecursionlimit(limit)
+            _surjection_row.cache_clear()
+        assert len(row) == n + 1
+        assert (row[0], row[1], row[7], row[n]) == (0, 1, expected, factorial(n))
 
 
 class TestGeneratingSeries:
@@ -184,18 +221,13 @@ class TestSymbolic:
     def test_every_order_up_to_the_limit(self):
         # the integer EGF route gives the values; one term per partition of n
         # into 1s and even parts, i.e. per partition of some i <= n/2. Every
-        # order is evaluated at integer power sums; rational points, where
-        # evaluate works in Fractions, stop at n = 30.
-        integer_vectors = [(2, 3, -5), (-1, 4, 7, 1)]
-        rational_vectors = [(F(1, 2), 3, -5), (F(-2, 3), F(7, 4), 2)]
+        # order is evaluated at integer and at rational power sums.
+        vectors = [(2, 3, -5), (-1, 4, 7, 1), (F(1, 2), 3, -5), (F(-2, 3), F(7, 4), 2)]
         for n in range(SYMBOLIC_N_MAX + 1):
             poly = t_symbolic(n)
             assert poly.weights() == {n}
             assert len(poly.terms) == sum(partition_count(i) for i in range(n // 2 + 1))
-            for x in integer_vectors:
-                sigma = [sum(c**k for c in x) for k in range(1, max(n, 1) + 1)]
-                assert poly.evaluate(sigma) == t_value(x, n), (n, x)
-            for x in rational_vectors if n <= 30 else []:
+            for x in vectors:
                 assert poly.evaluate(_sigma_of(x, max(n, 1))) == t_value(x, n), (n, x)
 
 
