@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 from math import factorial
 
-from .hilbert import hilbert_numerator, k_denominator, syzygy_values
+from .hilbert import alternating_syzygy_sums, hilbert_numerator, k_denominator
 from .semigroup import (
     DEFAULT_BOUND,
     compute_gaps,
@@ -84,6 +84,11 @@ EXAMPLE_P_MAX = 6
 
 def _golden_c(powers, r: int) -> int:
     return sum(mult * base**r for base, mult in powers)
+
+
+def _k_values(S, c, p_max: int) -> list[Fraction]:
+    """K_p = C_{m+p} / k_denominator(S, p) for p <= p_max, from the sums c."""
+    return [Fraction(c[S.m + p], k_denominator(S, p)) for p in range(p_max + 1)]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -160,16 +165,21 @@ def cmd_invariants(args) -> tuple[dict, int]:
 
 def cmd_hilbert(args) -> tuple[dict, int]:
     S = make_semigroup(args.generators)
+    if args.p_max < 0:
+        raise ValueError("p_max must be nonnegative")
+    # C_0 .. C_{m+p_max} is a series to order m + p_max: the same limit as verify
+    if S.m + args.p_max > ORDER_MAX:
+        raise OrderTooLarge(S.m + args.p_max)
     gaps = compute_gaps(S, args.bound)
     h = hilbert_numerator(S, gaps)
-    vals = syzygy_values(S, h, args.p_max)
+    c = alternating_syzygy_sums(h, S.m + args.p_max)
     doc = {
         "schema": SCHEMA_VERSION,
         "command": "hilbert",
         "generators": list(S.generators),
         "Q": h.numerator.sparse_str(),
-        "C": [str(vals.c[r]) for r in range(S.m + args.p_max + 1)],
-        "K": [str(vals.k[p]) for p in range(args.p_max + 1)],
+        "C": [str(v) for v in c],
+        "K": [str(v) for v in _k_values(S, c, args.p_max)],
     }
     return doc, 0
 
@@ -180,6 +190,9 @@ def cmd_tn(args) -> tuple[dict, int]:
     at = None
     if args.at is not None:
         at = tuple(_parse_rational(tok.strip()) for tok in args.at.split(","))
+        # the series is built to order n_max: the same limit as verify
+        if args.n_max > ORDER_MAX:
+            raise OrderTooLarge(args.n_max)
     elif args.n_max > SYMBOLIC_N_MAX:
         raise SymbolicOrderTooLarge(args.n_max)
     if at is None:
@@ -263,15 +276,18 @@ def cmd_examples(args) -> tuple[dict, int]:
         S = make_semigroup(gens)
         gaps = compute_gaps(S)
         h = hilbert_numerator(S, gaps)
-        vals = syzygy_values(S, h, max(EXAMPLE_P_MAX, EXAMPLE_C_MAX))
+        top = max(EXAMPLE_C_MAX, S.m + EXAMPLE_P_MAX)
+        c = alternating_syzygy_sums(h, top)
+        gold_c = [_golden_c(powers, r) for r in range(top + 1)]
+        k = _k_values(S, c, EXAMPLE_P_MAX)
+        gold_k = _k_values(S, gold_c, EXAMPLE_P_MAX)
         fields = []
         fields.append(("gaps", list(gaps.gaps), list(gold_gaps)))
         fields.append(("numerator", h.numerator.sparse_str(), gold_q))
         for r in range(EXAMPLE_C_MAX + 1):
-            fields.append((f"C[{r}]", str(vals.c[r]), str(_golden_c(powers, r))))
+            fields.append((f"C[{r}]", str(c[r]), str(gold_c[r])))
         for p in range(EXAMPLE_P_MAX + 1):
-            gold_k = Fraction(_golden_c(powers, S.m + p), k_denominator(S, p))
-            fields.append((f"K[{p}]", str(vals.k[p]), str(gold_k)))
+            fields.append((f"K[{p}]", str(k[p]), str(gold_k[p])))
         ok = True
         for name, actual, expected in fields:
             if actual != expected and ok:
@@ -283,8 +299,8 @@ def cmd_examples(args) -> tuple[dict, int]:
                 "generators": list(gens),
                 "gaps": list(gaps.gaps),
                 "numerator": h.numerator.sparse_str(),
-                "C": [str(vals.c[r]) for r in range(EXAMPLE_C_MAX + 1)],
-                "K": [str(vals.k[p]) for p in range(EXAMPLE_P_MAX + 1)],
+                "C": [str(v) for v in c[: EXAMPLE_C_MAX + 1]],
+                "K": [str(v) for v in k],
                 "passed": ok,
             }
         )
@@ -301,6 +317,24 @@ def cmd_examples(args) -> tuple[dict, int]:
 
 def render_json(doc: dict) -> str:
     return json.dumps(doc, indent=2)
+
+
+# The fields that the table prints as "key: value" and the TSV as
+# "key<TAB>value", one per line and in this order, for each command whose
+# document is a flat record, and for each entry of an examples document.
+FIELDS = {
+    "invariants": ("generators", "m", "pi", "frobenius", "genus", "gaps", "G", "sigma", "delta"),
+    "hilbert": ("generators", "Q", "C", "K"),
+}
+EXAMPLE_FIELDS = ("gaps", "numerator", "C", "K")
+
+
+def _field_values(doc: dict, keys) -> list[tuple[str, str]]:
+    """(key, text) pairs; a list value prints as its items joined by spaces."""
+    return [
+        (key, " ".join(map(str, doc[key])) if isinstance(doc[key], list) else str(doc[key]))
+        for key in keys
+    ]
 
 
 def _check_line(check: dict) -> str:
@@ -321,21 +355,8 @@ def _check_line(check: dict) -> str:
 def render_table(doc: dict) -> str:
     cmd = doc["command"]
     lines = []
-    if cmd == "invariants":
-        lines.append("generators: " + " ".join(map(str, doc["generators"])))
-        lines.append(f"m: {doc['m']}")
-        lines.append(f"pi: {doc['pi']}")
-        lines.append(f"frobenius: {doc['frobenius']}")
-        lines.append(f"genus: {doc['genus']}")
-        lines.append("gaps: " + " ".join(map(str, doc["gaps"])))
-        lines.append("G: " + " ".join(doc["G"]))
-        lines.append("sigma: " + " ".join(doc["sigma"]))
-        lines.append("delta: " + " ".join(doc["delta"]))
-    elif cmd == "hilbert":
-        lines.append("generators: " + " ".join(map(str, doc["generators"])))
-        lines.append("Q: " + doc["Q"])
-        lines.append("C: " + " ".join(doc["C"]))
-        lines.append("K: " + " ".join(doc["K"]))
+    if cmd in FIELDS:
+        lines.extend(f"{key}: {text}" for key, text in _field_values(doc, FIELDS[cmd]))
     elif cmd == "tn":
         for term in doc["terms"]:
             lines.append(f"T_{term['n']} = {term['T']}")
@@ -355,10 +376,7 @@ def render_table(doc: dict) -> str:
     elif cmd == "examples":
         for entry in doc["examples"]:
             lines.append("example: " + " ".join(map(str, entry["generators"])))
-            lines.append("gaps: " + " ".join(map(str, entry["gaps"])))
-            lines.append("numerator: " + entry["numerator"])
-            lines.append("C: " + " ".join(entry["C"]))
-            lines.append("K: " + " ".join(entry["K"]))
+            lines.extend(f"{key}: {text}" for key, text in _field_values(entry, EXAMPLE_FIELDS))
             lines.append("result: " + ("pass" if entry["passed"] else "FAIL"))
         if doc["mismatch"]:
             lines.append("mismatch: " + doc["mismatch"])
@@ -369,21 +387,9 @@ def render_table(doc: dict) -> str:
 def render_tsv(doc: dict) -> str:
     cmd = doc["command"]
     rows = []
-    if cmd == "invariants":
+    if cmd in FIELDS:
         rows.append("key\tvalue")
-        rows.append("generators\t" + " ".join(map(str, doc["generators"])))
-        for key in ("m", "pi", "frobenius", "genus"):
-            rows.append(f"{key}\t{doc[key]}")
-        rows.append("gaps\t" + " ".join(map(str, doc["gaps"])))
-        rows.append("G\t" + " ".join(doc["G"]))
-        rows.append("sigma\t" + " ".join(doc["sigma"]))
-        rows.append("delta\t" + " ".join(doc["delta"]))
-    elif cmd == "hilbert":
-        rows.append("key\tvalue")
-        rows.append("generators\t" + " ".join(map(str, doc["generators"])))
-        rows.append("Q\t" + doc["Q"])
-        rows.append("C\t" + " ".join(doc["C"]))
-        rows.append("K\t" + " ".join(doc["K"]))
+        rows.extend(f"{key}\t{text}" for key, text in _field_values(doc, FIELDS[cmd]))
     elif cmd == "tn":
         rows.append("n\tT")
         for term in doc["terms"]:
@@ -406,10 +412,10 @@ def render_tsv(doc: dict) -> str:
         for entry in doc["examples"]:
             where = " ".join(map(str, entry["generators"]))
             status = "pass" if entry["passed"] else "FAIL"
-            rows.append(f"{where}\tgaps\t{' '.join(map(str, entry['gaps']))}\t{status}")
-            rows.append(f"{where}\tnumerator\t{entry['numerator']}\t{status}")
-            rows.append(f"{where}\tC\t{' '.join(entry['C'])}\t{status}")
-            rows.append(f"{where}\tK\t{' '.join(entry['K'])}\t{status}")
+            rows.extend(
+                f"{where}\t{key}\t{text}\t{status}"
+                for key, text in _field_values(entry, EXAMPLE_FIELDS)
+            )
     return "\n".join(rows)
 
 

@@ -16,8 +16,6 @@ from heapq import heapify, heappop, heappush
 from math import factorial
 from operator import index, mul
 
-Rational = Fraction
-
 # Terms per block in IntPolynomial.power_sums.
 _POWER_BLOCK = 512
 
@@ -132,17 +130,6 @@ class IntPolynomial:
     def __hash__(self):
         return hash((self._exps, self._coefs))
 
-    def __neg__(self):
-        return IntPolynomial.from_terms((e, -c) for e, c in self.items())
-
-    def __add__(self, other):
-        if not isinstance(other, IntPolynomial):
-            return NotImplemented
-        acc = dict(self.items())
-        for e, c in other.items():
-            acc[e] = acc.get(e, 0) + c
-        return IntPolynomial._summed(acc)
-
     def __sub__(self, other):
         if not isinstance(other, IntPolynomial):
             return NotImplemented
@@ -196,16 +183,6 @@ class IntPolynomial:
                     rem[k] = -q * b
                     heappush(todo, -k)
         return IntPolynomial._summed(quot)
-
-    def __call__(self, x):
-        """Evaluate at x by Horner's rule over the nonzero terms (exact for
-        int or Fraction input)."""
-        acc = 0
-        prev = self.degree
-        for e, c in zip(reversed(self._exps), reversed(self._coefs)):
-            acc = acc * x ** (prev - e) + c
-            prev = e
-        return acc * x**prev if prev > 0 else acc
 
     def power_sums(self, n_max: int) -> list[int]:
         """The integers sum_k p_k * k^n for 0 <= n <= n_max, with 0^0 = 1:
@@ -285,56 +262,34 @@ class RationalSeries:
     def __hash__(self):
         return hash(self.coeffs)
 
-    def __neg__(self):
-        return RationalSeries(-c for c in self.coeffs)
-
-    def __add__(self, other):
-        if isinstance(other, RationalSeries):
-            n = min(self.order, other.order)
-            return RationalSeries(self.coeffs[i] + other.coeffs[i] for i in range(n + 1))
-        out = list(self.coeffs)
-        out[0] += Fraction(other)
+    def __mul__(self, other):
+        if not isinstance(other, RationalSeries):
+            return NotImplemented
+        n = min(self.order, other.order)
+        out = [Fraction(0)] * (n + 1)
+        for i in range(n + 1):
+            a = self.coeffs[i]
+            if a:
+                for j in range(n + 1 - i):
+                    b = other.coeffs[j]
+                    if b:
+                        out[i + j] += a * b
         return RationalSeries(out)
 
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self + (-other if isinstance(other, RationalSeries) else -Fraction(other))
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, RationalSeries):
-            n = min(self.order, other.order)
-            out = [Fraction(0)] * (n + 1)
-            for i in range(n + 1):
-                a = self.coeffs[i]
-                if a:
-                    for j in range(n + 1 - i):
-                        b = other.coeffs[j]
-                        if b:
-                            out[i + j] += a * b
-            return RationalSeries(out)
-        c = Fraction(other)
-        return RationalSeries(x * c for x in self.coeffs)
-
-    __rmul__ = __mul__
-
     def __truediv__(self, other):
-        if isinstance(other, RationalSeries):
-            if other.coeffs[0] == 0:
-                raise NonInvertibleConstantTerm("divisor has constant term 0")
-            n = min(self.order, other.order)
-            b0 = other.coeffs[0]
-            out = []
-            for k in range(n + 1):
-                acc = self.coeffs[k]
-                for j in range(k):
-                    acc -= out[j] * other.coeffs[k - j]
-                out.append(acc / b0)
-            return RationalSeries(out)
-        return self * (Fraction(1) / Fraction(other))
+        if not isinstance(other, RationalSeries):
+            return NotImplemented
+        if other.coeffs[0] == 0:
+            raise NonInvertibleConstantTerm("divisor has constant term 0")
+        n = min(self.order, other.order)
+        b0 = other.coeffs[0]
+        out = []
+        for k in range(n + 1):
+            acc = self.coeffs[k]
+            for j in range(k):
+                acc -= out[j] * other.coeffs[k - j]
+            out.append(acc / b0)
+        return RationalSeries(out)
 
     def __str__(self):
         return " ".join(str(c) for c in self.coeffs)

@@ -27,14 +27,6 @@ class HilbertData:
     numerator: IntPolynomial  # Hilbert numerator Q, constant term 1
 
 
-@dataclass(frozen=True)
-class SyzygyValues:
-    """Alternating syzygy power sums c[r] and normalized invariants k[p]."""
-
-    c: dict[int, int]
-    k: dict[int, Fraction]
-
-
 def gap_polynomial(gaps: GapData) -> IntPolynomial:
     """Polynomial with coefficient 1 at each gap exponent."""
     return IntPolynomial.from_terms((g, 1) for g in gaps.gaps)
@@ -75,12 +67,3 @@ def k_invariant(S: SemigroupSpec, h: HilbertData, p: int) -> Fraction:
         raise ValueError("p must be nonnegative")
     return Fraction(alternating_syzygy_sums(h, S.m + p)[-1], k_denominator(S, p))
 
-
-def syzygy_values(S: SemigroupSpec, h: HilbertData, p_max: int) -> SyzygyValues:
-    """Alternating sums for r <= m + p_max together with the invariants for p <= p_max."""
-    if p_max < 0:
-        raise ValueError("p_max must be nonnegative")
-    sums = alternating_syzygy_sums(h, S.m + p_max)
-    c = dict(enumerate(sums))
-    k = {p: Fraction(sums[S.m + p], k_denominator(S, p)) for p in range(p_max + 1)}
-    return SyzygyValues(c, k)

@@ -6,9 +6,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
 from math import gcd
-from operator import add, index, mul
+from operator import index, mul
 
 from .exact import IntPolynomial, NonExactDivision
+from .universal import _binomial_row
 
 DEFAULT_BOUND = 10**7
 
@@ -154,9 +155,8 @@ def gap_power_sums(gaps: GapData, r_max: int) -> list[int]:
     apery = IntPolynomial.from_terms((w, 1) for w in sorted(gaps.apery))
     w_minus_r = (apery - IntPolynomial([1] * a)).power_sums(r_max + 1)
     G = []
-    row = [1]  # Pascal's triangle: row n once updated in the loop
     for n in range(1, r_max + 2):
-        row = [1, *map(add, row, row[1:]), 1]
+        row = _binomial_row(n)
         # acc = sum_{k=2..n} C(n, k) a^(k-2) G_{n-k}, by Horner's rule in a;
         # a^2 acc is the k >= 2 part of the sum
         acc = 0

@@ -142,10 +142,6 @@ def dense_divmod(a, b):
     return dense_trim(quot), dense_trim(rem)
 
 
-def dense_eval(a, x):
-    return sum(c * x**k for k, c in enumerate(a))
-
-
 def dense_at_exp(a, order):
     """Coefficients of a(e^t) up to t^order: sum_k a_k k^n / n!, with 0^0 = 1."""
     return [Fraction(sum(c * k**n for k, c in enumerate(a)), factorial(n)) for n in range(order + 1)]

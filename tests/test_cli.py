@@ -72,6 +72,24 @@ class TestHilbert:
         assert "Q: 0:1" in out
         assert out.splitlines()[3] == "K: " + " ".join(["0"] * 9)
 
+    def test_order_limit_refused_before_any_gaps(self, capsys, monkeypatch):
+        class GapsReached(Exception):
+            pass
+
+        def reached(*args):
+            raise GapsReached
+
+        monkeypatch.setattr(cli, "compute_gaps", reached)
+        p_max = ORDER_MAX - 1  # C runs to order m + p_max = ORDER_MAX + 1
+        code, out, err = run_cli(capsys, "hilbert", "3", "5", "--p-max", str(p_max))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("OrderTooLarge")
+        assert f"limited to {ORDER_MAX}, got {ORDER_MAX + 1}" in err
+        # the limit itself passes the guard and goes on to the gaps
+        with pytest.raises(GapsReached):
+            run_cli(capsys, "hilbert", "3", "5", "--p-max", str(p_max - 1))
+
 
 class TestTn:
     def test_symbolic_table(self, capsys):
@@ -119,6 +137,23 @@ class TestTn:
         code, out, _ = run_cli(capsys, "tn", str(n), "--at", "1")
         assert code == 0
         assert out.splitlines()[-1] == f"T_{n} = 1/{n + 1}"
+
+    def test_evaluated_order_limit_refused_up_front(self, capsys, monkeypatch):
+        class SeriesReached(Exception):
+            pass
+
+        def reached(*args):
+            raise SeriesReached
+
+        monkeypatch.setattr(cli, "sigma_egf", reached)
+        code, out, err = run_cli(capsys, "tn", str(ORDER_MAX + 1), "--at", "1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("OrderTooLarge")
+        assert f"limited to {ORDER_MAX}" in err
+        # the limit itself passes the guard and goes on to the series
+        with pytest.raises(SeriesReached):
+            run_cli(capsys, "tn", str(ORDER_MAX), "--at", "1")
 
 
 class TestVerify:

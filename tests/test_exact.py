@@ -61,11 +61,6 @@ class TestIntPolynomial:
                 b = P(1, 2)
             assert (a * b).exact_div(b) == a
 
-    def test_evaluate(self):
-        q = P(1) - IntPolynomial.one_minus_pow(15)  # z^15
-        assert q(2) == 2**15
-        assert P(1, -1)(1) == 0
-
     def test_sparse_str(self):
         assert P(1, 0, 0, 0, 0, 0, 0, 0, 0, 0, -1).sparse_str() == "0:1 10:-1"
         assert str(P()) == "0"
@@ -113,7 +108,6 @@ class TestRationalSeries:
     def test_min_order_rule(self):
         a = RationalSeries([1, 2, 3, 4])
         b = RationalSeries([5, 6])
-        assert (a + b).order == 1
         assert (a * b).order == 1
         assert (a / b).order == 1
 
@@ -131,12 +125,6 @@ class TestRationalSeries:
         assert s.truncate(0).coeffs == (F(1),)
         with pytest.raises(ValueError):
             s.truncate(5)
-
-    def test_scalar_ops(self):
-        s = RationalSeries([1, 2])
-        assert (s * 3).coeffs == (F(3), F(6))
-        assert (1 + RationalSeries([0, 1, 2])).coeffs == (F(1), F(1), F(2))
-        assert (s / 2).coeffs == (F(1, 2), F(1))
 
 
 def test_power_sums_across_term_blocks():

@@ -4,6 +4,8 @@ The literals and digests below were recorded from the dense
 P/(1-z) - Phi*P numerator pipeline, before the numerator was rebuilt from
 the Apéry set; the two `tn` digests were recorded from the exp recurrence
 over the power-sum ring, before T_n was built by the exponential formula.
+The `--format table` and `--format tsv` digests were recorded before the
+two renderers shared one field list per command.
 Any change to what the CLI prints, however small, fails here.
 """
 
@@ -42,6 +44,24 @@ DIGESTS = {
     ("verify", "--random", "--seed", "3", "--count", "30", "--m-max", "5", "--d-max", "40", "--p-max", "4"): (
         "2c31587c8d27c7e87acf0ce0e82b478d0f2b2b02d4b4bd87b1326ecfbd2c5f55"
     ),
+    ("invariants", "3", "5", "--format", "table"): "957ec2a72d5f6d5912154a38dcd0c85745614f620de946a19e7c530e4f246eb1",
+    ("invariants", "3", "5", "--format", "tsv"): "fda90fe17346a58e4a3b0c7b89e105de9167ab829f767a46fd085ee061ed4b49",
+    ("invariants", "1", "--format", "table"): "acd29a747f42c9eeb1749ea222d9683970dab6985982db6ebdf698e340153325",
+    ("invariants", "1", "--format", "tsv"): "3fb14ce8db37847bb3fee5cadf86678e98864862cd9b8e28a15c24e750115f3a",
+    ("invariants", "5", "6", "8", "9", "--format", "table"): "6c12d3fabfd504ecb55196ad321ad56f6da528e5487ee6dcdafc0611cc05cbe0",
+    ("invariants", "5", "6", "8", "9", "--format", "tsv"): "e091fc86b06de36193a140d6b176e01c836446a2f7960f611706e0d1b01b95dc",
+    ("hilbert", "1009", "1013", "1019", "--format", "table"): "c2fcd99db680d55fedf122d83922f6b32923714db3c75f00a5e918f96ff8fa6d",
+    ("hilbert", "1009", "1013", "1019", "--format", "tsv"): "9b69f44b0c56c2a83b54f4345fa6cfd2da8d6bdab94f1a9e191d713f58c778c1",
+    ("tn", "7", "--format", "table"): "6c786b8afc0e4dc47d066258dd37837599d9e11b3434a1369ce3f995c9f9e56d",
+    ("tn", "7", "--format", "tsv"): "042b1962149abe26a36cbcdf41cedab0eccba85c09b950ff03389d71efb15e6d",
+    ("verify", "5", "6", "8", "9", "--p-max", "4", "--format", "table"): (
+        "492fd2ea10547099330b2c72e517d8f9ef9e805641660d3b9de21a1f744dc51f"
+    ),
+    ("verify", "5", "6", "8", "9", "--p-max", "4", "--format", "tsv"): (
+        "c66918cae1e07c47b9769304d05630a99d3302b1f023f34330952987bf73a51a"
+    ),
+    ("examples", "--format", "table"): "33324b0efcac4638e172d429870021233f9d970b81a7c8fbd4f0174ceb2c2777",
+    ("examples", "--format", "tsv"): "d70da2cb5c4ff40345774ff1337412d54151c0a5a9f630b521c12b9173ada89c",
     ("tn", "30"): "c601e80f572457ed22136dddb881a397aad994ed315ac7c3ab7eb079a4216567",
     ("tn", "12", "--at", "1/2,3,-5", "--format", "json"): (
         "834d84370080ef74ce3008180c25c151e146f90c06280e86709aa7e2b3a1c310"

@@ -2,16 +2,14 @@ import random
 from fractions import Fraction
 from math import gcd
 
-import pytest
-
 from felcheck.exact import IntPolynomial
 from felcheck.hilbert import (
     alternating_syzygy_sums,
     gap_polynomial,
     hilbert_numerator,
+    k_denominator,
     k_invariant,
     product_polynomial,
-    syzygy_values,
 )
 from felcheck.semigroup import compute_gaps, make_semigroup
 
@@ -89,7 +87,7 @@ class TestHilbertNumerator:
             S, _, h = _pipeline(_random_gens(rng))
             assert h.numerator.coeff(0) == 1
             if S.m >= 2:
-                assert h.numerator(1) == 0
+                assert sum(c for _, c in h.numerator.items()) == 0
 
     def test_structural_identity(self):
         S, gaps, h = _pipeline([5, 6, 8, 9])
@@ -177,14 +175,8 @@ class TestKInvariant:
 
     def test_syzygy_values_bundle(self):
         S, _, h = _pipeline([4, 5, 6])
-        vals = syzygy_values(S, h, 3)
-        assert vals.c[2] == -240
-        assert set(vals.c) == set(range(S.m + 4))
+        c = alternating_syzygy_sums(h, S.m + 3)
+        assert c[2] == -240
+        assert len(c) == S.m + 4
         for p in range(4):
-            assert vals.k[p] == k_invariant(S, h, p)
-
-
-def test_syzygy_values_rejects_negative_p_max():
-    S = make_semigroup([3, 5])
-    with pytest.raises(ValueError, match="p_max"):
-        syzygy_values(S, hilbert_numerator(S, compute_gaps(S)), -1)
+            assert k_invariant(S, h, p) == F(c[S.m + p], k_denominator(S, p))
