@@ -36,6 +36,11 @@ from .verify import (
 
 SCHEMA_VERSION = 1
 
+# Most semigroups `verify --random` draws: 5,000 at the default ranges take 5 s
+# and 330 MB (2-core VM). This bounds the count, not the cost: a larger
+# --d-max costs more per semigroup.
+COUNT_MAX = 5_000
+
 
 class ZeroDenominator(ValueError):
     """A rational given on the command line has denominator 0."""
@@ -238,17 +243,18 @@ def cmd_verify(args) -> tuple[dict, int]:
             raise ValueError("give generators or --random, not both")
         if args.count < 1:
             raise ValueError(f"--count must be at least 1, got {args.count}")
-        rng = random.Random(args.seed)
-        semigroups = [
-            random_semigroup(rng, args.m_max, args.d_max) for _ in range(args.count)
-        ]
-        semigroups.sort(key=lambda S: S.generators)
+        if args.count > COUNT_MAX:
+            raise ValueError(f"--count is limited to {COUNT_MAX}, got {args.count}")
     elif args.generators:
         semigroups = [make_semigroup(args.generators)]
     else:
         raise ValueError("give generators or use --random")
-    # first, so that a bad --samples is refused before any semigroup is verified
-    companions = verify_companions(3, args.samples, args.seed).sort()
+    # first, so that a bad --samples is refused before any semigroup is drawn or verified
+    companions = verify_companions(args.samples, args.seed).sort()
+    if args.random:
+        rng = random.Random(args.seed)
+        semigroups = [random_semigroup(rng, args.m_max, args.d_max) for _ in range(args.count)]
+        semigroups.sort(key=lambda S: S.generators)
     reports = [verify_semigroup(S, args.p_max, args.order, args.bound) for S in semigroups]
     reports.append(companions)
     passed = all(r.passed for r in reports)

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
-from math import gcd
+from math import gcd, prod
 from operator import index, mul
 
 from .exact import IntPolynomial, NonExactDivision
@@ -80,15 +80,10 @@ def make_semigroup(generators) -> SemigroupSpec:
     for d in gens:
         if d < 1:
             raise NonPositiveGenerator(f"generator {d} is not a positive integer")
-    g = 0
-    for d in gens:
-        g = gcd(g, d)
+    g = gcd(*gens)
     if g != 1:
         raise GcdNotOne(f"generators {list(gens)} have gcd {g}")
-    pi = 1
-    for d in gens:
-        pi *= d
-    return SemigroupSpec(gens, len(gens), pi)
+    return SemigroupSpec(gens, len(gens), prod(gens))
 
 
 def apery_set(S: SemigroupSpec) -> list[int]:

@@ -326,20 +326,18 @@ class SigmaPolynomial:
     def _sorted_terms(self):
         return sorted(self.terms.items(), key=lambda kv: kv[0], reverse=True)
 
-    def pretty(self, var: str = "s") -> str:
+    def pretty(self) -> str:
         """Cleared-denominator rendering, e.g. "(3*s1^2 + s2)/12"."""
         if not self.terms:
             return "0"
-        den = 1
-        for c in self.terms.values():
-            den = lcm(den, c.denominator)
+        den = lcm(*(c.denominator for c in self.terms.values()))
         parts = []
         for mono, c in self._sorted_terms():
             n = int(c * den)
             factors = []
             for i, e in enumerate(mono):
                 if e:
-                    factors.append(f"{var}{i + 1}" + (f"^{e}" if e > 1 else ""))
+                    factors.append(f"s{i + 1}" + (f"^{e}" if e > 1 else ""))
             mag = abs(n)
             if factors and mag == 1:
                 body = "*".join(factors)

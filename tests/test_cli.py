@@ -173,8 +173,13 @@ class TestVerify:
         assert code == 2
         assert "generators" in err
 
-    def test_random_count_below_one_refused(self, capsys):
-        for count in ("0", "-4"):
+    def test_random_count_below_one_refused(self, capsys, monkeypatch):
+        def never(*args):
+            raise AssertionError("a semigroup was drawn or the companions ran")
+
+        monkeypatch.setattr(cli, "random_semigroup", never)
+        monkeypatch.setattr(cli, "verify_companions", never)
+        for count in ("0", "-4", "5001"):
             code, out, err = run_cli(capsys, "verify", "--random", "--count", count)
             assert code == 2
             assert out == ""
@@ -188,13 +193,16 @@ class TestVerify:
 
     def test_samples_below_one_refused_before_any_semigroup(self, capsys, monkeypatch):
         def never(*args):
-            raise AssertionError("verify_semigroup ran")
+            raise AssertionError("a semigroup was drawn or verified")
 
+        monkeypatch.setattr(cli, "random_semigroup", never)
         monkeypatch.setattr(cli, "verify_semigroup", never)
-        code, out, err = run_cli(capsys, "verify", "--random", "--count", "5", "--samples", "0")
-        assert code == 2
-        assert out == ""
-        assert err.startswith("ValueError") and "samples" in err
+        for samples in ("0", "10001"):
+            argv = ("verify", "--random", "--count", "5", "--samples", samples)
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 2
+            assert out == ""
+            assert err.startswith("ValueError") and "samples" in err
 
     def test_order_limit_refused_before_any_gaps(self, capsys, monkeypatch):
         def never(*args):

@@ -1,14 +1,19 @@
-"""sympy as an independent oracle for T_n, the Bernoulli numbers and the
-zig-zag numbers. Skipped when sympy is not installed."""
+"""sympy as an independent oracle for T_n, the Bernoulli numbers, the
+zig-zag numbers and the Hilbert numerator Q. Skipped when sympy is not
+installed."""
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
 
 import pytest
 
 sympy = pytest.importorskip("sympy")
 
+from felcheck.hilbert import hilbert_numerator  # noqa: E402
+from felcheck.semigroup import compute_gaps, make_semigroup  # noqa: E402
 from felcheck.universal import bernoulli, t_symbolic, zigzag  # noqa: E402
+
+from oracles import gaps_by_table  # noqa: E402
 
 
 def _rational(c: Fraction):
@@ -47,3 +52,42 @@ def test_zigzag_matches_sec_plus_tan():
     series = sympy.series(sympy.sec(x) + sympy.tan(x), x, 0, j_max + 1).removeO()
     for j in range(j_max + 1):
         assert _rational(zigzag(j)) == factorial(j) * series.coeff(x, j), j
+
+
+def _q_by_sympy(gens) -> dict[int, int]:
+    """Q = P/(1-z) - P Phi by sympy's division and product, with P = prod
+    (1 - z^d) and Phi the gaps of a representability table."""
+    z = sympy.Symbol("z")
+    P = sympy.Poly(sympy.Mul(*(1 - z**d for d in gens)), z)
+    quotient, remainder = sympy.div(P, sympy.Poly(1 - z, z))
+    assert remainder.is_zero
+    phi = sympy.Poly(sympy.Add(*(z**g for g in gaps_by_table(gens))), z)
+    return {e: int(c) for (e,), c in (quotient - P * phi).terms() if c}
+
+
+def _q_by_apery(gens) -> dict[int, int]:
+    S = make_semigroup(gens)
+    return dict(hilbert_numerator(S, compute_gaps(S)).numerator.items())
+
+
+@pytest.mark.parametrize(
+    "gens",
+    [(3, 5), (4, 5, 6), (5, 6, 8, 9), (7, 11, 13, 17, 19), (2, 3, 3), (1,), (11, 13, 29)],
+)
+def test_q_matches_sympy(gens):
+    assert _q_by_apery(gens) == _q_by_sympy(gens)
+
+
+def test_q_matches_sympy_sweep():
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(st.integers(1, 20), min_size=1, max_size=4))
+    def check(gens):
+        if gcd(*gens) != 1:
+            gens.append(gens[0] + 1)
+        assert _q_by_apery(gens) == _q_by_sympy(gens)
+
+    check()

@@ -182,41 +182,32 @@ class TestInvariants:
 class TestRandomSemigroup:
     def test_impossible_ranges_raise_instead_of_hanging(self):
         rng = random.Random(0)
-        for kwargs in (
-            {"m_max": 2, "d_max": 2, "d_min": 2},
-            {"m_max": 1, "d_max": 9, "d_min": 2},
-            {"m_max": 2, "d_max": 9, "m_min": 3},
-            {"m_max": 2, "d_max": 3, "d_min": 4},
-            {"m_max": 0, "d_max": 9, "m_min": 0},
-            {"m_max": 2, "d_max": 0, "d_min": 0},
-        ):
+        for kwargs in ({"m_max": 0, "d_max": 9}, {"m_max": 2, "d_max": 0}):
             with pytest.raises(ValueError):
                 random_semigroup(rng, **kwargs)
         assert rng.random() == random.Random(0).random()
 
     def test_narrow_valid_ranges_still_draw(self):
         rng = random.Random(1)
-        assert random_semigroup(rng, 2, 3, m_min=2, d_min=2).generators in {(2, 3), (3, 2)}
         assert random_semigroup(rng, 1, 1).generators == (1,)
 
 
 class TestCompanions:
     def test_passes_and_records_seed(self):
-        report = verify_companions(n_max=2, samples=3, seed=5)
+        report = verify_companions(samples=3, seed=5)
         assert report.passed
         assert report.seed == 5
 
     def test_discrepancy_reported_not_patched(self):
-        report = verify_companions(n_max=1, samples=4, seed=0)
+        report = verify_companions(samples=4, seed=0)
         high = [c for c in report.checks if c.identity == "FEL1_SIGNFLIP" and c.parameter >= 5]
         assert high and all("every even-index power sum" in c.note for c in high)
         assert all(c.status == "pass" for c in high)
 
     def test_domain_restriction(self):
-        with pytest.raises(ValueError):
-            verify_companions(n_max=0)
-        with pytest.raises(ValueError):
-            verify_companions(samples=0)
+        for samples in (0, 10_001):
+            with pytest.raises(ValueError):
+                verify_companions(samples=samples)
 
 
 class TestAssembledReport:
