@@ -28,11 +28,12 @@ binomial convolution with the powers of their sum. Substituting u = t/q and
 dividing by t^m prod x_i turns E into the sigma series: coefficient n is
 E[n+m] / ((n+m)! prod p_i q^n). The factor t/(e^t - 1) has EGF coefficients
 B_k (Bernoulli numbers, minus convention), which are B_k q^k in u; scaled by
-L = lcm of their denominators they are integers too, so the delta series and
-the Bernoulli-umbra series are one binomial convolution
-out[N] = sum_k C(N, k) a[k] b[N-k] more each, and the only division is by L
-in the final conversion to Fraction. No Fraction arithmetic runs inside the
-loops.
+L = lcm of their denominators they are integers too, so the delta series is
+one binomial convolution out[N] = sum_k C(N, k) a[k] b[N-k] more. The
+Bernoulli-umbra series is the product of the factors d t/(1 - e^{-d t}),
+whose EGF coefficients are L B_k d^k with B_k in the plus convention, one
+convolution per factor. The only division is by L in the final conversion
+to Fraction. No Fraction arithmetic runs inside the loops.
 
 Bernoulli numbers, zig-zag (secant/tangent) numbers, the inclusion-exclusion
 subset power sum, and the Bernoulli-umbra powers used by the first Sylvester
@@ -285,17 +286,9 @@ class SigmaPolynomial:
         return hash(frozenset(self.terms.items()))
 
     def evaluate(self, sigma) -> Fraction:
-        """Evaluate with sigma[k-1] as the value of s_k."""
-        return Fraction(*self.evaluate_ratio(sigma))
-
-    def evaluate_ratio(self, sigma) -> tuple[int, int]:
-        """Integers (num, den) whose quotient is evaluate(sigma), summed in
-        integers.
-
-        den is the coefficient denominator times b_k^e for each s_k the
-        polynomial uses, with b_k the denominator of sigma[k-1] and e the
-        largest exponent of s_k; so at integer power sums it depends on the
-        polynomial alone, and two values compare as integers.
+        """Evaluate with sigma[k-1] as the value of s_k, summed in integers:
+        every term is brought to the one denominator den * prod_k b_k^e, with
+        b_k the denominator of sigma[k-1] and e the largest exponent of s_k.
         """
         den, tops, terms = self._integer_terms()
         num_pows, den_pows = {}, {}
@@ -317,7 +310,7 @@ class SigmaPolynomial:
                         d *= den_pows[i][e]
                 c *= scale // d
             acc += c
-        return acc, den * scale
+        return Fraction(acc, den * scale)
 
     def weights(self) -> set[int]:
         """Weighted degrees of the monomials, with s_k carrying weight k."""
@@ -465,18 +458,30 @@ def zigzag(j: int) -> Fraction:
     return Fraction(_zigzag_table(_table_size(j))[j])
 
 
+def _umbral_factor(d: int, n_max: int) -> list[int]:
+    """The integers L B_k d^k for k <= n_max, B_k in the plus convention
+    (B_1 = +1/2) and L as in _scaled_bernoulli(n_max): the EGF coefficients
+    of L d t/(1 - e^{-d t})."""
+    bern = _scaled_bernoulli(n_max)[1]
+    return [(-b if k == 1 else b) * dk for k, (b, dk) in enumerate(zip(bern, _powers(d, n_max)))]
+
+
 def _umbral_egf(d, order: int) -> tuple[list[int], int]:
     """Integer EGF coefficients u and the scale s with u[n] / s equal to n!
-    times the t^n coefficient of umbral_series(d, order)."""
+    times the t^n coefficient of umbral_series(d, order).
+
+    exp(s1 t) prod_i d_i t/(e^{d_i t} - 1) is prod_i d_i t/(1 - e^{-d_i t}),
+    one factor per d_i and no exponential left over: u is the binomial
+    convolution of the factors _umbral_factor(d_i, order), and s = L^m.
+    """
     gens = tuple(int(v) for v in d)
     if any(v < 1 for v in gens):
         raise ValueError("umbral variables must be positive integers")
     _check_order(order)
-    L, bern = _scaled_bernoulli(order)
-    u = _powers(sum(gens), order)
+    u = [1] + [0] * order
     for di in gens:
-        u = _egf_mul([b * dk for b, dk in zip(bern, _powers(di, order))], u, order)
-    return u, L ** len(gens)
+        u = _egf_mul(_umbral_factor(di, order), u, order)
+    return u, _scaled_bernoulli(order)[0] ** len(gens)
 
 
 def umbral_series(d, order: int) -> RationalSeries:

@@ -5,13 +5,32 @@ boolean representability table, Bernoulli numbers from the classical
 recurrence, partition counts from the recurrence on the largest part,
 surjection numbers from inclusion-exclusion, the product of the factors
 e^{p u} - 1 from one binomial convolution per factor, and the umbral powers
-from a literal multinomial expansion.
+from a literal multinomial expansion. companions_reference is the one
+exception: it is the Fraction-based companion check that the integer kernel
+in verify_companions replaced, kept to pin that kernel's records, and it
+reuses the library's T routes and record helpers.
 """
 
+import math
+import random
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import comb, factorial
+
+from felcheck.universal import (
+    _exp_minus_one_product,
+    _integer_variables,
+    t_symbolic,
+    umbral_power,
+    zigzag,
+)
+from felcheck.verify import (
+    ZIGZAG_N,
+    VerificationReport,
+    _ratio_record,
+    _record,
+)
 
 
 def representable_table(gens, limit):
@@ -247,3 +266,68 @@ def umbral_by_series(d, order):
     for di in d:
         out = series_div(out, unit_factor(di, order))
     return out
+
+
+def _random_rational_vector(rng):
+    # nonzero entries with nonzero sum, so T_1 is invertible
+    while True:
+        m = rng.randint(1, 4)
+        xs = []
+        for _ in range(m):
+            num = rng.randint(-9, 9) or 1
+            xs.append(Fraction(num, rng.randint(1, 9)))
+        if sum(xs) != 0:
+            return tuple(xs)
+
+
+def companions_reference(samples, seed):
+    """The companion checks as verify_companions made them before its integer
+    kernel: Fraction sample points, the zig-zag values T_j from the series E
+    rebuilt per sample, the sign-flip readings by SigmaPolynomial.evaluate
+    and the umbral side by umbral_power. Same rng calls, same records."""
+    rng = random.Random(seed)
+    report = VerificationReport(None, seed=seed)
+    tangent = [int(zigzag(2 * j + 1)) for j in range(ZIGZAG_N + 1)]
+
+    for n in range(1, ZIGZAG_N + 1):
+        K = 2 * n + 1
+        for i in range(samples):
+            x = _random_rational_vector(rng)
+            ps, _ = _integer_variables(x)
+            m = len(ps)
+            E = _exp_minus_one_product(ps, K + m)
+            fM = factorial(K + m)
+            tau = [factorial(j) * E[j + m] * (fM // factorial(j + m)) for j in range(K + 1)]
+            U = fM * math.prod(ps)
+            lhs = tau[K] * U**K
+            rhs = 0
+            for j in range(n + 1):
+                term = (
+                    tangent[j]
+                    * comb(K, 2 * j + 1)
+                    * tau[2 * n - 2 * j]
+                    * tau[1] ** (2 * j + 1)
+                    * U ** (2 * n - 2 * j)
+                )
+                rhs += -term if j % 2 else term
+            note = f"sample {i}: x = ({', '.join(str(c) for c in x)})"
+            report.checks.append(
+                _ratio_record("FEL2_ZIGZAG", n, [lhs], [rhs], [tau[1] ** K * U], note)
+            )
+
+    for n in range(2, 8):
+        poly = t_symbolic(n)
+        for i in range(samples):
+            d = tuple(rng.randint(1, 9) for _ in range(rng.randint(1, 4)))
+            sigma = [(k, sum(v**k for v in d)) for k in range(1, n + 1)]
+            lhs = umbral_power(d, n)
+            wide = poly.evaluate([-v if k % 2 == 0 else v for k, v in sigma])
+            narrow = poly.evaluate([-v if k in (2, n) else v for k, v in sigma])
+            note = f"sample {i}: d = {d}"
+            if narrow != wide:
+                note += (
+                    f"; flipping only s2 and s{n} gives {narrow}, "
+                    "the identity needs every even-index power sum flipped"
+                )
+            report.checks.append(_record("FEL1_SIGNFLIP", n, lhs, wide, note))
+    return report

@@ -3,7 +3,8 @@ report fail, while the checks that do not read it keep passing.
 
 The corrupt input goes in where the invariants bundle is built, by
 replacing the compute_gaps or hilbert_numerator that verify calls, or the
-surjection-number rows that E is built from."""
+surjection-number rows that E is built from; for the companion checks, by
+replacing the tangent numbers or the umbral factors that verify reads."""
 
 from dataclasses import replace
 
@@ -99,3 +100,22 @@ def test_changed_surjection_number_fails_series_p(monkeypatch):
     # the cached rows themselves were left as they were
     monkeypatch.undo()
     assert statuses(verify_series_lemmas(invariants(S, 6, ORDER)))["LEMMA_SERIES_P"] == {"pass"}
+
+
+def test_changed_tangent_numbers_fail_every_zigzag_record(monkeypatch):
+    monkeypatch.setattr(verify, "zigzag", lambda j: universal.zigzag(j) + 1)
+    found = statuses(verify.verify_companions(samples=5, seed=0))
+    assert found["FEL2_ZIGZAG"] == {"fail"}
+    assert found["FEL1_SIGNFLIP"] == {"pass"}
+
+
+def test_changed_umbral_factor_fails_every_signflip_record(monkeypatch):
+    def bumped(d, n_max):
+        # coefficient n_max moves coefficient n of any product of m factors by m L^(m-1)
+        *low, top = universal._umbral_factor(d, n_max)
+        return [*low, top + 1]
+
+    monkeypatch.setattr(verify, "_umbral_factor", bumped)
+    found = statuses(verify.verify_companions(samples=5, seed=0))
+    assert found["FEL1_SIGNFLIP"] == {"fail"}
+    assert found["FEL2_ZIGZAG"] == {"pass"}

@@ -22,6 +22,8 @@ from felcheck.verify import (
     verify_thm_kp,
 )
 
+from oracles import companions_reference
+
 F = Fraction
 
 
@@ -191,6 +193,12 @@ class TestRandomSemigroup:
         rng = random.Random(1)
         assert random_semigroup(rng, 1, 1).generators == (1,)
 
+    def test_single_generator_is_returned_without_drawing(self):
+        # (1,) is the only coprime list with m = 1, however large d_max is
+        rng = random.Random(2)
+        assert random_semigroup(rng, 1, 10**9).generators == (1,)
+        assert rng.random() == random.Random(2).random()
+
 
 class TestCompanions:
     def test_passes_and_records_seed(self):
@@ -208,6 +216,13 @@ class TestCompanions:
         for samples in (0, 10_001):
             with pytest.raises(ValueError):
                 verify_companions(samples=samples)
+
+    @pytest.mark.parametrize(
+        "samples, seed", [(s, seed) for seed in range(10) for s in (1, 3, 20)] + [(200, 11)]
+    )
+    def test_records_match_the_fraction_route(self, samples, seed):
+        new = verify_companions(samples, seed).sort().checks
+        assert new == companions_reference(samples, seed).sort().checks
 
 
 class TestAssembledReport:
