@@ -41,15 +41,9 @@ from .universal import (
     SymbolicOrderTooLarge,
     ZeroVariable,
     bernoulli,
-    delta_egf,
     lambda_table,
     sigma_egf,
-    subset_power_sum,
-    t_delta,
     t_symbolic,
-    t_value,
-    umbral_power,
-    umbral_series,
     zigzag,
 )
 from .verify import (
@@ -95,7 +89,6 @@ __all__ = [
     "apery_set",
     "bernoulli",
     "compute_gaps",
-    "delta_egf",
     "gap_polynomial",
     "gap_power_sums",
     "generator_stats",
@@ -108,12 +101,7 @@ __all__ = [
     "product_polynomial",
     "random_semigroup",
     "sigma_egf",
-    "subset_power_sum",
-    "t_delta",
     "t_symbolic",
-    "t_value",
-    "umbral_power",
-    "umbral_series",
     "verify_companions",
     "verify_fel_main",
     "verify_low_order",

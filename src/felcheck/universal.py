@@ -9,9 +9,7 @@ weight-n homogeneous, so it depends on x only through the power sums
 s_k = sum_i x_i^k. With lambda_k the log coefficients of (e^u - 1)/u, T_n is
 n! times the t^n coefficient of exp(sum_k lambda_k s_k t^k), and the symbolic
 form is read off by the exponential formula: one term per partition of n
-into parts k with lambda_k != 0, which are k = 1 and the even k. Dividing
-the same product by (e^t - 1)/t instead gives the shifted values:
-coefficient n times n!/2^n equals T_n evaluated at delta_k = (s_k - 1)/2^k.
+into parts k with lambda_k != 0, which are k = 1 and the even k.
 
 The numeric series are built in integers, as exponential generating
 functions (EGFs: n! times the u^n coefficient). With q the lcm of the
@@ -26,18 +24,13 @@ product; then E[N] = sum_j c_j j! S(N, j). A factor with p < 0 is
 -e^{pu} (e^{|p|u} - 1), so the negative factors add one sign and one
 binomial convolution with the powers of their sum. Substituting u = t/q and
 dividing by t^m prod x_i turns E into the sigma series: coefficient n is
-E[n+m] / ((n+m)! prod p_i q^n). The factor t/(e^t - 1) has EGF coefficients
-B_k (Bernoulli numbers, minus convention), which are B_k q^k in u; scaled by
-L = lcm of their denominators they are integers too, so the delta series is
-one binomial convolution out[N] = sum_k C(N, k) a[k] b[N-k] more. The
-Bernoulli-umbra series is the product of the factors d t/(1 - e^{-d t}),
-whose EGF coefficients are L B_k d^k with B_k in the plus convention, one
-convolution per factor. The only division is by L in the final conversion
-to Fraction. No Fraction arithmetic runs inside the loops.
+E[n+m] / ((n+m)! prod p_i q^n). No Fraction arithmetic runs inside the
+loops.
 
-Bernoulli numbers, zig-zag (secant/tangent) numbers, the inclusion-exclusion
-subset power sum, and the Bernoulli-umbra powers used by the first Sylvester
-wave are included because the identities under test relate all of them to T_n.
+Bernoulli numbers and zig-zag (secant/tangent) numbers are included because
+the identities under test relate them to T_n; so are their integer forms
+that verify convolves: L B_k, with L the lcm of the denominators, and the
+EGF coefficients L B_k d^k of the Bernoulli-umbra factors d t/(1 - e^{-d t}).
 """
 
 from __future__ import annotations
@@ -170,54 +163,20 @@ def _scaled_bernoulli(n_max: int) -> tuple[int, tuple[int, ...]]:
     return L, tuple(b.numerator * (L // b.denominator) for b in table)
 
 
-def _egf_to_series(values, shift: int, scale: int, q: int, order: int) -> RationalSeries:
-    """Series whose t^n coefficient is values[n + shift] / ((n + shift)! * scale * q^n)."""
-    return RationalSeries(
-        Fraction(values[n + shift], factorial(n + shift) * scale * q**n)
-        for n in range(order + 1)
-    )
-
-
-def _check_order(order: int) -> None:
-    if order < 0:
-        raise ValueError("order must be nonnegative")
-
-
 def sigma_egf(x, order: int) -> RationalSeries:
     """Product of (e^{x_i t} - 1)/(x_i t); coefficient n is T_n(x)/n!.
 
     The empty product is the constant series 1.
     """
-    _check_order(order)
+    if order < 0:
+        raise ValueError("order must be nonnegative")
     ps, q = _integer_variables(x)
     m = len(ps)
     e = _exp_minus_one_product(ps, order + m)
-    return _egf_to_series(e, m, prod(ps), q, order)
-
-
-def delta_egf(x, order: int) -> RationalSeries:
-    """t/(e^t - 1) times the sigma series; coefficient n is 2^n T_n(delta)/n!."""
-    _check_order(order)
-    ps, q = _integer_variables(x)
-    m = len(ps)
-    L, bern = _scaled_bernoulli(order + m)
-    scaled = [b * qk for b, qk in zip(bern, _powers(q, order + m))]
-    d = _egf_mul(scaled, _exp_minus_one_product(ps, order + m), order + m)
-    return _egf_to_series(d, m, L * prod(ps), q, order)
-
-
-def t_value(x, n: int) -> Fraction:
-    """T_n evaluated exactly at a vector of nonzero rationals."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    return factorial(n) * sigma_egf(x, n).coeff(n)
-
-
-def t_delta(x, n: int) -> Fraction:
-    """T_n evaluated at the shifted power sums delta_k = (s_k - 1)/2^k."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    return Fraction(factorial(n), 2**n) * delta_egf(x, n).coeff(n)
+    scale = prod(ps)
+    return RationalSeries(
+        Fraction(e[n + m], factorial(n + m) * scale * q**n) for n in range(order + 1)
+    )
 
 
 @lru_cache(maxsize=None)
@@ -238,9 +197,9 @@ class SigmaPolynomial:
     Terms map exponent tuples to Fraction coefficients: the key (2, 1) stands
     for s1^2 * s2. Keys carry no trailing zeros and zero coefficients are
     never stored, so equality is structural. Instances are immutable. For
-    evaluation the same terms are also kept, once built, as integer
-    numerators over one denominator, each with its sparse (index, exponent)
-    pairs.
+    the integer evaluation in verify the same terms are also kept, once
+    built, as integer numerators over one denominator, each with its sparse
+    (index, exponent) pairs.
     """
 
     __slots__ = ("terms", "_scaled")
@@ -259,19 +218,16 @@ class SigmaPolynomial:
         object.__setattr__(self, "_scaled", None)
 
     def _integer_terms(self):
-        """(den, the largest exponent of each index, and per term the integer
-        numerator over den with its ((index, exponent), ...) pairs), built at
-        the first evaluation: printing T_n never needs it."""
+        """(den, and per term the integer numerator over den with its
+        ((index, exponent), ...) pairs), built at the first evaluation in
+        verify: printing T_n never needs it."""
         if self._scaled is None:
             den = lcm(*(c.denominator for c in self.terms.values()))
-            tops = {}
             scaled = []
             for mono, c in self.terms.items():
                 pairs = tuple((i, e) for i, e in enumerate(mono) if e)
-                for i, e in pairs:
-                    tops[i] = max(tops.get(i, 0), e)
                 scaled.append((c.numerator * (den // c.denominator), pairs))
-            object.__setattr__(self, "_scaled", (den, tops, tuple(scaled)))
+            object.__setattr__(self, "_scaled", (den, tuple(scaled)))
         return self._scaled
 
     def __setattr__(self, name, value):
@@ -284,37 +240,6 @@ class SigmaPolynomial:
 
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
-
-    def evaluate(self, sigma) -> Fraction:
-        """Evaluate with sigma[k-1] as the value of s_k, summed in integers:
-        every term is brought to the one denominator den * prod_k b_k^e, with
-        b_k the denominator of sigma[k-1] and e the largest exponent of s_k.
-        """
-        den, tops, terms = self._integer_terms()
-        num_pows, den_pows = {}, {}
-        scale = 1
-        for i, top in tops.items():
-            v = Fraction(sigma[i])
-            num_pows[i] = _powers(v.numerator, top)
-            if v.denominator != 1:
-                den_pows[i] = _powers(v.denominator, top)
-                scale *= den_pows[i][top]
-        acc = 0
-        for c, pairs in terms:
-            for i, e in pairs:
-                c *= num_pows[i][e]
-            if scale != 1:
-                d = 1
-                for i, e in pairs:
-                    if i in den_pows:
-                        d *= den_pows[i][e]
-                c *= scale // d
-            acc += c
-        return Fraction(acc, den * scale)
-
-    def weights(self) -> set[int]:
-        """Weighted degrees of the monomials, with s_k carrying weight k."""
-        return {sum((i + 1) * e for i, e in enumerate(mono)) for mono in self.terms}
 
     def _sorted_terms(self):
         return sorted(self.terms.items(), key=lambda kv: kv[0], reverse=True)
@@ -395,26 +320,6 @@ def t_symbolic(n: int) -> SigmaPolynomial:
     return SigmaPolynomial(terms)
 
 
-def subset_power_sum(x, n: int) -> Fraction:
-    """Alternating inclusion-exclusion power sum over the nonempty subsets of x.
-
-    Subsets of odd size contribute positively, even size negatively. Used as
-    the brute-force route back to T via division by the variable product.
-    """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    xs = [Fraction(c) for c in x]
-    total = Fraction(0)
-    for mask in range(1, 1 << len(xs)):
-        s = Fraction(0)
-        for i, c in enumerate(xs):
-            if mask >> i & 1:
-                s += c
-        term = s**n
-        total += term if mask.bit_count() % 2 else -term
-    return total
-
-
 def _table_size(n: int) -> int:
     """Entries 0..n come from a table sized to the next power of two (at
     least 8), so that asking for every n up to 128 builds five tables."""
@@ -451,11 +356,11 @@ def bernoulli(n: int) -> Fraction:
     return Fraction((-1) ** (n // 2 - 1) * n * tangent, four * (four - 1))
 
 
-def zigzag(j: int) -> Fraction:
+def zigzag(j: int) -> int:
     """Zig-zag number: j! times the x^j coefficient of sec x + tan x."""
     if j < 0:
         raise ValueError("j must be nonnegative")
-    return Fraction(_zigzag_table(_table_size(j))[j])
+    return _zigzag_table(_table_size(j))[j]
 
 
 def _umbral_factor(d: int, n_max: int) -> list[int]:
@@ -464,39 +369,3 @@ def _umbral_factor(d: int, n_max: int) -> list[int]:
     of L d t/(1 - e^{-d t})."""
     bern = _scaled_bernoulli(n_max)[1]
     return [(-b if k == 1 else b) * dk for k, (b, dk) in enumerate(zip(bern, _powers(d, n_max)))]
-
-
-def _umbral_egf(d, order: int) -> tuple[list[int], int]:
-    """Integer EGF coefficients u and the scale s with u[n] / s equal to n!
-    times the t^n coefficient of umbral_series(d, order).
-
-    exp(s1 t) prod_i d_i t/(e^{d_i t} - 1) is prod_i d_i t/(1 - e^{-d_i t}),
-    one factor per d_i and no exponential left over: u is the binomial
-    convolution of the factors _umbral_factor(d_i, order), and s = L^m.
-    """
-    gens = tuple(int(v) for v in d)
-    if any(v < 1 for v in gens):
-        raise ValueError("umbral variables must be positive integers")
-    _check_order(order)
-    u = [1] + [0] * order
-    for di in gens:
-        u = _egf_mul(_umbral_factor(di, order), u, order)
-    return u, _scaled_bernoulli(order)[0] ** len(gens)
-
-
-def umbral_series(d, order: int) -> RationalSeries:
-    """Generating series exp(s1 t) * prod_i d_i t/(e^{d_i t} - 1); constant term 1."""
-    u, scale = _umbral_egf(d, order)
-    return _egf_to_series(u, 0, scale, 1, order)
-
-
-def umbral_power(d, r: int) -> Fraction:
-    """r-th Bernoulli-umbra power of s1 + sum_i B_i d_i, via its generating series.
-
-    Each umbra substitutes the k-th Bernoulli number (minus convention, entry
-    1 equal to -1/2) for the k-th power of its symbol.
-    """
-    if r < 0:
-        raise ValueError("r must be nonnegative")
-    u, scale = _umbral_egf(d, r)
-    return Fraction(u[r], scale)

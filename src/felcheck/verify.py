@@ -247,11 +247,15 @@ def invariants(
 def verify_fel_main(inv: Invariants) -> VerificationReport:
     """Check the main identity for 0 <= p <= p_max.
 
-    The left side is the normalized alternating syzygy sum from the Hilbert
-    numerator; the right side combines gap power sums from the Apéry set
-    with T evaluated at the generators and at the shifted power sums. Both
-    routes are exact and share no code, so agreement is a genuine
-    cross-check. The un-normalized form is recorded alongside as EQ_FINAL.
+    The left side is the normalized alternating syzygy sum c[m + p] from
+    the Hilbert numerator. The right side is Fel's bracket in EGF form, read
+    from D and EG in the bundle, both built on E; it is not T_n evaluated at
+    sigma_k and delta_k as the paper states the formula, which only the
+    tests check (test_fel_formula_as_stated). The un-normalized form is
+    recorded alongside as EQ_FINAL. Both records read E, D and EG from the
+    bundle and compare the same integers, (n+1) L c[n] against
+    (-1)^m (D[n+1] + (n+1) L EG[n]) with n = m + p; only the sign and the
+    printed denominator differ.
     """
     S, L = inv.S, inv.L
     sign = (-1) ** S.m
@@ -476,12 +480,12 @@ def verify_companions(samples: int = 20, seed: int = 0) -> VerificationReport:
     for n in range(1, ZIGZAG_N + 1):
         K = 2 * n + 1
         # T_K = sum_j (-1)^j A_{2j+1} C(K, 2j+1) T_{2n-2j} T_1^{2j+1}, A the tangent numbers
-        coeffs = [(-1) ** j * int(zigzag(2 * j + 1)) * comb(K, 2 * j + 1) for j in range(n + 1)]
+        coeffs = [(-1) ** j * zigzag(2 * j + 1) * comb(K, 2 * j + 1) for j in range(n + 1)]
         # T_j = w[j] / V for the T_j the identity reads, V the lcm of their denominators
         polys = {j: t_symbolic(j)._integer_terms() for j in (*range(0, K, 2), 1, K)}
-        V = lcm(*(den for den, _, _ in polys.values()))
+        V = lcm(*(den for den, _ in polys.values()))
         scaled = {
-            j: [(c * (V // den), pairs) for c, pairs in terms] for j, (den, _, terms) in polys.items()
+            j: [(c * (V // den), pairs) for c, pairs in terms] for j, (den, terms) in polys.items()
         }
         for i in range(samples):
             x, ps = _sample_point(rng)
@@ -500,7 +504,7 @@ def verify_companions(samples: int = 20, seed: int = 0) -> VerificationReport:
             checks.append(_ratio_record("FEL2_ZIGZAG", n, [lhs], [rhs], [w[1] ** K * V], note))
 
     for n in range(2, 8):
-        den, _, terms = t_symbolic(n)._integer_terms()
+        den, terms = t_symbolic(n)._integer_terms()
         # The wide reading negates every even-index s_k (index i holds s_{i+1});
         # the narrow one negates only s2 and sn, so it differs from the wide
         # one on the terms with an odd total exponent of the other even s_k.

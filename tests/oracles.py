@@ -4,25 +4,27 @@ Nothing here shares code with the library paths it checks: gaps come from a
 boolean representability table, Bernoulli numbers from the classical
 recurrence, partition counts from the recurrence on the largest part,
 surjection numbers from inclusion-exclusion, the product of the factors
-e^{p u} - 1 from one binomial convolution per factor, and the umbral powers
-from a literal multinomial expansion. companions_reference is the one
-exception: it is the Fraction-based companion check that the integer kernel
-in verify_companions replaced, kept to pin that kernel's records, and it
-reuses the library's T routes and record helpers.
+e^{p u} - 1 from one binomial convolution per factor, the umbral powers
+from a literal multinomial expansion, the subset power sums from
+inclusion-exclusion over every subset, and the values of a symbolic T_n from
+its terms summed in Fraction. companions_reference is the one exception: it
+is the Fraction-based companion check that the integer kernel in
+verify_companions replaced, kept to pin that kernel's records. It reuses the
+library's E kernel (_exp_minus_one_product) for the zig-zag values, the
+symbolic T_n terms, zigzag and the record helpers; its sign-flip side is
+the multinomial umbral power and the Fraction evaluator here.
 """
 
 import math
 import random
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
 from math import comb, factorial
 
 from felcheck.universal import (
     _exp_minus_one_product,
     _integer_variables,
     t_symbolic,
-    umbral_power,
     zigzag,
 )
 from felcheck.verify import (
@@ -84,6 +86,16 @@ def bernoulli_minus(n):
     return -acc / (n + 1)
 
 
+def _compositions(r, parts):
+    """Every tuple of parts nonnegative integers with sum r."""
+    if parts == 1:
+        yield (r,)
+        return
+    for k in range(r + 1):
+        for rest in _compositions(r - k, parts - 1):
+            yield (k, *rest)
+
+
 def umbral_power_multinomial(d, r, b1_plus=False):
     """Multinomial expansion of the r-th power of s1 + sum_i B_i d_i.
 
@@ -97,11 +109,8 @@ def umbral_power_multinomial(d, r, b1_plus=False):
         return bernoulli_minus(k)
 
     s1 = sum(d)
-    m = len(d)
     total = Fraction(0)
-    for ks in product(range(r + 1), repeat=m + 1):
-        if sum(ks) != r:
-            continue
+    for ks in _compositions(r, len(d) + 1):
         coeff = factorial(r)
         for k in ks:
             coeff //= factorial(k)
@@ -109,6 +118,34 @@ def umbral_power_multinomial(d, r, b1_plus=False):
         for di, k in zip(d, ks[1:]):
             term *= bern(k) * di**k
         total += term
+    return total
+
+
+def subset_power_sum(x, n):
+    """Alternating inclusion-exclusion power sum over the nonempty subsets of x.
+
+    Subsets of odd size contribute positively, even size negatively. Divided
+    by (-1)^(m+1) prod x_i n!/(n-m)! it gives T_{n-m}(x), m = len(x).
+    """
+    xs = [Fraction(c) for c in x]
+    total = Fraction(0)
+    for mask in range(1, 1 << len(xs)):
+        s = Fraction(0)
+        for i, c in enumerate(xs):
+            if mask >> i & 1:
+                s += c
+        term = s**n
+        total += term if mask.bit_count() % 2 else -term
+    return total
+
+
+def evaluate_symbolic(poly, sigma):
+    """A SigmaPolynomial at sigma[k-1] for s_k, each term summed as a Fraction."""
+    total = Fraction(0)
+    for mono, c in poly.terms.items():
+        for k, e in enumerate(mono):
+            c *= Fraction(sigma[k]) ** e
+        total += c
     return total
 
 
@@ -283,11 +320,11 @@ def _random_rational_vector(rng):
 def companions_reference(samples, seed):
     """The companion checks as verify_companions made them before its integer
     kernel: Fraction sample points, the zig-zag values T_j from the series E
-    rebuilt per sample, the sign-flip readings by SigmaPolynomial.evaluate
-    and the umbral side by umbral_power. Same rng calls, same records."""
+    rebuilt per sample, the sign-flip readings by evaluate_symbolic and the
+    umbral side by umbral_power_multinomial. Same rng calls, same records."""
     rng = random.Random(seed)
     report = VerificationReport(None, seed=seed)
-    tangent = [int(zigzag(2 * j + 1)) for j in range(ZIGZAG_N + 1)]
+    tangent = [zigzag(2 * j + 1) for j in range(ZIGZAG_N + 1)]
 
     for n in range(1, ZIGZAG_N + 1):
         K = 2 * n + 1
@@ -320,9 +357,9 @@ def companions_reference(samples, seed):
         for i in range(samples):
             d = tuple(rng.randint(1, 9) for _ in range(rng.randint(1, 4)))
             sigma = [(k, sum(v**k for v in d)) for k in range(1, n + 1)]
-            lhs = umbral_power(d, n)
-            wide = poly.evaluate([-v if k % 2 == 0 else v for k, v in sigma])
-            narrow = poly.evaluate([-v if k in (2, n) else v for k, v in sigma])
+            lhs = umbral_power_multinomial(d, n)
+            wide = evaluate_symbolic(poly, [-v if k % 2 == 0 else v for k, v in sigma])
+            narrow = evaluate_symbolic(poly, [-v if k in (2, n) else v for k, v in sigma])
             note = f"sample {i}: d = {d}"
             if narrow != wide:
                 note += (

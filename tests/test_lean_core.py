@@ -1,0 +1,47 @@
+"""The library exports only what its own CLI and checks use.
+
+Every public function in felcheck.__all__ must be read somewhere in src
+other than the package __init__ and its own definition; an import alone does
+not count. A function that only tests call belongs in tests/oracles.py.
+"""
+
+import ast
+import inspect
+from pathlib import Path
+
+import felcheck
+
+SRC = Path(felcheck.__file__).parent
+
+# k_invariant gives K_p from a HilbertData alone. No check calls it; verify
+# imports it only because the tracer test in perfbench/ reads it off that
+# module, so it can leave the library only together with that test.
+EXEMPT = {"k_invariant"}
+
+
+def _loads(tree: ast.AST, skip: str | None = None):
+    """Names read in tree (bare or as an attribute), not counting the body of
+    a function definition named skip."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == skip:
+            continue
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        yield from _loads(node, skip)
+
+
+def test_every_exported_function_is_used_in_src():
+    trees = [
+        ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "__init__.py"
+    ]
+    public = [
+        name
+        for name in felcheck.__all__
+        if inspect.isfunction(getattr(felcheck, name)) and name not in EXEMPT
+    ]
+    unused = [name for name in public if not any(name in set(_loads(t, name)) for t in trees)]
+    assert public and unused == []

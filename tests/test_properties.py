@@ -4,10 +4,11 @@ representability table, the sparse IntPolynomial against dense reference
 arithmetic, and the integer-built T_n generating series against the Fraction
 series route; the surjection-number kernel for prod (e^{p u} - 1) and for
 P/(1 - z) at z = e^t against binomial convolution and long division; and
-K_p from Q against Fel's formula as the paper states it."""
+K_p from Q against Fel's formula as the paper states it, with T_n from the
+Fraction series."""
 
 from fractions import Fraction
-from math import comb, gcd
+from math import comb, factorial, gcd
 
 import pytest
 
@@ -18,14 +19,7 @@ from hypothesis import strategies as st  # noqa: E402
 from felcheck.exact import IntPolynomial, NonExactDivision  # noqa: E402
 from felcheck.hilbert import gap_polynomial, hilbert_numerator, product_polynomial  # noqa: E402
 from felcheck.semigroup import compute_gaps, gap_power_sums, make_semigroup  # noqa: E402
-from felcheck.universal import (  # noqa: E402
-    _exp_minus_one_product,
-    delta_egf,
-    sigma_egf,
-    t_delta,
-    t_value,
-    umbral_series,
-)
+from felcheck.universal import _exp_minus_one_product, sigma_egf  # noqa: E402
 from felcheck.verify import _quotient_power_sums, invariants  # noqa: E402
 
 from oracles import (  # noqa: E402
@@ -40,7 +34,6 @@ from oracles import (  # noqa: E402
     numerator_by_gap_route,
     numerator_by_membership,
     sigma_by_series,
-    umbral_by_series,
 )
 
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -176,17 +169,6 @@ def rational_vectors(draw):
 @example((3, 3, 5, 7), 70)
 def test_egf_series_match_fraction_route(x, order):
     assert list(sigma_egf(x, order).coeffs) == sigma_by_series(x, order)
-    assert list(delta_egf(x, order).coeffs) == delta_by_series(x, order)
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.lists(st.integers(1, 9), max_size=4), st.integers(0, 70))
-@example([], 0)
-@example([], 12)
-@example([4, 4], 0)
-@example([1, 1, 9], 70)
-def test_umbral_series_matches_fraction_route(d, order):
-    assert list(umbral_series(d, order).coeffs) == umbral_by_series(d, order)
 
 
 @SETTINGS
@@ -248,11 +230,15 @@ def test_quotient_power_sums_match_long_division(gens, order):
 def test_fel_formula_as_stated(gens):
     """K_p = sum_r C(p, r) T_{p-r}(d) G_r + 2^{p+1}/(p+1) T_{p+1}(delta) for
     p <= 8: the left side from the power sums of Q, the right side from the
-    series behind t_value and t_delta and the gap list of a table."""
+    Fraction series sigma_by_series and delta_by_series, which share no code
+    with E, and the gap list of a table."""
     inv = invariants(make_semigroup(gens), p_max=8)
     gaps = gaps_by_table(gens)
     G = [sum(g**r for g in gaps) for r in range(9)]
+    sigma, delta = sigma_by_series(gens, 9), delta_by_series(gens, 9)
+    T = [factorial(n) * sigma[n] for n in range(10)]
+    T_delta = [Fraction(factorial(n), 2**n) * delta[n] for n in range(10)]
     for p in range(9):
-        stated = sum(comb(p, r) * t_value(gens, p - r) * G[r] for r in range(p + 1))
-        stated += Fraction(2 ** (p + 1), p + 1) * t_delta(gens, p + 1)
+        stated = sum(comb(p, r) * T[p - r] * G[r] for r in range(p + 1))
+        stated += Fraction(2 ** (p + 1), p + 1) * T_delta[p + 1]
         assert inv.k(p) == stated
