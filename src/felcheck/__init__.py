@@ -15,7 +15,6 @@ from .exact import (
 from .hilbert import (
     HilbertData,
     alternating_syzygy_sums,
-    gap_polynomial,
     hilbert_numerator,
     k_denominator,
     k_invariant,
@@ -89,7 +88,6 @@ __all__ = [
     "apery_set",
     "bernoulli",
     "compute_gaps",
-    "gap_polynomial",
     "gap_power_sums",
     "generator_stats",
     "hilbert_numerator",

@@ -1,10 +1,10 @@
-"""Exact arithmetic kernel: integer polynomials and truncated rational power series.
+"""Exact arithmetic: power sums, integer polynomials, truncated rational power series.
 
 Everything in this module is exact. Scalars are Python ints or
 ``fractions.Fraction`` (always in lowest terms with positive denominator),
 polynomials store only their nonzero terms as ascending (exponent,
 coefficient) pairs, and power series carry an explicit truncation order that
-is part of the value.
+is part of the value. power_sums is the one power-sum kernel of the library.
 No floating point appears anywhere.
 """
 
@@ -16,8 +16,29 @@ from heapq import heapify, heappop, heappush
 from math import factorial
 from operator import index, mul
 
-# Terms per block in IntPolynomial.power_sums.
+# Values per block in power_sums: a gap list of any length adds no memory peak.
 _POWER_BLOCK = 512
+
+
+def power_sums(values, n_max: int, weights=None) -> list[int]:
+    """The integers sum_i w_i x_i^n for 0 <= n <= n_max, with 0^0 = 1 and
+    every w_i = 1 when weights is None: n! times the t^n coefficient of
+    sum_i w_i e^{x_i t}.
+
+    values and weights are sequences of integers of equal length. Each
+    power is one C-level pass of map(mul) over a block of values.
+    """
+    if n_max < 0:
+        raise ValueError("order must be nonnegative")
+    out = [0] * (n_max + 1)
+    for i in range(0, len(values), _POWER_BLOCK):
+        xs = values[i : i + _POWER_BLOCK]
+        terms = [1] * len(xs) if weights is None else weights[i : i + _POWER_BLOCK]
+        out[0] += sum(terms)
+        for n in range(1, n_max + 1):
+            terms = list(map(mul, terms, xs))
+            out[n] += sum(terms)
+    return out
 
 
 class NonExactDivision(ValueError):
@@ -33,8 +54,7 @@ class IntPolynomial:
 
     Only the nonzero terms are stored: their exponents, strictly ascending,
     and their coefficients, as two parallel tuples. Two flat tuples take a
-    quarter of the memory of one tuple of pairs, which counts for a gap
-    polynomial with tens of thousands of terms. The form is canonical, so
+    quarter of the memory of one tuple of pairs. The form is canonical, so
     equality is structural and the zero polynomial has no terms. Every
     operation loops over nonzero terms only, so a polynomial of huge degree
     with a handful of terms (a Hilbert numerator, say) stays cheap.
@@ -186,23 +206,8 @@ class IntPolynomial:
 
     def power_sums(self, n_max: int) -> list[int]:
         """The integers sum_k p_k * k^n for 0 <= n <= n_max, with 0^0 = 1:
-        n! times the t^n coefficient of p(e^t).
-
-        Each power is one C-level pass of map(mul) over a block of terms;
-        blocks of _POWER_BLOCK terms keep the big-integer lists short, so a
-        gap polynomial with tens of thousands of terms adds no memory peak.
-        """
-        if n_max < 0:
-            raise ValueError("order must be nonnegative")
-        out = [0] * (n_max + 1)
-        for i in range(0, len(self._exps), _POWER_BLOCK):
-            exps = self._exps[i : i + _POWER_BLOCK]
-            terms = self._coefs[i : i + _POWER_BLOCK]
-            out[0] += sum(terms)
-            for n in range(1, n_max + 1):
-                terms = list(map(mul, terms, exps))
-                out[n] += sum(terms)
-        return out
+        n! times the t^n coefficient of p(e^t)."""
+        return power_sums(self._exps, n_max, self._coefs)
 
     def at_exp(self, order: int) -> "RationalSeries":
         """Truncation of p(e^t): substitute e^t for the variable.

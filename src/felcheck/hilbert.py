@@ -6,7 +6,7 @@ coefficient at each element of the Apéry set of a. So the numerator is the
 sparse product Q = Ap(z) * prod (1 - z^{d_i}) over every generator except one
 copy of a: at most a * 2^(m-1) terms, built from the Apéry set alone without
 any series truncation. HilbertData holds the series as that numerator over
-P = prod (1 - z^{d_i}); the gap polynomial Phi is built only on request.
+P = prod (1 - z^{d_i}); no gap polynomial is built.
 """
 
 from __future__ import annotations
@@ -25,11 +25,6 @@ class HilbertData:
 
     prod: IntPolynomial  # product of (1 - z^{d_i})
     numerator: IntPolynomial  # Hilbert numerator Q, constant term 1
-
-
-def gap_polynomial(gaps: GapData) -> IntPolynomial:
-    """Polynomial with coefficient 1 at each gap exponent."""
-    return IntPolynomial.from_terms((g, 1) for g in gaps.gaps)
 
 
 def product_polynomial(S: SemigroupSpec) -> IntPolynomial:
@@ -52,8 +47,9 @@ def hilbert_numerator(S: SemigroupSpec, gaps: GapData) -> HilbertData:
 
 
 def alternating_syzygy_sums(h: HilbertData, r_max: int) -> list[int]:
-    """All alternating syzygy power sums for 0 <= r <= r_max in one pass."""
-    return (IntPolynomial([1]) - h.numerator).power_sums(r_max)
+    """All alternating syzygy power sums for 0 <= r <= r_max in one pass:
+    the power sums of 1 - Q."""
+    return [(n == 0) - v for n, v in enumerate(h.numerator.power_sums(r_max))]
 
 
 def k_denominator(S: SemigroupSpec, p: int) -> int:

@@ -8,7 +8,7 @@ from heapq import heappop, heappush
 from math import gcd, prod
 from operator import index, mul
 
-from .exact import IntPolynomial, NonExactDivision
+from .exact import NonExactDivision, power_sums
 from .universal import _binomial_row
 
 DEFAULT_BOUND = 10**7
@@ -147,8 +147,8 @@ def gap_power_sums(gaps: GapData, r_max: int) -> list[int]:
     if r_max < 0:
         raise ValueError("power must be nonnegative")
     a = len(gaps.apery)
-    apery = IntPolynomial.from_terms((w, 1) for w in sorted(gaps.apery))
-    w_minus_r = (apery - IntPolynomial([1] * a)).power_sums(r_max + 1)
+    W = power_sums(gaps.apery, r_max + 1)
+    R = power_sums(range(a), r_max + 1)
     G = []
     for n in range(1, r_max + 2):
         row = _binomial_row(n)
@@ -157,7 +157,7 @@ def gap_power_sums(gaps: GapData, r_max: int) -> list[int]:
         acc = 0
         for term in map(mul, row[n:1:-1], G):
             acc = acc * a + term
-        g, rem = divmod(w_minus_r[n] - acc * a * a, n * a)
+        g, rem = divmod(W[n] - R[n] - acc * a * a, n * a)
         if rem:
             raise NonExactDivision(f"G_{n - 1} from the Apéry set is not an integer")
         G.append(g)
@@ -168,10 +168,5 @@ def generator_stats(S: SemigroupSpec, K: int) -> GeneratorStats:
     """Generator power sums sigma_k and shifted variants delta_k for 1 <= k <= K."""
     if K < 1:
         raise ValueError("K must be at least 1")
-    sigma = []
-    delta = []
-    for k in range(1, K + 1):
-        s = sum(d**k for d in S.generators)
-        sigma.append(s)
-        delta.append(Fraction(s - 1, 2**k))
-    return GeneratorStats(tuple(sigma), tuple(delta))
+    sigma = tuple(power_sums(S.generators, K)[1:])
+    return GeneratorStats(sigma, tuple(Fraction(s - 1, 2**k) for k, s in enumerate(sigma, 1)))

@@ -41,7 +41,7 @@ from itertools import accumulate
 from math import comb, factorial, lcm, prod
 from operator import mul
 
-from .exact import RationalSeries
+from .exact import RationalSeries, power_sums
 
 
 class ZeroVariable(ValueError):
@@ -80,13 +80,6 @@ def _egf_mul(a, b, n_max: int) -> list[int]:
         sum(map(mul, map(mul, _binomial_row(n), a), reversed(b[: n + 1])))
         for n in range(n_max + 1)
     ]
-
-
-def _powers(p: int, n_max: int) -> list[int]:
-    out = [1]
-    for _ in range(n_max):
-        out.append(out[-1] * p)
-    return out
 
 
 def _integer_variables(x) -> tuple[list[int], int]:
@@ -146,7 +139,7 @@ def _exp_minus_one_product(ps, n_max: int) -> list[int]:
     e = [sum(map(mul, c, _surjection_row(n))) for n in range(size)]
     negative = [p for p in ps if p < 0]
     if negative:
-        e = _egf_mul(_powers(sum(negative), n_max), e, n_max)
+        e = _egf_mul(power_sums([sum(negative)], n_max), e, n_max)
         if len(negative) % 2:
             e = [-v for v in e]
     return e
@@ -368,4 +361,5 @@ def _umbral_factor(d: int, n_max: int) -> list[int]:
     (B_1 = +1/2) and L as in _scaled_bernoulli(n_max): the EGF coefficients
     of L d t/(1 - e^{-d t})."""
     bern = _scaled_bernoulli(n_max)[1]
-    return [(-b if k == 1 else b) * dk for k, (b, dk) in enumerate(zip(bern, _powers(d, n_max)))]
+    powers = power_sums([d], n_max)
+    return [(-b if k == 1 else b) * dk for k, (b, dk) in enumerate(zip(bern, powers))]

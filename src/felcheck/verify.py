@@ -31,9 +31,9 @@ so FEL_MAIN and EQ_FINAL both hold iff (n+1) L c[n] = (-1)^m (D[n+1] +
 
 - LEMMA_SERIES_C: c against (1 - Q)(e^t), with 1 - Q assembled by the
   second route 1 - P/(1 - z) + Phi P, P = prod (1 - z^{d_i}) and Phi the
-  gap polynomial;
-- LEMMA_SERIES_PHI: Phi(e^t), the only scan of the gap list, against G from
-  the Apéry set, so the two sides share no code;
+  sum of z^g over the gaps g;
+- LEMMA_SERIES_PHI: Phi(e^t), the power sums of the gap list and its only
+  scan, against G from the Apéry set; the sides share only exact.power_sums;
 - LEMMA_SERIES_P: P(e^t) from the sparse z-expansion of P, the power sums
   sum_j P_j j^n, against (-1)^m E, the expansion around z = 1;
 - LEMMA_SERIES_PDIV: (n+1) L (P/(1 - z))(e^t) against -(-1)^m D[n+1]. The
@@ -54,11 +54,10 @@ from fractions import Fraction
 from math import comb, factorial, gcd, lcm
 from operator import mul
 
-from .exact import IntPolynomial
+from .exact import IntPolynomial, power_sums
 from .hilbert import (
     HilbertData,
     alternating_syzygy_sums,
-    gap_polynomial,
     hilbert_numerator,
     k_denominator,
     k_invariant,  # noqa: F401  no check here uses it; perfbench's tracer test reads it off this module
@@ -254,20 +253,20 @@ def verify_fel_main(inv: Invariants) -> VerificationReport:
     tests check (test_fel_formula_as_stated). The un-normalized form is
     recorded alongside as EQ_FINAL. Both records read E, D and EG from the
     bundle and compare the same integers, (n+1) L c[n] against
-    (-1)^m (D[n+1] + (n+1) L EG[n]) with n = m + p; only the sign and the
-    printed denominator differ.
+    (-1)^m (D[n+1] + (n+1) L EG[n]) with n = m + p; only the printed
+    denominator differs: (n+1) L k_denominator(S, p) for FEL_MAIN, so that
+    it prints K_p, and (n+1)! L for EQ_FINAL.
     """
     S, L = inv.S, inv.L
     sign = (-1) ** S.m
     report = VerificationReport(S.generators)
     for p in range(inv.p_max + 1):
         n = S.m + p
-        scaled_c = (n + 1) * L * inv.c[n]
-        bracket = inv.D[n + 1] + (n + 1) * L * inv.EG[n]
-        den = factorial(n + 1) * L
-        fel_den = S.pi * L * (factorial(n + 1) // factorial(p))
-        report.checks.append(_ratio_record("FEL_MAIN", p, [sign * scaled_c], [bracket], [fel_den]))
-        report.checks.append(_ratio_record("EQ_FINAL", p, [scaled_c], [sign * bracket], [den]))
+        lhs = [(n + 1) * L * inv.c[n]]
+        rhs = [sign * (inv.D[n + 1] + (n + 1) * L * inv.EG[n])]
+        fel_den = (n + 1) * L * k_denominator(S, p)
+        report.checks.append(_ratio_record("FEL_MAIN", p, lhs, rhs, [fel_den]))
+        report.checks.append(_ratio_record("EQ_FINAL", p, lhs, rhs, [factorial(n + 1) * L]))
     return report
 
 
@@ -383,7 +382,7 @@ def verify_series_lemmas(inv: Invariants) -> VerificationReport:
     scaled = [factorial(n + 1) * L for n in ns]
     report = VerificationReport(inv.S.generators, order=order)
 
-    phi = gap_polynomial(inv.gaps).power_sums(order)
+    phi = power_sums(inv.gaps.gaps, order)
     p_sums = h.prod.power_sums(order)
     p_div = _quotient_power_sums(h.prod, order)
     phi_p = _egf_mul(phi, p_sums, order)
@@ -422,16 +421,6 @@ def _sample_point(rng) -> tuple[list[tuple[int, int]], list[int]]:
         ps = [num * (q // den) for num, den in x]
         if sum(ps):
             return x, ps
-
-
-def _power_sums(v, k_max: int) -> list[int]:
-    """s_1 .. s_k_max of the integers v, with s_k at index k - 1 as in the
-    (index, exponent) pairs of SigmaPolynomial._integer_terms."""
-    out, powers = [], v
-    for _ in range(k_max):
-        out.append(sum(powers))
-        powers = list(map(mul, powers, v))
-    return out
 
 
 def _evaluate(terms, s) -> int:
@@ -493,7 +482,7 @@ def verify_companions(samples: int = 20, seed: int = 0) -> VerificationReport:
             # sides over T_1^K, have degree 0 and the integers p_i give the
             # same values. Times V^(K+1) both sides are integers, over the one
             # denominator w[1]^K V = T_1^K V^(K+1).
-            s = _power_sums(ps, K)
+            s = power_sums(ps, K)[1:]
             w = {j: _evaluate(terms, s) for j, terms in scaled.items()}
             lhs = w[K] * V**K
             rhs = sum(
@@ -519,7 +508,7 @@ def verify_companions(samples: int = 20, seed: int = 0) -> VerificationReport:
         row = _binomial_row(n)
         for i in range(samples):
             d = tuple(rng.randint(1, 9) for _ in range(rng.randint(1, 4)))
-            s = _power_sums(d, n)
+            s = power_sums(d, n)[1:]
             kept, flipped = _evaluate(same, s), _evaluate(differ, s)
             wide, narrow = kept + flipped, kept - flipped
             # n! L^m times the t^n coefficient of prod_i d_i t/(1 - e^{-d_i t})

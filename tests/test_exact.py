@@ -8,6 +8,7 @@ from felcheck.exact import (
     NonExactDivision,
     NonInvertibleConstantTerm,
     RationalSeries,
+    power_sums,
 )
 
 F = Fraction
@@ -134,3 +135,40 @@ def test_power_sums_across_term_blocks():
     expected = [sum(c * e**n for e, c in terms) for n in range(6)]
     assert p.power_sums(5) == expected
     assert IntPolynomial().power_sums(2) == [0, 0, 0]
+
+
+def _naive_power_sums(values, n_max, weights=None):
+    if weights is None:
+        weights = [1] * len(values)
+    return [sum(w * x**n for x, w in zip(values, weights)) for n in range(n_max + 1)]
+
+
+class TestPowerSums:
+    def test_negative_zero_and_repeated_values(self):
+        values = [-9, -3, 0, 0, 2, 2, 2, 7, -1]
+        assert power_sums(values, 8) == _naive_power_sums(values, 8)
+        assert power_sums([0], 3) == [1, 0, 0, 0]  # 0^0 = 1
+
+    def test_unit_weights_are_the_default(self):
+        values = (5, -4, 0, 11)
+        assert power_sums(values, 6) == power_sums(values, 6, [1] * len(values))
+        weights = (3, -2, 7, 0)
+        assert power_sums(values, 6, weights) == _naive_power_sums(values, 6, weights)
+
+    def test_empty_and_order_zero(self):
+        assert power_sums([], 3) == [0, 0, 0, 0]
+        assert power_sums([], 0, []) == [0]
+        assert power_sums(range(10), 0) == [10]
+        assert power_sums([4, -4], 0, [2, 5]) == [7]
+
+    def test_across_a_block_boundary(self):
+        rng = random.Random(17)
+        values = [rng.randint(-50, 50) for _ in range(513)]
+        weights = [rng.randint(-9, 9) for _ in range(513)]
+        assert power_sums(values, 7) == _naive_power_sums(values, 7)
+        assert power_sums(values, 7, weights) == _naive_power_sums(values, 7, weights)
+        assert power_sums(range(513), 4) == _naive_power_sums(range(513), 4)
+
+    def test_negative_order_is_refused(self):
+        with pytest.raises(ValueError):
+            power_sums([1, 2], -1)

@@ -2,10 +2,9 @@ import random
 from fractions import Fraction
 from math import gcd
 
-from felcheck.exact import IntPolynomial
+from felcheck.exact import IntPolynomial, power_sums
 from felcheck.hilbert import (
     alternating_syzygy_sums,
-    gap_polynomial,
     hilbert_numerator,
     k_denominator,
     k_invariant,
@@ -31,6 +30,11 @@ def _poly(sparse):
     return IntPolynomial(coeffs)
 
 
+def _phi(gaps):
+    """The gap polynomial: a unit coefficient at each gap."""
+    return IntPolynomial.from_terms((g, 1) for g in gaps.gaps)
+
+
 def _pipeline(gens):
     S = make_semigroup(gens)
     gaps = compute_gaps(S)
@@ -44,16 +48,18 @@ def _random_gens(rng, m_max=5, d_max=40):
             return gens
 
 
-class TestGapPolynomial:
+class TestGapMoments:
+    # Phi(e^t) for the worked examples: n! times its t^n coefficient is the
+    # n-th power sum of the gap list
     def test_worked_examples(self):
         _, gaps, _ = _pipeline([3, 5])
-        assert gap_polynomial(gaps) == _poly({1: 1, 2: 1, 4: 1, 7: 1})
+        assert power_sums(gaps.gaps, 3) == [4, 1 + 2 + 4 + 7, 1 + 4 + 16 + 49, 1 + 8 + 64 + 343]
         _, gaps, _ = _pipeline([5, 6, 8, 9])
-        assert gap_polynomial(gaps) == _poly({1: 1, 2: 1, 3: 1, 4: 1, 7: 1})
+        assert power_sums(gaps.gaps, 2) == [5, 17, 1 + 4 + 9 + 16 + 49]
 
     def test_trivial(self):
         _, gaps, _ = _pipeline([1])
-        assert gap_polynomial(gaps) == IntPolynomial()
+        assert power_sums(gaps.gaps, 3) == [0, 0, 0, 0]
 
 
 class TestProductPolynomial:
@@ -92,7 +98,7 @@ class TestHilbertNumerator:
     def test_structural_identity(self):
         S, gaps, h = _pipeline([5, 6, 8, 9])
         one_minus_z = IntPolynomial.one_minus_pow(1)
-        assert h.numerator == h.prod.exact_div(one_minus_z) - gap_polynomial(gaps) * h.prod
+        assert h.numerator == h.prod.exact_div(one_minus_z) - _phi(gaps) * h.prod
 
     def test_membership_series_oracle(self):
         # Q equals the truncated membership series times the product polynomial
@@ -153,7 +159,7 @@ class TestAlternatingSums:
         from math import factorial
 
         S, gaps, h = _pipeline([4, 5, 6])
-        series = gap_polynomial(gaps).at_exp(10)
+        series = _phi(gaps).at_exp(10)
         for n in range(11):
             assert factorial(n) * series.coeff(n) == sum(g**n for g in gaps_by_table([4, 5, 6]))
 

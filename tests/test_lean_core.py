@@ -3,6 +3,7 @@
 Every public function in felcheck.__all__ must be read somewhere in src
 other than the package __init__ and its own definition; an import alone does
 not count. A function that only tests call belongs in tests/oracles.py.
+Every module in src but the package __init__ reads each name it imports.
 """
 
 import ast
@@ -19,6 +20,15 @@ SRC = Path(felcheck.__file__).parent
 EXEMPT = {"k_invariant"}
 
 
+def _modules():
+    """(name, parsed tree) of every module in src but the package __init__."""
+    return [
+        (path.name, ast.parse(path.read_text(encoding="utf-8")))
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "__init__.py"
+    ]
+
+
 def _loads(tree: ast.AST, skip: str | None = None):
     """Names read in tree (bare or as an attribute), not counting the body of
     a function definition named skip."""
@@ -33,11 +43,7 @@ def _loads(tree: ast.AST, skip: str | None = None):
 
 
 def test_every_exported_function_is_used_in_src():
-    trees = [
-        ast.parse(path.read_text(encoding="utf-8"))
-        for path in sorted(SRC.glob("*.py"))
-        if path.name != "__init__.py"
-    ]
+    trees = [tree for _, tree in _modules()]
     public = [
         name
         for name in felcheck.__all__
@@ -45,3 +51,22 @@ def test_every_exported_function_is_used_in_src():
     ]
     unused = [name for name in public if not any(name in set(_loads(t, name)) for t in trees)]
     assert public and unused == []
+
+
+def _imported(tree: ast.AST):
+    """Names bound by the import statements in tree, other than __future__'s."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name
+
+
+def test_every_imported_name_is_read():
+    unused = {
+        name: sorted(set(_imported(tree)) - set(_loads(tree)) - EXEMPT)
+        for name, tree in _modules()
+    }
+    assert {name: names for name, names in unused.items() if names} == {}
