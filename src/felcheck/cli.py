@@ -12,6 +12,7 @@ import argparse
 import json
 import random
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from math import factorial
 
@@ -41,12 +42,40 @@ SCHEMA_VERSION = 1
 # --d-max costs more per semigroup.
 COUNT_MAX = 5_000
 
+# The flags that shape a --random sweep, with their defaults there; without
+# --random, giving any of them is an error.
+RANDOM_DEFAULTS = {"m_max": 4, "d_max": 30, "count": 20}
+
+
+# Longest --at entry, in characters, an exponent e<k> counting as k of them.
+# The cost grows about linearly with the entry's length: on a 2-core VM,
+# `tn 500 --at x` takes 2.4 s for a 10-digit x, 17 s for 50 digits and 40 s
+# (116 MB) for 100. Checked on the text, before Fraction expands an exponent:
+# Fraction('1e10000000') alone takes 11 s.
+AT_ENTRY_MAX = 100
+
 
 class ZeroDenominator(ValueError):
     """A rational given on the command line has denominator 0."""
 
 
+class EntryTooLarge(ValueError):
+    """An --at entry is longer than AT_ENTRY_MAX, checked on its text."""
+
+
 def _parse_rational(text: str) -> Fraction:
+    mantissa, _, exponent = text.lower().partition("e")
+    size = len(text)
+    if size <= AT_ENTRY_MAX and exponent:
+        try:
+            size = len(mantissa) + abs(int(exponent))
+        except ValueError:
+            pass  # not a number: Fraction refuses the entry below
+    if size > AT_ENTRY_MAX:
+        raise EntryTooLarge(
+            f"an --at entry is limited to {AT_ENTRY_MAX} characters, an exponent e<k> "
+            f"counting as k, got {size}"
+        )
     try:
         return Fraction(text)
     except ZeroDivisionError:
@@ -132,9 +161,10 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--samples", type=int, default=20)
     ver.add_argument("--bound", type=int, default=DEFAULT_BOUND)
     ver.add_argument("--random", action="store_true", help="sweep random semigroups")
-    ver.add_argument("--m-max", type=int, default=4)
-    ver.add_argument("--d-max", type=int, default=30)
-    ver.add_argument("--count", type=int, default=20)
+    # unset, these read None: they apply only with --random (RANDOM_DEFAULTS)
+    ver.add_argument("--m-max", type=int)
+    ver.add_argument("--d-max", type=int)
+    ver.add_argument("--count", type=int)
     add_output(ver)
 
     ex = sub.add_parser("examples", help="recompute the three reference examples against goldens")
@@ -195,9 +225,10 @@ def cmd_tn(args) -> tuple[dict, int]:
     at = None
     if args.at is not None:
         at = tuple(_parse_rational(tok.strip()) for tok in args.at.split(","))
-        # the series is built to order n_max: the same limit as verify
-        if args.n_max > ORDER_MAX:
-            raise OrderTooLarge(args.n_max)
+        # T_n at m values reads the series row n + m: at most the deepest row,
+        # ORDER_MAX + 1, that verify builds
+        if args.n_max + len(at) > ORDER_MAX + 1:
+            raise OrderTooLarge(args.n_max + len(at) - 1)
     elif args.n_max > SYMBOLIC_N_MAX:
         raise SymbolicOrderTooLarge(args.n_max)
     if at is None:
@@ -238,13 +269,20 @@ def _report_doc(report: VerificationReport) -> dict:
 
 
 def cmd_verify(args) -> tuple[dict, int]:
+    # read before --random fills in the defaults
+    given = [name for name in RANDOM_DEFAULTS if getattr(args, name) is not None]
     if args.random:
+        for name, default in RANDOM_DEFAULTS.items():
+            if getattr(args, name) is None:
+                setattr(args, name, default)
         if args.generators:
             raise ValueError("give generators or --random, not both")
         if args.count < 1:
             raise ValueError(f"--count must be at least 1, got {args.count}")
         if args.count > COUNT_MAX:
             raise ValueError(f"--count is limited to {COUNT_MAX}, got {args.count}")
+    elif given:
+        raise ValueError(f"--{given[0].replace('_', '-')} applies only with --random")
     elif args.generators:
         semigroups = [make_semigroup(args.generators)]
     else:
@@ -436,24 +474,40 @@ COMMANDS = {
 }
 
 
+@contextmanager
+def _any_digits():
+    """Lift CPython's limit on int/str conversions (4,300 digits by default,
+    from 3.10.7 on) so that exact values of any length print, and restore
+    the caller's setting on return."""
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        doc, code = COMMANDS[args.command](args)
-    except ValueError as err:
-        print(f"{type(err).__name__}: {err}", file=sys.stderr)
-        return 2
-    text = RENDERERS[args.format](doc)
-    if args.out:
+    with _any_digits():
         try:
-            with open(args.out, "w") as fh:
-                fh.write(text + "\n")
-        except OSError as err:
-            print(f"OSError: {err}", file=sys.stderr)
+            doc, code = COMMANDS[args.command](args)
+        except ValueError as err:
+            print(f"{type(err).__name__}: {err}", file=sys.stderr)
             return 2
-    else:
-        print(text)
-    return code
+        text = RENDERERS[args.format](doc)
+        if args.out:
+            try:
+                with open(args.out, "w") as fh:
+                    fh.write(text + "\n")
+            except OSError as err:
+                print(f"OSError: {err}", file=sys.stderr)
+                return 2
+        else:
+            print(text)
+        return code
 
 
 if __name__ == "__main__":

@@ -9,7 +9,9 @@ weight-n homogeneous, so it depends on x only through the power sums
 s_k = sum_i x_i^k. With lambda_k the log coefficients of (e^u - 1)/u, T_n is
 n! times the t^n coefficient of exp(sum_k lambda_k s_k t^k), and the symbolic
 form is read off by the exponential formula: one term per partition of n
-into parts k with lambda_k != 0, which are k = 1 and the even k.
+into parts k with lambda_k != 0, which are k = 1 and the even k. It is kept
+once, as integer numerators over one denominator (SigmaPolynomial), the form
+that both printing and the integer evaluation in verify read.
 
 The numeric series are built in integers, as exponential generating
 functions (EGFs: n! times the u^n coefficient). With q the lcm of the
@@ -35,6 +37,7 @@ EGF coefficients L B_k d^k of the Bernoulli-umbra factors d t/(1 - e^{-d t}).
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
@@ -48,9 +51,10 @@ class ZeroVariable(ValueError):
     """The series factors (e^{x t} - 1)/(x t) need every variable nonzero."""
 
 
-# Largest n for which symbolic T_n is built: the largest N for which every
-# run of `felcheck tn N` stayed under 4 s on a 2-core VM. Medians of five:
-# 0.24 s at N = 30, 2.0 s at 50, 3.5 s at 54, 4.0 s at 55 (two runs over 4 s).
+# Largest n for which symbolic T_n is built: set as the largest N for which
+# every run of `felcheck tn N` stayed under 4 s on a 2-core VM, when the terms
+# were Fractions. As integers over one denominator, medians of five: 0.23 s at
+# N = 30, 1.4 s at 50 and 2.2 s at 54 (a 7.7 MB table), about 12% more per step.
 SYMBOLIC_N_MAX = 54
 
 
@@ -184,67 +188,31 @@ def lambda_table(K: int) -> tuple[Fraction, ...]:
     return (Fraction(0), *(bernoulli(k) / (k * factorial(k)) for k in range(1, K + 1)))
 
 
+@dataclass(frozen=True, eq=False)
 class SigmaPolynomial:
     """Sparse polynomial in the power-sum indeterminates s1, s2, ...
 
-    Terms map exponent tuples to Fraction coefficients: the key (2, 1) stands
-    for s1^2 * s2. Keys carry no trailing zeros and zero coefficients are
-    never stored, so equality is structural. Instances are immutable. For
-    the integer evaluation in verify the same terms are also kept, once
-    built, as integer numerators over one denominator, each with its sparse
-    (index, exponent) pairs.
+    Integer numerators over one positive denominator den: nums maps each
+    exponent tuple to its nonzero numerator, and the key (2, 1) stands for
+    s1^2 * s2. Keys carry no trailing zeros. t_symbolic builds den as the
+    lcm of the reduced coefficient denominators, once.
     """
 
-    __slots__ = ("terms", "_scaled")
+    den: int
+    nums: dict
 
-    def __init__(self, terms=None):
-        clean = {}
-        for mono, c in (terms or {}).items():
-            c = Fraction(c)
-            if not c:
-                continue
-            mono = tuple(mono)
-            while mono and mono[-1] == 0:
-                mono = mono[:-1]
-            clean[mono] = clean.get(mono, Fraction(0)) + c
-        object.__setattr__(self, "terms", {m: c for m, c in clean.items() if c})
-        object.__setattr__(self, "_scaled", None)
-
-    def _integer_terms(self):
-        """(den, and per term the integer numerator over den with its
-        ((index, exponent), ...) pairs), built at the first evaluation in
-        verify: printing T_n never needs it."""
-        if self._scaled is None:
-            den = lcm(*(c.denominator for c in self.terms.values()))
-            scaled = []
-            for mono, c in self.terms.items():
-                pairs = tuple((i, e) for i, e in enumerate(mono) if e)
-                scaled.append((c.numerator * (den // c.denominator), pairs))
-            object.__setattr__(self, "_scaled", (den, tuple(scaled)))
-        return self._scaled
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SigmaPolynomial is immutable")
-
-    def __eq__(self, other):
-        if not isinstance(other, SigmaPolynomial):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def _sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: kv[0], reverse=True)
+    @property
+    def terms(self) -> dict:
+        """The coefficients as Fractions, keyed like nums."""
+        return {mono: Fraction(num, self.den) for mono, num in self.nums.items()}
 
     def pretty(self) -> str:
         """Cleared-denominator rendering, e.g. "(3*s1^2 + s2)/12"."""
-        if not self.terms:
+        if not self.nums:
             return "0"
-        den = lcm(*(c.denominator for c in self.terms.values()))
+        den = self.den
         parts = []
-        for mono, c in self._sorted_terms():
-            n = int(c * den)
+        for mono, n in sorted(self.nums.items(), reverse=True):
             factors = []
             for i, e in enumerate(mono):
                 if e:
@@ -267,12 +235,6 @@ class SigmaPolynomial:
             return f"({text})/{den}"
         return f"{text}/{den}"
 
-    def __str__(self):
-        return self.pretty()
-
-    def __repr__(self):
-        return f"SigmaPolynomial({self.terms!r})"
-
 
 @lru_cache(maxsize=None)
 def t_symbolic(n: int) -> SigmaPolynomial:
@@ -289,7 +251,7 @@ def t_symbolic(n: int) -> SigmaPolynomial:
     if n > SYMBOLIC_N_MAX:
         raise SymbolicOrderTooLarge(n)
     if n == 0:
-        return SigmaPolynomial({(): 1})
+        return SigmaPolynomial(1, {(): 1})
     lam = lambda_table(n)
     parts = [k for k in range(1, n + 1) if lam[k]]
     weight = {k: [lam[k] ** m / factorial(m) for m in range(n // k + 1)] for k in parts}
@@ -310,7 +272,8 @@ def t_symbolic(n: int) -> SigmaPolynomial:
         mono[k - 1] = 0
 
     place(n, len(parts) - 1, Fraction(factorial(n)), 1)
-    return SigmaPolynomial(terms)
+    den = lcm(*(c.denominator for c in terms.values()))
+    return SigmaPolynomial(den, {m: c.numerator * (den // c.denominator) for m, c in terms.items()})
 
 
 def _table_size(n: int) -> int:

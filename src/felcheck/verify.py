@@ -51,6 +51,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial, gcd, lcm
 from operator import mul
 
@@ -423,6 +424,15 @@ def _sample_point(rng) -> tuple[list[tuple[int, int]], list[int]]:
             return x, ps
 
 
+@lru_cache(maxsize=None)
+def _sparse_terms(poly) -> tuple[int, tuple]:
+    """(den, ((num, ((index, exponent), ...)), ...)) for one T_n: its terms
+    with the zero exponents dropped. Keyed by the T_n object, which
+    t_symbolic caches, so that a verify run still calls t_symbolic."""
+    pairs = (tuple((i, e) for i, e in enumerate(mono) if e) for mono in poly.nums)
+    return poly.den, tuple(zip(poly.nums.values(), pairs))
+
+
 def _evaluate(terms, s) -> int:
     """The sum of c prod_i s[i]^e over the (c, ((i, e), ...)) terms."""
     acc = 0
@@ -471,7 +481,7 @@ def verify_companions(samples: int = 20, seed: int = 0) -> VerificationReport:
         # T_K = sum_j (-1)^j A_{2j+1} C(K, 2j+1) T_{2n-2j} T_1^{2j+1}, A the tangent numbers
         coeffs = [(-1) ** j * zigzag(2 * j + 1) * comb(K, 2 * j + 1) for j in range(n + 1)]
         # T_j = w[j] / V for the T_j the identity reads, V the lcm of their denominators
-        polys = {j: t_symbolic(j)._integer_terms() for j in (*range(0, K, 2), 1, K)}
+        polys = {j: _sparse_terms(t_symbolic(j)) for j in (*range(0, K, 2), 1, K)}
         V = lcm(*(den for den, _ in polys.values()))
         scaled = {
             j: [(c * (V // den), pairs) for c, pairs in terms] for j, (den, terms) in polys.items()
@@ -493,7 +503,7 @@ def verify_companions(samples: int = 20, seed: int = 0) -> VerificationReport:
             checks.append(_ratio_record("FEL2_ZIGZAG", n, [lhs], [rhs], [w[1] ** K * V], note))
 
     for n in range(2, 8):
-        den, terms = t_symbolic(n)._integer_terms()
+        den, terms = _sparse_terms(t_symbolic(n))
         # The wide reading negates every even-index s_k (index i holds s_{i+1});
         # the narrow one negates only s2 and sn, so it differs from the wide
         # one on the terms with an odd total exponent of the other even s_k.

@@ -16,8 +16,9 @@ from pathlib import Path
 from felcheck.exact import IntPolynomial
 from felcheck.hilbert import hilbert_numerator, k_invariant
 from felcheck.semigroup import compute_gaps, make_semigroup
-from felcheck.universal import SigmaPolynomial, sigma_egf, t_symbolic
+from felcheck.universal import sigma_egf, t_symbolic
 from felcheck.verify import (
+    _sparse_terms,
     invariants,
     random_semigroup,
     verify_companions,
@@ -104,10 +105,15 @@ def test_criterion_01_worked_example_goldens():
 
 def test_criterion_02_symbolic_table():
     for n, (den, terms) in enumerate(GOLDEN_T_TABLE):
-        cleared = SigmaPolynomial({mono: c * den for mono, c in t_symbolic(n).terms.items()})
-        expected = SigmaPolynomial({mono: F(c) for mono, c in terms.items()})
-        assert cleared == expected
-        assert all(c.denominator == 1 for c in cleared.terms.values())
+        cleared = {mono: c * den for mono, c in t_symbolic(n).terms.items()}
+        assert cleared == {mono: F(c) for mono, c in terms.items()}
+        assert all(c.denominator == 1 for c in cleared.values())
+        # the integer form the companion checks read: the same numerators over den
+        scaled_den, scaled = _sparse_terms(t_symbolic(n))
+        assert scaled_den == den
+        assert {pairs: c for c, pairs in scaled} == {
+            tuple((i, e) for i, e in enumerate(mono) if e): c for mono, c in terms.items()
+        }
     _pass(2, "symbolic table for n <= 7")
 
 

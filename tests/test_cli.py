@@ -1,4 +1,5 @@
 import json
+import sys
 from fractions import Fraction as F
 from math import factorial
 
@@ -159,6 +160,79 @@ class TestTn:
         with pytest.raises(SeriesReached):
             run_cli(capsys, "tn", str(ORDER_MAX), "--at", "1")
 
+    def test_evaluated_order_counts_the_entries(self, capsys, monkeypatch):
+        # T_n at m entries reads series row n + m; rows past ORDER_MAX + 1 are
+        # refused before any series is built, at the limit they are built
+        def refused(n, m):
+            with monkeypatch.context() as patch:
+                patch.setattr(cli, "sigma_egf", never)
+                code, out, err = run_cli(capsys, "tn", str(n), "--at", ",".join(["1"] * m))
+            assert (code, out) == (2, "")
+            assert err.startswith("OrderTooLarge")
+            assert f"limited to {ORDER_MAX}, got {n + m - 1}" in err
+
+        def never(*args):
+            raise AssertionError("a series was built")
+
+        refused(ORDER_MAX, 2)
+        refused(1, ORDER_MAX + 1)
+        code, out, _ = run_cli(capsys, "tn", str(ORDER_MAX - 1), "--at", "1,1")
+        assert code == 0
+        assert out.splitlines()[1] == "T_1 = 1"
+        code, out, _ = run_cli(capsys, "tn", "1", "--at", ",".join(["1"] * ORDER_MAX))
+        assert code == 0
+        assert out.splitlines() == ["T_0 = 1", f"T_1 = {ORDER_MAX // 2}"]
+
+    def test_long_entry_refused_on_its_text(self, capsys, monkeypatch):
+        def never(*args):
+            raise AssertionError("an entry was expanded or a series built")
+
+        monkeypatch.setattr(cli, "Fraction", never)
+        monkeypatch.setattr(cli, "sigma_egf", never)
+        too_long = (
+            "9" * (cli.AT_ENTRY_MAX + 1),
+            "1e" + str(cli.AT_ENTRY_MAX),
+            "-1e-" + str(cli.AT_ENTRY_MAX - 1),
+            "2/" + "7" * cli.AT_ENTRY_MAX + ",3",
+            "1e10000000",
+            "1E" + "9" * 30,
+        )
+        for at in too_long:
+            code, out, err = run_cli(capsys, "tn", "1", f"--at={at}")
+            assert (code, out) == (2, ""), at
+            assert err.startswith("EntryTooLarge") and f"limited to {cli.AT_ENTRY_MAX}" in err
+
+    def test_longest_entries_accepted(self, capsys):
+        longest = "9" * cli.AT_ENTRY_MAX
+        code, out, _ = run_cli(capsys, "tn", "1", "--at", longest)
+        assert code == 0
+        assert out.splitlines()[1] == f"T_1 = {F(int(longest), 2)}"
+        power = "1e" + str(cli.AT_ENTRY_MAX - 1)  # 1 + 99 digits
+        code, out, _ = run_cli(capsys, "tn", "1", "--at", power)
+        assert code == 0
+        assert out.splitlines()[1] == "T_1 = 5" + "0" * (cli.AT_ENTRY_MAX - 2)
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no digit limit")
+    def test_values_past_the_digit_limit_print(self, capsys, monkeypatch):
+        # T_50 at 10^99 is 10^4950/51: more digits than CPython converts by
+        # default. The caller's own limit is restored, even on an error.
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4321)
+        try:
+            code, out, _ = run_cli(capsys, "tn", "50", "--at", "1e99")
+            assert code == 0
+            assert out.splitlines()[-1] == "T_50 = 1" + "0" * 4950 + "/51"
+            assert sys.get_int_max_str_digits() == 4321
+            code, _, _ = run_cli(capsys, "tn", "1", "--at", "1/0")
+            assert code == 2
+            assert sys.get_int_max_str_digits() == 4321
+            monkeypatch.setattr(cli, "sigma_egf", lambda *args: 1 / 0)
+            with pytest.raises(ZeroDivisionError):
+                run_cli(capsys, "tn", "1", "--at", "1")
+            assert sys.get_int_max_str_digits() == 4321
+        finally:
+            sys.set_int_max_str_digits(limit)
+
 
 class TestVerify:
     def test_trivial_semigroup_skips_structural_clauses(self, capsys):
@@ -188,6 +262,41 @@ class TestVerify:
             assert code == 2
             assert out == ""
             assert err.startswith("ValueError") and "--count" in err
+
+    def test_random_flags_refused_without_random(self, capsys, monkeypatch):
+        def never(*args):
+            raise AssertionError("a semigroup was verified or the companions ran")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "verify_semigroup", never)
+            patch.setattr(cli, "verify_companions", never)
+            given = (
+                ("--count", "0"),
+                ("--count", "99999"),
+                ("--count", "20"),  # the --random default is refused too
+                ("--d-max", "-3"),
+                ("--m-max", "4"),
+            )
+            for flag, value in given:
+                for gens in (("3", "5"), ()):
+                    code, out, err = run_cli(capsys, "verify", *gens, flag, value)
+                    assert (code, out) == (2, "")
+                    assert err == f"ValueError: {flag} applies only with --random\n"
+        # without them the same semigroup verifies, and with --random they apply
+        assert run_cli(capsys, "verify", "3", "5", "--samples", "1")[0] == 0
+        argv = ("--count", "1", "--m-max", "1", "--d-max", "1", "--samples", "1")
+        code, out, _ = run_cli(capsys, "verify", "--random", *argv, "--format", "json")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["random"] == {"m_max": 1, "d_max": 1, "count": 1}
+        assert doc["reports"][0]["generators"] == [1]
+
+    def test_random_defaults(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--random", "--samples", "1", "--format", "json")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["random"] == {"m_max": 4, "d_max": 30, "count": 20}
+        assert len(doc["reports"]) == 21
 
     def test_generators_with_random_refused(self, capsys):
         code, out, err = run_cli(capsys, "verify", "3", "5", "--random", "--count", "1")

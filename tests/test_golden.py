@@ -5,7 +5,9 @@ P/(1-z) - Phi*P numerator pipeline, before the numerator was rebuilt from
 the Apéry set; the two `tn` digests were recorded from the exp recurrence
 over the power-sum ring, before T_n was built by the exponential formula.
 The `--format table` and `--format tsv` digests were recorded before the
-two renderers shared one field list per command.
+two renderers shared one field list per command. The `tn 54` digest, the
+largest symbolic table, was recorded while the terms were still stored as
+Fractions, before they became integers over one denominator.
 Any change to what the CLI prints, however small, fails here.
 """
 
@@ -63,6 +65,7 @@ DIGESTS = {
     ("examples", "--format", "table"): "33324b0efcac4638e172d429870021233f9d970b81a7c8fbd4f0174ceb2c2777",
     ("examples", "--format", "tsv"): "d70da2cb5c4ff40345774ff1337412d54151c0a5a9f630b521c12b9173ada89c",
     ("tn", "30"): "c601e80f572457ed22136dddb881a397aad994ed315ac7c3ab7eb079a4216567",
+    ("tn", "54"): "86f9f5b889ca52e927c64663a540e77ce40ad74705377ac5240c299c4235abc5",
     ("tn", "12", "--at", "1/2,3,-5", "--format", "json"): (
         "834d84370080ef74ce3008180c25c151e146f90c06280e86709aa7e2b3a1c310"
     ),
