@@ -21,6 +21,7 @@ from .hilbert import (
     product_polynomial,
 )
 from .semigroup import (
+    AperyTooLarge,
     BoundExceeded,
     EmptyGenerators,
     GapData,
@@ -64,6 +65,7 @@ from .verify import (
 __version__ = "0.1.0"
 
 __all__ = [
+    "AperyTooLarge",
     "BoundExceeded",
     "CheckRecord",
     "EmptyGenerators",

@@ -14,11 +14,14 @@ import random
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from math import factorial
 
 from .hilbert import alternating_syzygy_sums, hilbert_numerator, k_denominator
 from .semigroup import (
+    APERY_MAX,
     DEFAULT_BOUND,
+    apery_set,
     compute_gaps,
     gap_power_sums,
     generator_stats,
@@ -30,6 +33,7 @@ from .verify import (
     ORDER_MAX,
     OrderTooLarge,
     VerificationReport,
+    effective_order,
     random_semigroup,
     verify_companions,
     verify_semigroup,
@@ -139,13 +143,13 @@ def build_parser() -> argparse.ArgumentParser:
     inv = sub.add_parser("invariants", help="gap set, Frobenius number, and power sums")
     inv.add_argument("generators", nargs="+", type=int)
     inv.add_argument("--p-max", type=int, default=8)
-    inv.add_argument("--bound", type=int, default=DEFAULT_BOUND)
+    inv.add_argument("--bound", type=int, default=DEFAULT_BOUND, help="largest min * max generator")
     add_output(inv)
 
     hil = sub.add_parser("hilbert", help="Hilbert numerator, alternating sums, invariants")
     hil.add_argument("generators", nargs="+", type=int)
     hil.add_argument("--p-max", type=int, default=8)
-    hil.add_argument("--bound", type=int, default=DEFAULT_BOUND)
+    hil.add_argument("--bound", type=int, default=APERY_MAX, help="largest least generator")
     add_output(hil)
 
     tn = sub.add_parser("tn", help="universal symmetric polynomials, symbolic or evaluated")
@@ -159,7 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--order", type=int, default=None)
     ver.add_argument("--seed", type=int, default=0)
     ver.add_argument("--samples", type=int, default=20)
-    ver.add_argument("--bound", type=int, default=DEFAULT_BOUND)
+    ver.add_argument("--bound", type=int, default=APERY_MAX, help="largest least generator")
     ver.add_argument("--random", action="store_true", help="sweep random semigroups")
     # unset, these read None: they apply only with --random (RANDOM_DEFAULTS)
     ver.add_argument("--m-max", type=int)
@@ -181,7 +185,7 @@ def cmd_invariants(args) -> tuple[dict, int]:
     S = make_semigroup(args.generators)
     gaps = compute_gaps(S, args.bound)
     stats = generator_stats(S, args.p_max + 1)
-    G = gap_power_sums(gaps, args.p_max)
+    G = gap_power_sums(gaps.apery, args.p_max)
     doc = {
         "schema": SCHEMA_VERSION,
         "command": "invariants",
@@ -205,8 +209,7 @@ def cmd_hilbert(args) -> tuple[dict, int]:
     # C_0 .. C_{m+p_max} is a series to order m + p_max: the same limit as verify
     if S.m + args.p_max > ORDER_MAX:
         raise OrderTooLarge(S.m + args.p_max)
-    gaps = compute_gaps(S, args.bound)
-    h = hilbert_numerator(S, gaps)
+    h = hilbert_numerator(S, apery_set(S, args.bound))
     c = alternating_syzygy_sums(h, S.m + args.p_max)
     doc = {
         "schema": SCHEMA_VERSION,
@@ -281,6 +284,10 @@ def cmd_verify(args) -> tuple[dict, int]:
             raise ValueError(f"--count must be at least 1, got {args.count}")
         if args.count > COUNT_MAX:
             raise ValueError(f"--count is limited to {COUNT_MAX}, got {args.count}")
+        # the deepest order any drawn semigroup can need, refused before the draw
+        deepest = effective_order(args.m_max, args.p_max, args.order)[0]
+        if deepest > ORDER_MAX:
+            raise OrderTooLarge(deepest)
     elif given:
         raise ValueError(f"--{given[0].replace('_', '-')} applies only with --random")
     elif args.generators:
@@ -319,7 +326,7 @@ def cmd_examples(args) -> tuple[dict, int]:
     for gens, gold_gaps, gold_q, powers in GOLDEN_EXAMPLES:
         S = make_semigroup(gens)
         gaps = compute_gaps(S)
-        h = hilbert_numerator(S, gaps)
+        h = hilbert_numerator(S, gaps.apery)
         top = max(EXAMPLE_C_MAX, S.m + EXAMPLE_P_MAX)
         c = alternating_syzygy_sums(h, top)
         gold_c = [_golden_c(powers, r) for r in range(top + 1)]
@@ -360,7 +367,53 @@ def cmd_examples(args) -> tuple[dict, int]:
 
 
 def render_json(doc: dict) -> str:
+    if doc["command"] == "verify":
+        return _verify_json(doc)
     return json.dumps(doc, indent=2)
+
+
+# A verify document as json.dumps(doc, indent=2) writes it: each report's
+# check list without its records, and one record at the depth of the records.
+_NO_CHECKS = '\n      "checks": [],'
+_CHECK_JSON = (
+    "        {{\n"
+    '          "identity": {},\n'
+    '          "parameter": {},\n'
+    '          "status": {},\n'
+    '          "lhs": {},\n'
+    '          "rhs": {},\n'
+    '          "note": {}\n'
+    "        }}"
+)
+
+
+def _verify_json(doc: dict) -> str:
+    """json.dumps(doc, indent=2) of a verify document, byte for byte.
+
+    The document with every check list emptied goes through json.dumps; the
+    records are written from _CHECK_JSON, each string by
+    encode_basestring_ascii, the encoder json.dumps uses, and put in place of
+    the empty lists. A string holds no raw newline, so _NO_CHECKS is found
+    once per report and nowhere else.
+    """
+    shell = dict(doc, reports=[dict(r, checks=[]) for r in doc["reports"]])
+    rests = json.dumps(shell, indent=2).split(_NO_CHECKS)
+    out = [rests[0]]
+    for report, rest in zip(doc["reports"], rests[1:]):
+        records = ",\n".join(
+            _CHECK_JSON.format(
+                encode_basestring_ascii(c["identity"]),
+                "null" if c["parameter"] is None else c["parameter"],
+                encode_basestring_ascii(c["status"]),
+                encode_basestring_ascii(c["lhs"]),
+                encode_basestring_ascii(c["rhs"]),
+                encode_basestring_ascii(c["note"]),
+            )
+            for c in report["checks"]
+        )
+        out.append(f'\n      "checks": [\n{records}\n      ],' if records else _NO_CHECKS)
+        out.append(rest)
+    return "".join(out)
 
 
 # The fields that the table prints as "key: value" and the TSV as

@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import factorial
 
 from .exact import IntPolynomial
-from .semigroup import GapData, SemigroupSpec
+from .semigroup import SemigroupSpec
 
 
 @dataclass(frozen=True)
@@ -35,12 +35,13 @@ def product_polynomial(S: SemigroupSpec) -> IntPolynomial:
     return out
 
 
-def hilbert_numerator(S: SemigroupSpec, gaps: GapData) -> HilbertData:
+def hilbert_numerator(S: SemigroupSpec, apery) -> HilbertData:
     """Exact Hilbert numerator computed as Ap(z) * prod_{i != i0} (1 - z^{d_i}),
-    where d_{i0} is one copy of the least generator."""
+    where d_{i0} is one copy of the least generator and apery is its Apéry
+    set (semigroup.apery_set)."""
     rest = list(S.generators)
     rest.remove(min(rest))
-    numerator = IntPolynomial.from_terms((w, 1) for w in sorted(gaps.apery))
+    numerator = IntPolynomial.from_terms((w, 1) for w in sorted(apery))
     for d in rest:
         numerator = numerator * IntPolynomial.one_minus_pow(d)
     return HilbertData(product_polynomial(S), numerator)

@@ -13,6 +13,15 @@ from .universal import _binomial_row
 
 DEFAULT_BOUND = 10**7
 
+# Largest least generator a, the size of the Apéry set, that apery_set
+# accepts by default; verify and hilbert read the Apéry set and never the
+# gaps, so their cost grows with a. On a 2-core VM, `felcheck verify` on
+# three primes near a with --p-max 6 takes 1.2 s and 36 MB at a = 10^5,
+# 3.1 s and 69 MB at 3 * 10^5, and 9.7 s and 187 MB just below 10^6; six
+# primes near 10^5 take 2.3 s and 54 MB. The limit bounds a, not the whole
+# cost: the Hilbert numerator has up to a * 2^(m-1) terms.
+APERY_MAX = 10**6
+
 
 class EmptyGenerators(ValueError):
     """At least one generator is required."""
@@ -32,6 +41,10 @@ class GcdNotOne(ValueError):
 
 class BoundExceeded(ValueError):
     """Generators too large for gap enumeration at desk scale."""
+
+
+class AperyTooLarge(BoundExceeded):
+    """The least generator, the size of the Apéry set, is above the bound."""
 
 
 @dataclass(frozen=True)
@@ -86,13 +99,16 @@ def make_semigroup(generators) -> SemigroupSpec:
     return SemigroupSpec(gens, len(gens), prod(gens))
 
 
-def apery_set(S: SemigroupSpec) -> list[int]:
+def apery_set(S: SemigroupSpec, bound: int = APERY_MAX) -> list[int]:
     """Smallest semigroup element in each residue class mod the least generator.
 
     Computed by Dijkstra relaxation on the residue graph; entry r is the least
-    element of S congruent to r mod min(generators).
+    element of S congruent to r mod min(generators). A least generator above
+    bound is refused up front with AperyTooLarge.
     """
     a = min(S.generators)
+    if a > bound:
+        raise AperyTooLarge(f"least generator {a} exceeds bound {bound}")
     dist = [None] * a
     dist[0] = 0
     steps = sorted(set(S.generators))
@@ -121,7 +137,7 @@ def compute_gaps(S: SemigroupSpec, bound: int = DEFAULT_BOUND) -> GapData:
         raise BoundExceeded(
             f"min*max generator product {a * max(S.generators)} exceeds bound {bound}"
         )
-    apery = tuple(apery_set(S))
+    apery = tuple(apery_set(S, bound))
     gaps = []
     for w in apery:
         n = w - a
@@ -133,7 +149,7 @@ def compute_gaps(S: SemigroupSpec, bound: int = DEFAULT_BOUND) -> GapData:
     return GapData(tuple(gaps), frobenius, len(gaps), apery)
 
 
-def gap_power_sums(gaps: GapData, r_max: int) -> list[int]:
+def gap_power_sums(apery, r_max: int) -> list[int]:
     """All gap power sums G_r for 0 <= r <= r_max, from the Apéry set alone.
 
     The gaps congruent to w mod a (w in the Apéry set, a the least
@@ -146,8 +162,8 @@ def gap_power_sums(gaps: GapData, r_max: int) -> list[int]:
     """
     if r_max < 0:
         raise ValueError("power must be nonnegative")
-    a = len(gaps.apery)
-    W = power_sums(gaps.apery, r_max + 1)
+    a = len(apery)
+    W = power_sums(apery, r_max + 1)
     R = power_sums(range(a), r_max + 1)
     G = []
     for n in range(1, r_max + 2):

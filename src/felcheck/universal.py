@@ -118,29 +118,32 @@ def _exp_minus_one_product(ps, n_max: int) -> list[int]:
 
     In v = e^u - 1 the product of the factors with p >= 0 is
     prod ((1 + v)^p - 1) = sum_j c_j v^j, and v^j has the EGF coefficients
-    j! S(n, j). Every c_j is at most C(sum |p|, j), which fixes a slot width
-    of whole bytes; each factor's coefficients C(p, j), j <= n_max, are
-    packed one per slot, and the running product is masked to n_max + 1
-    slots after each multiplication: the coefficients are nonnegative, so
-    no slot borrows, and carries out of the slots past v^n_max only move
-    upward. A factor with p < 0 is -e^{pu} (e^{|p|u} - 1).
+    j! S(n, j). Each factor is v sum_j C(p, j + 1) v^j, so with m factors
+    c_j = 0 for j < m, and only the product of the sums, whose coefficient i
+    is c_{m+i}, is formed. Every c_j is at most C(sum |p|, j), which fixes a
+    slot width of whole bytes; each sum's coefficients for i <= n_max - m
+    are packed one per slot, and the running product is masked to those
+    n_max + 1 - m slots after each multiplication: the coefficients are
+    nonnegative, so no slot borrows, and carries out of the slots past
+    v^n_max only move upward. A factor with p < 0 is -e^{pu} (e^{|p|u} - 1).
     """
-    size = n_max + 1
+    size = max(n_max + 1 - len(ps), 0)
     total = sum(map(abs, ps))
     width = (comb(total, min(n_max, total // 2)).bit_length() + 7) // 8
     mask = (1 << 8 * width * size) - 1
     packed = 1
     for p in map(abs, ps):
-        binomials = [0]  # then C(p, j) for 1 <= j <= min(p, n_max)
+        binomials = []  # C(p, i + 1) for i < min(p, size)
         b = 1
-        for j in range(min(p, n_max)):
-            b = b * (p - j) // (j + 1)
+        for i in range(min(p, size)):
+            b = b * (p - i) // (i + 1)
             binomials.append(b)
         factor = int.from_bytes(b"".join(b.to_bytes(width, "little") for b in binomials), "little")
         packed = packed * factor & mask
     data = packed.to_bytes(width * size, "little")
-    c = [int.from_bytes(data[j * width : (j + 1) * width], "little") for j in range(size)]
-    e = [sum(map(mul, c, _surjection_row(n))) for n in range(size)]
+    c = [0] * (n_max + 1 - size)
+    c += [int.from_bytes(data[i * width : (i + 1) * width], "little") for i in range(size)]
+    e = [sum(map(mul, c, _surjection_row(n))) for n in range(n_max + 1)]
     negative = [p for p in ps if p < 0]
     if negative:
         e = _egf_mul(power_sums([sum(negative)], n_max), e, n_max)

@@ -8,8 +8,8 @@ The per-semigroup identities are checked on integers. In exponential
 generating function (EGF) form, where a sequence v stands for the series
 sum_n v[n] t^n / n!, every side of every identity is an integer sequence, or
 one divided by L (n + 1). So invariants(S, p_max, order) builds one frozen
-Invariants bundle per semigroup: the gaps, the Hilbert numerator, and to
-index N = max(order, m + 3) + 1
+Invariants bundle per semigroup: the Apéry set of the least generator a, the
+Hilbert numerator, and to index N = max(order, m + 3) + 1
 
 - E, the EGF of prod_i (e^{d_i t} - 1), expanded around z = e^t = 1: in
   v = e^t - 1 it is prod_i ((1 + v)^{d_i} - 1), and v^j has the EGF
@@ -19,11 +19,13 @@ index N = max(order, m + 3) + 1
   the Bernoulli numbers B_0 .. B_N;
 - c, the alternating syzygy power sums C_r of the Hilbert numerator Q;
 - G, the gap power sums, from the Apéry set alone by the recurrence in
-  semigroup.gap_power_sums, never from the gap list;
+  semigroup.gap_power_sums;
 - EG, the EGF product of E and G.
 
 verify_semigroup builds the bundle once and passes it to each check, which
-takes nothing else: verify_fel_main(inv), verify_thm_kp(inv), and so on.
+takes nothing else: verify_fel_main(inv), verify_thm_kp(inv), and so on. No
+check builds or scans the gap list: every cost grows with a and the order,
+not with the genus.
 
 With n = m + p, Fel's bracket is p! (D[n+1] + (n+1) L EG[n]) / ((n+1)! pi L),
 so FEL_MAIN and EQ_FINAL both hold iff (n+1) L c[n] = (-1)^m (D[n+1] +
@@ -31,9 +33,19 @@ so FEL_MAIN and EQ_FINAL both hold iff (n+1) L c[n] = (-1)^m (D[n+1] +
 
 - LEMMA_SERIES_C: c against (1 - Q)(e^t), with 1 - Q assembled by the
   second route 1 - P/(1 - z) + Phi P, P = prod (1 - z^{d_i}) and Phi the
-  sum of z^g over the gaps g;
-- LEMMA_SERIES_PHI: Phi(e^t), the power sums of the gap list and its only
-  scan, against G from the Apéry set; the sides share only exact.power_sums;
+  sum of z^g over the gaps g, at z = e^t as below;
+- LEMMA_SERIES_PHI: Phi(e^t) against G. The gaps in the class r mod a are
+  r + i a for 0 <= i < apery[r] // a, and Faulhaber's formula in
+  Bernoulli-polynomial form sums each class; summed over the classes with
+  Raabe's multiplication theorem sum_{r<a} B_j(r/a) = a^(1-j) B_j, it gives
+  (n+1) a L Phi_n = sum_j C(n+1, j) L B_j a^j W_{n+1-j} - a L B_{n+1}, with
+  W_k = sum_w w^k over the Apéry set and B_1 = -1/2 (_gap_power_sums_by_classes).
+  G solves the recurrence of gap_power_sums instead. The two sides share
+  the Apéry set and exact.power_sums (both read W); the Phi side shares the
+  Bernoulli table (_scaled_bernoulli) with D. Phi_n is divided out to an
+  integer before any record is made; should a division leave a remainder,
+  the records of C and Phi compare every side times one integer M instead,
+  and Phi's fails, with a note;
 - LEMMA_SERIES_P: P(e^t) from the sparse z-expansion of P, the power sums
   sum_j P_j j^n, against (-1)^m E, the expansion around z = 1;
 - LEMMA_SERIES_PDIV: (n+1) L (P/(1 - z))(e^t) against -(-1)^m D[n+1]. The
@@ -64,10 +76,9 @@ from .hilbert import (
     k_invariant,  # noqa: F401  no check here uses it; perfbench's tracer test reads it off this module
 )
 from .semigroup import (
-    DEFAULT_BOUND,
-    GapData,
+    APERY_MAX,
     SemigroupSpec,
-    compute_gaps,
+    apery_set,
     gap_power_sums,
     generator_stats,
     make_semigroup,
@@ -186,12 +197,14 @@ def _ratio_record(identity, parameter, lhs, rhs, dens, note="") -> CheckRecord:
 class Invariants:
     """Everything the per-semigroup checks read, built once by invariants().
 
-    E and D run to index max(order, m + 3) + 1, c, G and EG to one less;
-    see the module docstring.
+    apery is the Apéry set of the least generator, entry r the least element
+    of S congruent to r; Q (in h), G and Phi are all read off it, and no gap
+    list is held. E and D run to index max(order, m + 3) + 1, c, G and EG to
+    one less; see the module docstring.
     """
 
     S: SemigroupSpec
-    gaps: GapData
+    apery: tuple[int, ...]
     h: HilbertData
     p_max: int
     order: int
@@ -208,13 +221,13 @@ class Invariants:
 
 
 def invariants(
-    S: SemigroupSpec, p_max: int = 8, order: int | None = None, bound: int = DEFAULT_BOUND
+    S: SemigroupSpec, p_max: int = 8, order: int | None = None, bound: int = APERY_MAX
 ) -> Invariants:
     """The invariants of S for identities up to p_max and series to the order.
 
     order defaults to m + p_max + 2; an explicit order below m + p_max, or a
-    negative p_max, raises ValueError, and an order above ORDER_MAX raises
-    OrderTooLarge.
+    negative p_max, raises ValueError, an order above ORDER_MAX raises
+    OrderTooLarge, and a least generator above bound raises AperyTooLarge.
     """
     if p_max < 0:
         raise ValueError("p_max must be nonnegative")
@@ -223,15 +236,15 @@ def invariants(
     order = effective_order(S.m, p_max, order)[0]
     if order > ORDER_MAX:
         raise OrderTooLarge(order)
-    gaps = compute_gaps(S, bound)
-    h = hilbert_numerator(S, gaps)
+    apery = tuple(apery_set(S, bound))
+    h = hilbert_numerator(S, apery)
     top = max(order, S.m + 3)
     E = _exp_minus_one_product(S.generators, top + 1)
     L, bern = _scaled_bernoulli(top + 1)
-    G = gap_power_sums(gaps, top)
+    G = gap_power_sums(apery, top)
     return Invariants(
         S,
-        gaps,
+        apery,
         h,
         p_max,
         order,
@@ -369,6 +382,25 @@ def _quotient_power_sums(P: IntPolynomial, order: int) -> list[int]:
     return [sum(map(mul, a, _surjection_row(n))) for n in range(order + 1)]
 
 
+def _gap_power_sums_by_classes(apery, order: int) -> tuple[list[int], int]:
+    """M Phi_n for n <= order, Phi_n the sum of g^n over the gaps, and M.
+
+    Phi_n comes from the Apéry set by Faulhaber's formula, summed over the
+    residue classes (see the module docstring): (n+1) a L Phi_n is entry
+    n + 1 of the EGF product of L B_j a^j, the EGF coefficients of
+    L a t/(e^{at} - 1), and W, less a L B_{n+1}. M is the least integer that
+    makes every M Phi_n an integer: 1 for an Apéry set.
+    """
+    a = len(apery)
+    L, bern = _scaled_bernoulli(order + 1)
+    scaled = [b * a**j for j, b in enumerate(bern)]
+    sums = _egf_mul(scaled, power_sums(apery, order + 1), order + 1)
+    nums = [v - a * b for v, b in zip(sums[1:], bern[1:])]
+    dens = [(n + 1) * a * L for n in range(order + 1)]
+    M = lcm(*(d // gcd(v, d) for v, d in zip(nums, dens)))
+    return [v * M // d for v, d in zip(nums, dens)], M
+
+
 def verify_series_lemmas(inv: Invariants) -> VerificationReport:
     """Check the five series identities coefficient-by-coefficient to the order.
 
@@ -383,14 +415,20 @@ def verify_series_lemmas(inv: Invariants) -> VerificationReport:
     scaled = [factorial(n + 1) * L for n in ns]
     report = VerificationReport(inv.S.generators, order=order)
 
-    phi = power_sums(inv.gaps.gaps, order)
+    # M Phi, with M = 1 unless some Phi_n is not an integer; then the
+    # records of C and Phi compare every side times M
+    phi, M = _gap_power_sums_by_classes(inv.apery, order)
     p_sums = h.prod.power_sums(order)
     p_div = _quotient_power_sums(h.prod, order)
     phi_p = _egf_mul(phi, p_sums, order)
-    one_minus_q = [(n == 0) - p_div[n] + phi_p[n] for n in ns]
-    report.checks.append(_ratio_record("LEMMA_SERIES_C", order, one_minus_q, c, facts))
+    one_minus_q = [M * ((n == 0) - p_div[n]) + phi_p[n] for n in ns]
+    m_facts = [M * f for f in facts]
+    m_c = [M * v for v in c]
+    report.checks.append(_ratio_record("LEMMA_SERIES_C", order, one_minus_q, m_c, m_facts))
 
-    report.checks.append(_ratio_record("LEMMA_SERIES_PHI", order, phi, inv.G[: order + 1], facts))
+    m_G = [M * g for g in inv.G[: order + 1]]
+    note = "" if M == 1 else "Phi from the Apéry set is not an integer"
+    report.checks.append(_ratio_record("LEMMA_SERIES_PHI", order, phi, m_G, m_facts, note))
 
     rhs_p = [sign * e for e in inv.E[: order + 1]]
     report.checks.append(_ratio_record("LEMMA_SERIES_P", order, p_sums, rhs_p, facts))
@@ -576,7 +614,7 @@ def verify_semigroup(
     S: SemigroupSpec,
     p_max: int = 8,
     order: int | None = None,
-    bound: int = DEFAULT_BOUND,
+    bound: int = APERY_MAX,
 ) -> VerificationReport:
     """Run every per-semigroup identity on one invariants bundle and merge
     the records into one report. An order below m + p_max is raised to it,

@@ -1,15 +1,18 @@
 import json
 import sys
+import time
 from fractions import Fraction as F
 from math import factorial
 
 import pytest
 
 from felcheck import cli, verify
+from felcheck.semigroup import APERY_MAX
 from felcheck.universal import SYMBOLIC_N_MAX
-from felcheck.verify import ORDER_MAX
+from felcheck.verify import ORDER_MAX, CheckRecord, VerificationReport
 
 from oracles import sigma_by_series
+from test_golden import DIGESTS
 
 
 def run_cli(capsys, *argv):
@@ -83,16 +86,29 @@ class TestHilbert:
         def reached(*args):
             raise GapsReached
 
-        monkeypatch.setattr(cli, "compute_gaps", reached)
+        monkeypatch.setattr(cli, "apery_set", reached)
         p_max = ORDER_MAX - 1  # C runs to order m + p_max = ORDER_MAX + 1
         code, out, err = run_cli(capsys, "hilbert", "3", "5", "--p-max", str(p_max))
         assert code == 2
         assert out == ""
         assert err.startswith("OrderTooLarge")
         assert f"limited to {ORDER_MAX}, got {ORDER_MAX + 1}" in err
-        # the limit itself passes the guard and goes on to the gaps
+        # the limit itself passes the guard and goes on to the Apéry set
         with pytest.raises(GapsReached):
             run_cli(capsys, "hilbert", "3", "5", "--p-max", str(p_max - 1))
+
+
+    def test_least_generator_above_the_bound_refused(self, capsys):
+        # the cost grows with the least generator a, not with max(d) or the genus
+        code, out, _ = run_cli(capsys, "hilbert", "2", str(10**12 + 1))
+        assert code == 0
+        assert f"Q: 0:1 {2 * (10**12 + 1)}:-1" in out
+        a = APERY_MAX + 1
+        for argv in ((str(a), str(a + 1)), ("4", "5", "6", "--bound", "3")):
+            code, out, err = run_cli(capsys, "hilbert", *argv)
+            assert (code, out) == (2, "")
+            assert err.startswith("AperyTooLarge")
+        assert run_cli(capsys, "hilbert", "4", "5", "6", "--bound", "4")[0] == 0
 
 
 class TestTn:
@@ -212,6 +228,17 @@ class TestTn:
         assert code == 0
         assert out.splitlines()[1] == "T_1 = 5" + "0" * (cli.AT_ENTRY_MAX - 2)
 
+    def test_many_longest_entries(self, capsys):
+        # the product in v = e^u - 1 skips the coefficients below v^100, all
+        # zero; multiplying them too took 40.6 s on a 2-core VM
+        longest = "9" * cli.AT_ENTRY_MAX
+        entries = 100
+        start = time.perf_counter()
+        code, out, _ = run_cli(capsys, "tn", "1", "--at", ",".join([longest] * entries))
+        assert time.perf_counter() - start < 10
+        assert code == 0
+        assert out.splitlines() == ["T_0 = 1", f"T_1 = {entries * int(longest) // 2}"]
+
     @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no digit limit")
     def test_values_past_the_digit_limit_print(self, capsys, monkeypatch):
         # T_50 at 10^99 is 10^4950/51: more digits than CPython converts by
@@ -319,9 +346,9 @@ class TestVerify:
 
     def test_order_limit_refused_before_any_gaps(self, capsys, monkeypatch):
         def never(*args):
-            raise AssertionError("compute_gaps ran")
+            raise AssertionError("the Apéry set was built")
 
-        monkeypatch.setattr(verify, "compute_gaps", never)
+        monkeypatch.setattr(verify, "apery_set", never)
         p_max = ORDER_MAX - 1  # resolved order m + p_max + 2 = ORDER_MAX + 3
         for argv in (("--p-max", str(p_max)), ("--order", str(ORDER_MAX + 1))):
             code, out, err = run_cli(capsys, "verify", "3", "5", *argv)
@@ -329,6 +356,50 @@ class TestVerify:
             assert out == ""
             assert err.startswith("OrderTooLarge")
             assert f"limited to {ORDER_MAX}" in err
+
+    def test_m_max_limit_refused_before_any_draw(self, capsys, monkeypatch):
+        class Drawn(Exception):
+            pass
+
+        def drawn(*args):
+            raise Drawn
+
+        def never(*args):
+            raise AssertionError("the companions ran")
+
+        monkeypatch.setattr(cli, "random_semigroup", drawn)
+        monkeypatch.setattr(cli, "verify_companions", never)
+        # the deepest order is m_max + p_max + 2 by default, else --order
+        # raised to at least m_max + p_max
+        refused = (
+            ("--m-max", str(ORDER_MAX - 9)),
+            ("--m-max", str(ORDER_MAX - 3), "--p-max", "2"),
+            ("--m-max", str(ORDER_MAX - 1), "--p-max", "2", "--order", "10"),
+            ("--m-max", "5", "--order", str(ORDER_MAX + 1)),
+        )
+        for argv in refused:
+            code, out, err = run_cli(capsys, "verify", "--random", *argv)
+            assert (code, out) == (2, ""), argv
+            assert err.startswith("OrderTooLarge") and f"limited to {ORDER_MAX}" in err
+        monkeypatch.setattr(cli, "verify_companions", lambda samples, seed: VerificationReport(None))
+        accepted = (
+            ("--m-max", str(ORDER_MAX - 10)),
+            ("--m-max", str(ORDER_MAX - 4), "--p-max", "2"),
+            ("--m-max", str(ORDER_MAX - 2), "--p-max", "2", "--order", "10"),
+            ("--m-max", "5", "--order", str(ORDER_MAX)),
+        )
+        for argv in accepted:
+            with pytest.raises(Drawn):
+                run_cli(capsys, "verify", "--random", *argv)
+
+    def test_least_generator_above_the_bound_refused(self, capsys):
+        a = APERY_MAX + 1
+        for argv in ((str(a), str(a + 1)), ("4", "5", "6", "--bound", "3")):
+            code, out, err = run_cli(capsys, "verify", *argv, "--samples", "1")
+            assert (code, out) == (2, "")
+            assert err.startswith("AperyTooLarge")
+        argv = ("4", "5", "6", "--bound", "4", "--samples", "1")
+        assert run_cli(capsys, "verify", *argv)[0] == 0
 
     def test_order_warning(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "5", "6", "8", "9", "--order", "5", "--samples", "1")
@@ -348,6 +419,28 @@ class TestVerify:
         )
         text = out.rstrip("\n")
         assert json.dumps(json.loads(text), indent=2) == text
+
+    @pytest.mark.parametrize(
+        "argv",
+        [a for a in sorted(DIGESTS) if a[0] == "verify"]
+        + [("verify", "--random", "--m-max", "6", "--d-max", "40", "--count", "12", "--seed", "5")],
+        ids=" ".join,
+    )
+    def test_json_renderer_writes_what_json_dumps_writes(self, argv):
+        args = cli.build_parser().parse_args(list(argv))
+        doc, _ = cli.cmd_verify(args)
+        assert cli.render_json(doc) == json.dumps(doc, indent=2)
+
+    def test_json_renderer_on_unusual_records(self):
+        failed = CheckRecord("LEMMA_SERIES_PHI", 12, "1/2", "-3", "fail", 'Apéry "set" \\ \t\u2028')
+        skipped = CheckRecord("THM_KP", None, "", "", "skip", "statement applies to m >= 2 only")
+        reports = [
+            VerificationReport((7,), [failed, skipped], ["order raised"], order=12),
+            VerificationReport(None, [], []),
+            VerificationReport((3, 5), [skipped], []),
+        ]
+        doc = {"command": "verify", "reports": [cli._report_doc(r) for r in reports], "passed": False}
+        assert cli.render_json(doc) == json.dumps(doc, indent=2)
 
     def test_tsv_shape(self, capsys):
         _, out, _ = run_cli(capsys, "verify", "2", "3", "--format", "tsv", "--samples", "1")

@@ -2,16 +2,20 @@
 report fail, while the checks that do not read it keep passing.
 
 The corrupt input goes in where the invariants bundle is built, by
-replacing the compute_gaps or hilbert_numerator that verify calls, or the
-surjection-number rows that E is built from; for the companion checks, by
-replacing the tangent numbers or the umbral factors that verify reads."""
+replacing the apery_set or hilbert_numerator that verify calls, or the
+surjection-number rows that E is built from; in the Apéry set of a built
+bundle, which only the Phi route of the series lemmas reads; for the
+companion checks, by replacing the tangent numbers or the umbral factors
+that verify reads."""
 
 from dataclasses import replace
+from fractions import Fraction
+from math import factorial
 
 from felcheck import universal, verify
 from felcheck.exact import IntPolynomial
 from felcheck.hilbert import hilbert_numerator
-from felcheck.semigroup import compute_gaps, make_semigroup
+from felcheck.semigroup import apery_set, make_semigroup
 from felcheck.verify import (
     invariants,
     verify_fel_main,
@@ -20,8 +24,8 @@ from felcheck.verify import (
 )
 
 S = make_semigroup([5, 6, 8, 9])
-GAPS = compute_gaps(S)
-H = hilbert_numerator(S, GAPS)
+APERY = tuple(apery_set(S))  # (0, 6, 12, 8, 9): gaps 1 2 3 4 7
+H = hilbert_numerator(S, APERY)
 ORDER = S.m + 8
 
 
@@ -39,12 +43,12 @@ def bumped_numerator(h):
     return replace(h, numerator=IntPolynomial.from_terms(sorted(terms.items())))
 
 
-def corrupted(monkeypatch, gaps=GAPS, h=None):
-    """The bundle for S at p_max 6 and ORDER, built from the given gap data and,
-    if h is given, that numerator instead of the one computed from the gaps."""
-    monkeypatch.setattr(verify, "compute_gaps", lambda S, bound: gaps)
+def corrupted(monkeypatch, apery=APERY, h=None):
+    """The bundle for S at p_max 6 and ORDER, built from the given Apéry set
+    and, if h is given, that numerator instead of the one computed from it."""
+    monkeypatch.setattr(verify, "apery_set", lambda S, bound: list(apery))
     if h is not None:
-        monkeypatch.setattr(verify, "hilbert_numerator", lambda S, gaps: h)
+        monkeypatch.setattr(verify, "hilbert_numerator", lambda S, apery: h)
     return invariants(S, 6, ORDER)
 
 
@@ -59,7 +63,7 @@ def test_changed_numerator_coefficient_fails_fel_main_eq_final_and_one_minus_q(m
 
 
 def test_changed_numerator_fails_inside_verify_semigroup(monkeypatch):
-    monkeypatch.setattr(verify, "hilbert_numerator", lambda S, gaps: bumped_numerator(H))
+    monkeypatch.setattr(verify, "hilbert_numerator", lambda S, apery: bumped_numerator(H))
     report = verify_semigroup(S, p_max=6)
     found = statuses(report)
     assert not report.passed
@@ -69,18 +73,34 @@ def test_changed_numerator_fails_inside_verify_semigroup(monkeypatch):
     assert fails[0].lhs != fails[0].rhs
 
 
-def test_dropped_gap_with_apery_kept_fails_series_phi(monkeypatch):
-    inv = corrupted(monkeypatch, replace(GAPS, gaps=GAPS.gaps[:-1], genus=GAPS.genus - 1))
+def test_dropped_gap_with_apery_kept_fails_series_phi():
+    # the Phi route reads the gaps 2, 7 in the class 2 mod 5 off apery[2] = 12;
+    # 7 there drops the gap 7, while G and Q keep the true Apéry set
+    dropped = APERY[:2] + (7,) + APERY[3:]
+    inv = replace(invariants(S, 6, ORDER), apery=dropped)
     assert inv.h == H
     assert statuses(verify_series_lemmas(inv))["LEMMA_SERIES_PHI"] == {"fail"}
     # G comes from the Apéry set alone, so the main identity does not see it
     assert statuses(verify_fel_main(inv))["FEL_MAIN"] == {"pass"}
 
 
+def test_apery_entry_off_its_class_fails_series_phi_without_an_exception():
+    # 7 is not 1 mod 5, so the sums per residue class leave a remainder; the
+    # records then compare every side times one integer and fail
+    inv = replace(invariants(S, 6, ORDER), apery=APERY[:1] + (7,) + APERY[2:])
+    report = verify_series_lemmas(inv)
+    phi = [c for c in report.checks if c.identity == "LEMMA_SERIES_PHI"]
+    assert [(c.status, c.note) for c in phi] == [("fail", "Phi from the Apéry set is not an integer")]
+    assert phi[0].rhs == " ".join(str(Fraction(g, factorial(n))) for n, g in enumerate(inv.G[: ORDER + 1]))
+    lemmas = statuses(report)
+    assert lemmas["LEMMA_SERIES_C"] == {"fail"}
+    assert lemmas["LEMMA_SERIES_P"] == lemmas["LEMMA_ONE_MINUS_Q"] == {"pass"}
+
+
 def test_changed_apery_entry_fails_fel_main(monkeypatch):
-    apery = list(GAPS.apery)
+    apery = list(APERY)
     apery[1] += min(S.generators)
-    inv = corrupted(monkeypatch, replace(GAPS, apery=tuple(apery)), H)
+    inv = corrupted(monkeypatch, apery, H)
     assert "fail" in statuses(verify_fel_main(inv))["FEL_MAIN"]
 
 

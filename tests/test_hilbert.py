@@ -38,7 +38,7 @@ def _phi(gaps):
 def _pipeline(gens):
     S = make_semigroup(gens)
     gaps = compute_gaps(S)
-    return S, gaps, hilbert_numerator(S, gaps)
+    return S, gaps, hilbert_numerator(S, gaps.apery)
 
 
 def _random_gens(rng, m_max=5, d_max=40):

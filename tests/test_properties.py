@@ -1,7 +1,8 @@
 """Property tests: the Apéry-built Hilbert numerator against two independent
 routes, the Apéry-built gap power sums against the gap list of a
-representability table, the sparse IntPolynomial against dense reference
-arithmetic, and the integer-built T_n generating series against the Fraction
+representability table, the Faulhaber sums per residue class that verify
+reads for Phi(e^t) against a scan of the gap list, the sparse IntPolynomial
+against dense reference arithmetic, and the integer-built T_n generating series against the Fraction
 series route; the surjection-number kernel for prod (e^{p u} - 1) and for
 P/(1 - z) at z = e^t against binomial convolution and long division; and
 K_p from Q against Fel's formula as the paper states it, with T_n from the
@@ -16,11 +17,15 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from felcheck.exact import IntPolynomial, NonExactDivision  # noqa: E402
+from felcheck.exact import IntPolynomial, NonExactDivision, power_sums  # noqa: E402
 from felcheck.hilbert import hilbert_numerator, product_polynomial  # noqa: E402
-from felcheck.semigroup import compute_gaps, gap_power_sums, make_semigroup  # noqa: E402
+from felcheck.semigroup import apery_set, compute_gaps, gap_power_sums, make_semigroup  # noqa: E402
 from felcheck.universal import _exp_minus_one_product, sigma_egf  # noqa: E402
-from felcheck.verify import _quotient_power_sums, invariants  # noqa: E402
+from felcheck.verify import (  # noqa: E402
+    _gap_power_sums_by_classes,
+    _quotient_power_sums,
+    invariants,
+)
 
 from oracles import (  # noqa: E402
     dense_at_exp,
@@ -64,7 +69,7 @@ def generator_lists(draw):
 def test_apery_numerator_matches_both_oracles(gens):
     S = make_semigroup(gens)
     gaps = compute_gaps(S)
-    h = hilbert_numerator(S, gaps)
+    h = hilbert_numerator(S, gaps.apery)
     assert tuple(h.numerator.items()) == terms_of(numerator_by_gap_route(gens))
     assert tuple(h.numerator.items()) == terms_of(numerator_by_membership(gens))
     one_minus_z = IntPolynomial.one_minus_pow(1)
@@ -181,7 +186,20 @@ def test_egf_series_match_fraction_route(x, order):
 def test_apery_gap_sums_match_table_oracle(gens, r_max):
     gaps = gaps_by_table(gens)
     expected = [sum(g**r for g in gaps) for r in range(r_max + 1)]
-    assert gap_power_sums(compute_gaps(make_semigroup(gens)), r_max) == expected
+    assert gap_power_sums(apery_set(make_semigroup(gens)), r_max) == expected
+
+
+@SETTINGS
+@given(generator_lists(), st.integers(0, 40))
+@example([1], 0)
+@example([1], 12)
+@example([2, 3], 0)
+@example([5, 6, 8, 9], 60)
+@example([29, 30], 3)
+def test_gap_sums_by_classes_match_the_gap_scan(gens, order):
+    S = make_semigroup(gens)
+    scan = power_sums(compute_gaps(S).gaps, order)
+    assert _gap_power_sums_by_classes(tuple(apery_set(S)), order) == (scan, 1)
 
 
 # Signed integer vectors for the product of the factors e^{p u} - 1: lengths

@@ -10,7 +10,7 @@ import pytest
 sympy = pytest.importorskip("sympy")
 
 from felcheck.hilbert import hilbert_numerator  # noqa: E402
-from felcheck.semigroup import compute_gaps, make_semigroup  # noqa: E402
+from felcheck.semigroup import apery_set, make_semigroup  # noqa: E402
 from felcheck.universal import bernoulli, t_symbolic, zigzag  # noqa: E402
 
 from oracles import gaps_by_table  # noqa: E402
@@ -67,7 +67,7 @@ def _q_by_sympy(gens) -> dict[int, int]:
 
 def _q_by_apery(gens) -> dict[int, int]:
     S = make_semigroup(gens)
-    return dict(hilbert_numerator(S, compute_gaps(S)).numerator.items())
+    return dict(hilbert_numerator(S, apery_set(S)).numerator.items())
 
 
 @pytest.mark.parametrize(

@@ -3,9 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from felcheck import verify
+from felcheck import semigroup, verify
 from felcheck.hilbert import hilbert_numerator, k_invariant
-from felcheck.semigroup import compute_gaps, make_semigroup
+from felcheck.semigroup import apery_set, make_semigroup
 from felcheck.verify import (
     ORDER_MAX,
     OrderTooLarge,
@@ -153,6 +153,18 @@ class TestInvariants:
         assert invariants(S, 4, 6).order == 6
         assert invariants(S, 4).order == 8
 
+    def test_genus_millions_without_the_gap_list(self, monkeypatch):
+        # (10007, 10009, 10037) has 3,408,038 gaps; every check reads the
+        # Apéry set of 10007 entries instead, and no gap list is built
+        def never(*args):
+            raise AssertionError("the gap list was built")
+
+        monkeypatch.setattr(semigroup, "compute_gaps", never)
+        assert not hasattr(verify, "compute_gaps")
+        report = verify_semigroup(make_semigroup([10007, 10009, 10037]), p_max=6)
+        assert report.passed
+        assert {c.identity for c in report.checks} >= {"FEL_MAIN", "LEMMA_SERIES_PHI"}
+
     def test_order_limit(self, monkeypatch):
         class Reached(Exception):
             pass
@@ -160,7 +172,7 @@ class TestInvariants:
         def reached(*args):
             raise Reached
 
-        monkeypatch.setattr(verify, "compute_gaps", reached)
+        monkeypatch.setattr(verify, "apery_set", reached)
         S = make_semigroup([3, 5])
         with pytest.raises(Reached):
             invariants(S, 0, ORDER_MAX)
@@ -172,7 +184,7 @@ class TestInvariants:
     def test_k_is_the_normalized_invariant(self):
         S = make_semigroup([4, 5, 6])
         inv = invariants(S, 3)
-        h = hilbert_numerator(S, compute_gaps(S))
+        h = hilbert_numerator(S, apery_set(S))
         assert [inv.k(p) for p in range(4)] == [k_invariant(S, h, p) for p in range(4)]
 
     def test_reaches_the_low_order_index(self):
