@@ -32,7 +32,6 @@ from .verify import (
     IDENTITIES,
     ORDER_MAX,
     OrderTooLarge,
-    VerificationReport,
     effective_order,
     random_semigroup,
     verify_companions,
@@ -42,8 +41,8 @@ from .verify import (
 SCHEMA_VERSION = 1
 
 # Most semigroups `verify --random` draws: 5,000 at the default ranges take 5 s
-# and 330 MB (2-core VM). This bounds the count, not the cost: a larger
-# --d-max costs more per semigroup.
+# and 185 MB as JSON, 90 MB as a table (2-core VM). This bounds the count, not
+# the cost: a larger --d-max costs more per semigroup.
 COUNT_MAX = 5_000
 
 # The flags that shape a --random sweep, with their defaults there; without
@@ -251,26 +250,6 @@ def cmd_tn(args) -> tuple[dict, int]:
     return doc, 0
 
 
-def _report_doc(report: VerificationReport) -> dict:
-    return {
-        "generators": list(report.generators) if report.generators else None,
-        "order": report.order,
-        "warnings": list(report.warnings),
-        "checks": [
-            {
-                "identity": c.identity,
-                "parameter": c.parameter,
-                "status": c.status,
-                "lhs": c.lhs,
-                "rhs": c.rhs,
-                "note": c.note,
-            }
-            for c in report.checks
-        ],
-        "passed": report.passed,
-    }
-
-
 def cmd_verify(args) -> tuple[dict, int]:
     # read before --random fills in the defaults
     given = [name for name in RANDOM_DEFAULTS if getattr(args, name) is not None]
@@ -314,7 +293,7 @@ def cmd_verify(args) -> tuple[dict, int]:
             if args.random
             else None
         ),
-        "reports": [_report_doc(r) for r in reports],
+        "reports": reports,
         "passed": passed,
     }
     return doc, 0 if passed else 1
@@ -372,8 +351,10 @@ def render_json(doc: dict) -> str:
     return json.dumps(doc, indent=2)
 
 
-# A verify document as json.dumps(doc, indent=2) writes it: each report's
-# check list without its records, and one record at the depth of the records.
+# A verify document as JSON is what json.dumps(indent=2) writes for it with
+# each report as an object of generators, order, warnings, checks and passed,
+# and each record as one of the fields in _CHECK_JSON. Below: a report's check
+# list without its records, and one record at their depth.
 _NO_CHECKS = '\n      "checks": [],'
 _CHECK_JSON = (
     "        {{\n"
@@ -388,28 +369,38 @@ _CHECK_JSON = (
 
 
 def _verify_json(doc: dict) -> str:
-    """json.dumps(doc, indent=2) of a verify document, byte for byte.
+    """The verify document as JSON, laid out as above.
 
-    The document with every check list emptied goes through json.dumps; the
-    records are written from _CHECK_JSON, each string by
+    The document, each report a shell with an empty check list, goes through
+    json.dumps; the records are written from _CHECK_JSON, each string by
     encode_basestring_ascii, the encoder json.dumps uses, and put in place of
     the empty lists. A string holds no raw newline, so _NO_CHECKS is found
     once per report and nowhere else.
     """
-    shell = dict(doc, reports=[dict(r, checks=[]) for r in doc["reports"]])
-    rests = json.dumps(shell, indent=2).split(_NO_CHECKS)
+    reports = doc["reports"]
+    shells = [
+        {
+            "generators": list(r.generators) if r.generators else None,
+            "order": r.order,
+            "warnings": r.warnings,
+            "checks": [],
+            "passed": r.passed,
+        }
+        for r in reports
+    ]
+    rests = json.dumps(dict(doc, reports=shells), indent=2).split(_NO_CHECKS)
     out = [rests[0]]
-    for report, rest in zip(doc["reports"], rests[1:]):
+    for report, rest in zip(reports, rests[1:]):
         records = ",\n".join(
             _CHECK_JSON.format(
-                encode_basestring_ascii(c["identity"]),
-                "null" if c["parameter"] is None else c["parameter"],
-                encode_basestring_ascii(c["status"]),
-                encode_basestring_ascii(c["lhs"]),
-                encode_basestring_ascii(c["rhs"]),
-                encode_basestring_ascii(c["note"]),
+                encode_basestring_ascii(c.identity),
+                "null" if c.parameter is None else c.parameter,
+                encode_basestring_ascii(c.status),
+                encode_basestring_ascii(c.lhs),
+                encode_basestring_ascii(c.rhs),
+                encode_basestring_ascii(c.note),
             )
-            for c in report["checks"]
+            for c in report.checks
         )
         out.append(f'\n      "checks": [\n{records}\n      ],' if records else _NO_CHECKS)
         out.append(rest)
@@ -434,18 +425,17 @@ def _field_values(doc: dict, keys) -> list[tuple[str, str]]:
     ]
 
 
-def _check_line(check: dict) -> str:
-    label = IDENTITIES[check["identity"]]
-    param = check["parameter"]
-    head = f"{check['identity']} {label}={param if param is not None else '-'}"
-    if check["status"] == "pass":
-        line = f"{head} pass {check['lhs']}"
-    elif check["status"] == "skip":
+def _check_line(c) -> str:
+    param = c.parameter if c.parameter is not None else "-"
+    head = f"{c.identity} {IDENTITIES[c.identity]}={param}"
+    if c.status == "pass":
+        line = f"{head} pass {c.lhs}"
+    elif c.status == "skip":
         line = f"{head} skip"
     else:
-        line = f"{head} FAIL lhs={check['lhs']} rhs={check['rhs']}"
-    if check["note"]:
-        line += f"  [{check['note']}]"
+        line = f"{head} FAIL lhs={c.lhs} rhs={c.rhs}"
+    if c.note:
+        line += f"  [{c.note}]"
     return line
 
 
@@ -459,16 +449,14 @@ def render_table(doc: dict) -> str:
             lines.append(f"T_{term['n']} = {term['T']}")
     elif cmd == "verify":
         for report in doc["reports"]:
-            if report["generators"] is None:
-                lines.append(f"companions: seed={doc['seed']} samples={doc['samples']}")
+            if report.generators:
+                lines.append("semigroup: " + " ".join(map(str, report.generators)))
+                lines.append(f"order: {report.order}")
             else:
-                lines.append("semigroup: " + " ".join(map(str, report["generators"])))
-                lines.append(f"order: {report['order']}")
-            for warning in report["warnings"]:
-                lines.append(f"warning: {warning}")
-            for check in report["checks"]:
-                lines.append(_check_line(check))
-            lines.append("result: " + ("pass" if report["passed"] else "FAIL"))
+                lines.append(f"companions: seed={doc['seed']} samples={doc['samples']}")
+            lines.extend(f"warning: {warning}" for warning in report.warnings)
+            lines.extend(map(_check_line, report.checks))
+            lines.append("result: " + ("pass" if report.passed else "FAIL"))
         lines.append("overall: " + ("pass" if doc["passed"] else "FAIL"))
     elif cmd == "examples":
         for entry in doc["examples"]:
@@ -494,16 +482,10 @@ def render_tsv(doc: dict) -> str:
     elif cmd == "verify":
         rows.append("semigroup\tidentity\tparameter\tstatus\tlhs\trhs\tnote")
         for report in doc["reports"]:
-            where = (
-                " ".join(map(str, report["generators"]))
-                if report["generators"]
-                else "companions"
-            )
-            for c in report["checks"]:
-                param = c["parameter"] if c["parameter"] is not None else "-"
-                rows.append(
-                    f"{where}\t{c['identity']}\t{param}\t{c['status']}\t{c['lhs']}\t{c['rhs']}\t{c['note']}"
-                )
+            where = " ".join(map(str, report.generators)) if report.generators else "companions"
+            for c in report.checks:
+                param = c.parameter if c.parameter is not None else "-"
+                rows.append(f"{where}\t{c.identity}\t{param}\t{c.status}\t{c.lhs}\t{c.rhs}\t{c.note}")
     elif cmd == "examples":
         rows.append("generators\tfield\tvalue\tstatus")
         for entry in doc["examples"]:

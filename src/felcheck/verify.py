@@ -483,7 +483,7 @@ def _evaluate(terms, s) -> int:
 
 ZIGZAG_N = 3  # FEL2_ZIGZAG for n = 1..3
 # Cost is linear in samples: `felcheck verify 3 5 --samples 10000 --format json`
-# takes 2.0 s and 190 MB on a 2-core VM, most of the memory for the 22 MB document.
+# takes about 3 s and 115 MB on a 2-core VM, most of the memory for the 22 MB document.
 SAMPLES_MAX = 10_000
 
 
@@ -573,9 +573,9 @@ def verify_companions(samples: int = 20, seed: int = 0) -> VerificationReport:
                     f"; flipping only s2 and s{n} gives {_fraction_str(narrow, den)}, "
                     "the identity needs every even-index power sum flipped"
                 )
-            status = PASS if umbral * den == wide * scale else FAIL
-            lhs, rhs = _fraction_str(umbral, scale), _fraction_str(wide, den)
-            checks.append(CheckRecord("FEL1_SIGNFLIP", n, lhs, rhs, status, note))
+            checks.append(
+                _ratio_record("FEL1_SIGNFLIP", n, [umbral * den], [wide * scale], [scale * den], note)
+            )
     return report
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import sys
 import time
@@ -12,7 +13,29 @@ from felcheck.universal import SYMBOLIC_N_MAX
 from felcheck.verify import ORDER_MAX, CheckRecord, VerificationReport
 
 from oracles import sigma_by_series
+from test_failure_paths import H, bumped_numerator
 from test_golden import DIGESTS
+
+
+def report_dict(report):
+    """A verify report as the JSON output lays it out."""
+    return {
+        "generators": list(report.generators) if report.generators else None,
+        "order": report.order,
+        "warnings": list(report.warnings),
+        "checks": [
+            {
+                "identity": c.identity,
+                "parameter": c.parameter,
+                "status": c.status,
+                "lhs": c.lhs,
+                "rhs": c.rhs,
+                "note": c.note,
+            }
+            for c in report.checks
+        ],
+        "passed": report.passed,
+    }
 
 
 def run_cli(capsys, *argv):
@@ -261,6 +284,80 @@ class TestTn:
             sys.set_int_max_str_digits(limit)
 
 
+# Records the verify commands never print: a FAIL note holding a quote, a
+# backslash, a tab and U+2028, a SKIP with no parameter, a warning, a report
+# with generators None and one with no records.
+FAILED = CheckRecord("LEMMA_SERIES_PHI", 12, "1/2", "-3", "fail", 'Apéry "set" \\ \t\u2028')
+SKIPPED = CheckRecord("THM_KP", None, "", "", "skip", "statement applies to m >= 2 only")
+PASSED = CheckRecord("FEL2_ZIGZAG", 1, "2/3", "2/3", "pass", "sample 0: x = (1)")
+
+
+def unusual_reports():
+    return [
+        VerificationReport((7,), [FAILED, SKIPPED], ["order raised"], order=12),
+        VerificationReport(None, [], []),
+        VerificationReport((3, 5), [SKIPPED], []),
+    ]
+
+
+UNUSUAL_SKIP_LINE = "THM_KP r=- skip  [statement applies to m >= 2 only]"
+UNUSUAL_SKIP_ROW = "THM_KP\t-\tskip\t\t\tstatement applies to m >= 2 only"
+UNUSUAL_OUTPUT = {
+    "table": (
+        "semigroup: 7\n"
+        "order: 12\n"
+        "warning: order raised\n"
+        'LEMMA_SERIES_PHI order=12 FAIL lhs=1/2 rhs=-3  [Apéry "set" \\ \t\u2028]\n'
+        f"{UNUSUAL_SKIP_LINE}\n"
+        "result: FAIL\n"
+        "companions: seed=4 samples=2\n"
+        "result: pass\n"
+        "semigroup: 3 5\n"
+        "order: None\n"
+        f"{UNUSUAL_SKIP_LINE}\n"
+        "result: pass\n"
+        "companions: seed=4 samples=2\n"
+        "FEL2_ZIGZAG n=1 pass 2/3  [sample 0: x = (1)]\n"
+        "result: pass\n"
+        "overall: FAIL\n"
+    ),
+    "tsv": (
+        "semigroup\tidentity\tparameter\tstatus\tlhs\trhs\tnote\n"
+        '7\tLEMMA_SERIES_PHI\t12\tfail\t1/2\t-3\tApéry "set" \\ \t\u2028\n'
+        f"7\t{UNUSUAL_SKIP_ROW}\n"
+        f"3 5\t{UNUSUAL_SKIP_ROW}\n"
+        "companions\tFEL2_ZIGZAG\t1\tpass\t2/3\t2/3\tsample 0: x = (1)\n"
+    ),
+}
+
+# verify 5 6 8 9 --p-max 2 --samples 1 with the z^14 coefficient of Q changed
+# from -1 to 0: SHA-256 of stdout, and some of the FAIL lines it holds.
+BUMPED_OUTPUT = {
+    "table": (
+        "125d2828cbe01ec1f590736a295078db23906c2d8d528fc737cbc76ae52427e9",
+        [
+            "FEL_MAIN p=0 FAIL lhs=57539/3240 rhs=37/2",
+            "THM_KP r=3 FAIL lhs=10216 rhs=12960",
+            "EQ_FINAL p=2 FAIL lhs=129368354/45 rhs=2885310",
+            "result: FAIL",
+            "overall: FAIL",
+        ],
+    ),
+    "tsv": (
+        "57f6495c05e6e9bb1dec2c0bde71d01dc1b084009817a8dec4bcc3c5c8f4e3e1",
+        [
+            "5 6 8 9\tFEL_MAIN\t0\tfail\t57539/3240\t37/2\t",
+            "5 6 8 9\tTHM_KP\t3\tfail\t10216\t12960\t",
+            "5 6 8 9\tEQ_FINAL\t2\tfail\t129368354/45\t2885310\t",
+        ],
+    ),
+    "json": (
+        "8984a0e4f9075c28e2d9e6e203cc6a01015b20902929f669bccbbec6f983a057",
+        ['          "status": "fail",', '  "passed": false'],
+    ),
+}
+
+
 class TestVerify:
     def test_trivial_semigroup_skips_structural_clauses(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "1", "--samples", "1")
@@ -429,18 +526,37 @@ class TestVerify:
     def test_json_renderer_writes_what_json_dumps_writes(self, argv):
         args = cli.build_parser().parse_args(list(argv))
         doc, _ = cli.cmd_verify(args)
-        assert cli.render_json(doc) == json.dumps(doc, indent=2)
+        laid_out = dict(doc, reports=[report_dict(r) for r in doc["reports"]])
+        assert cli.render_json(doc) == json.dumps(laid_out, indent=2)
 
     def test_json_renderer_on_unusual_records(self):
-        failed = CheckRecord("LEMMA_SERIES_PHI", 12, "1/2", "-3", "fail", 'Apéry "set" \\ \t\u2028')
-        skipped = CheckRecord("THM_KP", None, "", "", "skip", "statement applies to m >= 2 only")
-        reports = [
-            VerificationReport((7,), [failed, skipped], ["order raised"], order=12),
-            VerificationReport(None, [], []),
-            VerificationReport((3, 5), [skipped], []),
-        ]
-        doc = {"command": "verify", "reports": [cli._report_doc(r) for r in reports], "passed": False}
-        assert cli.render_json(doc) == json.dumps(doc, indent=2)
+        reports = unusual_reports()
+        doc = {"command": "verify", "reports": reports, "passed": False}
+        laid_out = dict(doc, reports=[report_dict(r) for r in reports])
+        assert cli.render_json(doc) == json.dumps(laid_out, indent=2)
+
+    @pytest.mark.parametrize("fmt", ["table", "tsv"])
+    def test_unusual_records_through_the_cli(self, capsys, monkeypatch, fmt):
+        # unusual_reports() stand in for the reports of the three drawn semigroups
+        drawn = iter(unusual_reports())
+        monkeypatch.setattr(cli, "verify_semigroup", lambda S, *args: next(drawn))
+        monkeypatch.setattr(
+            cli, "verify_companions", lambda samples, seed: VerificationReport(None, [PASSED], [], seed=seed)
+        )
+        argv = ("verify", "--random", "--count", "3", "--samples", "2", "--seed", "4", "--format", fmt)
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (1, "")
+        assert out == UNUSUAL_OUTPUT[fmt]
+
+    @pytest.mark.parametrize("fmt", ["table", "tsv", "json"])
+    def test_changed_numerator_prints_the_fail_records(self, capsys, monkeypatch, fmt):
+        monkeypatch.setattr(verify, "hilbert_numerator", lambda S, apery: bumped_numerator(H))
+        argv = ("verify", "5", "6", "8", "9", "--p-max", "2", "--samples", "1", "--format", fmt)
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (1, "")
+        digest, lines = BUMPED_OUTPUT[fmt]
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+        assert set(lines) <= set(out.splitlines())
 
     def test_tsv_shape(self, capsys):
         _, out, _ = run_cli(capsys, "verify", "2", "3", "--format", "tsv", "--samples", "1")

@@ -8,6 +8,7 @@ bundle, which only the Phi route of the series lemmas reads; for the
 companion checks, by replacing the tangent numbers or the umbral factors
 that verify reads."""
 
+import hashlib
 from dataclasses import replace
 from fractions import Fraction
 from math import factorial
@@ -27,6 +28,7 @@ S = make_semigroup([5, 6, 8, 9])
 APERY = tuple(apery_set(S))  # (0, 6, 12, 8, 9): gaps 1 2 3 4 7
 H = hilbert_numerator(S, APERY)
 ORDER = S.m + 8
+SIGNFLIP_FAILING_DIGEST = "d436e0af0167ee4fd2deb29217ad87315dfaf410fb498f03ba02cc78c5c39411"
 
 
 def statuses(report):
@@ -129,13 +131,23 @@ def test_changed_tangent_numbers_fail_every_zigzag_record(monkeypatch):
     assert found["FEL1_SIGNFLIP"] == {"pass"}
 
 
-def test_changed_umbral_factor_fails_every_signflip_record(monkeypatch):
-    def bumped(d, n_max):
-        # coefficient n_max moves coefficient n of any product of m factors by m L^(m-1)
-        *low, top = universal._umbral_factor(d, n_max)
-        return [*low, top + 1]
+def bumped_umbral_factor(d, n_max):
+    # coefficient n_max moves coefficient n of any product of m factors by m L^(m-1)
+    *low, top = universal._umbral_factor(d, n_max)
+    return [*low, top + 1]
 
-    monkeypatch.setattr(verify, "_umbral_factor", bumped)
+
+def test_changed_umbral_factor_fails_every_signflip_record(monkeypatch):
+    monkeypatch.setattr(verify, "_umbral_factor", bumped_umbral_factor)
     found = statuses(verify.verify_companions(samples=5, seed=0))
     assert found["FEL1_SIGNFLIP"] == {"fail"}
     assert found["FEL2_ZIGZAG"] == {"pass"}
+
+
+def test_failing_signflip_records_keep_their_text(monkeypatch):
+    # SHA-256 of the records' (lhs, rhs, status, note) lines, recorded while
+    # FEL1_SIGNFLIP records were still built by hand, before _ratio_record
+    monkeypatch.setattr(verify, "_umbral_factor", bumped_umbral_factor)
+    report = verify.verify_companions(samples=5, seed=0)
+    text = "\n".join("\t".join((c.lhs, c.rhs, c.status, c.note)) for c in report.checks)
+    assert hashlib.sha256(text.encode()).hexdigest() == SIGNFLIP_FAILING_DIGEST
