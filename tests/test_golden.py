@@ -7,7 +7,9 @@ over the power-sum ring, before T_n was built by the exponential formula.
 The `--format table` and `--format tsv` digests were recorded before the
 two renderers shared one field list per command. The `tn 54` digest, the
 largest symbolic table, was recorded while the terms were still stored as
-Fractions, before they became integers over one denominator.
+Fractions, before they became integers over one denominator. The two
+`tn 9 --at` digests were recorded while T_n(x) was still read off a
+RationalSeries of T_n(x)/n!.
 Any change to what the CLI prints, however small, fails here.
 """
 
@@ -68,6 +70,13 @@ DIGESTS = {
     ("tn", "54"): "86f9f5b889ca52e927c64663a540e77ce40ad74705377ac5240c299c4235abc5",
     ("tn", "12", "--at", "1/2,3,-5", "--format", "json"): (
         "834d84370080ef74ce3008180c25c151e146f90c06280e86709aa7e2b3a1c310"
+    ),
+    # repeated and negative entries; "--at=" keeps the leading "-" off argparse's options
+    ("tn", "9", "--at=-2,-2,3/7,5", "--format", "table"): (
+        "3b8947b45325ec74fc00a7f591525f53ded67b75d5fd53c3d4605718c91d0c0d"
+    ),
+    ("tn", "9", "--at=-2,-2,3/7,5", "--format", "tsv"): (
+        "dfdfc62f6867384994dc5fd1b8ffcb784e2a2b4a9c784feb3edd07fdd9333c7f"
     ),
 }
 
