@@ -6,18 +6,14 @@ exact rational arithmetic, and verifies the connecting identities as literal
 equalities.
 """
 
-from .exact import (
-    IntPolynomial,
-    NonExactDivision,
-    NonInvertibleConstantTerm,
-    RationalSeries,
-)
+from .exact import IntPolynomial, NonExactDivision
 from .hilbert import (
     HilbertData,
     alternating_syzygy_sums,
     hilbert_numerator,
     k_denominator,
     k_invariant,
+    k_values,
     product_polynomial,
 )
 from .semigroup import (
@@ -42,8 +38,8 @@ from .universal import (
     ZeroVariable,
     bernoulli,
     lambda_table,
-    sigma_egf,
     t_symbolic,
+    t_values,
     zigzag,
 )
 from .verify import (
@@ -77,10 +73,8 @@ __all__ = [
     "Invariants",
     "NonExactDivision",
     "NonIntegerGenerator",
-    "NonInvertibleConstantTerm",
     "NonPositiveGenerator",
     "OrderTooLarge",
-    "RationalSeries",
     "SemigroupSpec",
     "SigmaPolynomial",
     "SymbolicOrderTooLarge",
@@ -96,12 +90,13 @@ __all__ = [
     "invariants",
     "k_denominator",
     "k_invariant",
+    "k_values",
     "lambda_table",
     "make_semigroup",
     "product_polynomial",
     "random_semigroup",
-    "sigma_egf",
     "t_symbolic",
+    "t_values",
     "verify_companions",
     "verify_fel_main",
     "verify_low_order",

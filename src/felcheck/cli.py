@@ -15,9 +15,8 @@ import sys
 from contextlib import contextmanager
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from math import factorial
 
-from .hilbert import alternating_syzygy_sums, hilbert_numerator, k_denominator
+from .hilbert import alternating_syzygy_sums, hilbert_numerator, k_values
 from .semigroup import (
     APERY_MAX,
     DEFAULT_BOUND,
@@ -27,7 +26,7 @@ from .semigroup import (
     generator_stats,
     make_semigroup,
 )
-from .universal import SYMBOLIC_N_MAX, SymbolicOrderTooLarge, sigma_egf, t_symbolic
+from .universal import SYMBOLIC_N_MAX, SymbolicOrderTooLarge, t_symbolic, t_values
 from .verify import (
     IDENTITIES,
     ORDER_MAX,
@@ -52,7 +51,7 @@ RANDOM_DEFAULTS = {"m_max": 4, "d_max": 30, "count": 20}
 
 # Longest --at entry, in characters, an exponent e<k> counting as k of them.
 # The cost grows about linearly with the entry's length: on a 2-core VM,
-# `tn 500 --at x` takes 2.4 s for a 10-digit x, 17 s for 50 digits and 40 s
+# `tn 500 --at x` takes 2.3 s for a 10-digit x, 20 s for 50 digits and 38 s
 # (116 MB) for 100. Checked on the text, before Fraction expands an exponent:
 # Fraction('1e10000000') alone takes 11 s.
 AT_ENTRY_MAX = 100
@@ -121,11 +120,6 @@ EXAMPLE_P_MAX = 6
 
 def _golden_c(powers, r: int) -> int:
     return sum(mult * base**r for base, mult in powers)
-
-
-def _k_values(S, c, p_max: int) -> list[Fraction]:
-    """K_p = C_{m+p} / k_denominator(S, p) for p <= p_max, from the sums c."""
-    return [Fraction(c[S.m + p], k_denominator(S, p)) for p in range(p_max + 1)]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -216,7 +210,7 @@ def cmd_hilbert(args) -> tuple[dict, int]:
         "generators": list(S.generators),
         "Q": h.numerator.sparse_str(),
         "C": [str(v) for v in c],
-        "K": [str(v) for v in _k_values(S, c, args.p_max)],
+        "K": [str(v) for v in k_values(S, c, args.p_max)],
     }
     return doc, 0
 
@@ -236,9 +230,7 @@ def cmd_tn(args) -> tuple[dict, int]:
     if at is None:
         values = [t_symbolic(n).pretty() for n in range(args.n_max + 1)]
     else:
-        # coefficient n of the series is T_n(at) / n!
-        series = sigma_egf(at, args.n_max)
-        values = [str(factorial(n) * series.coeff(n)) for n in range(args.n_max + 1)]
+        values = [str(v) for v in t_values(at, args.n_max)]
     terms = [{"n": n, "T": value} for n, value in enumerate(values)]
     doc = {
         "schema": SCHEMA_VERSION,
@@ -309,8 +301,8 @@ def cmd_examples(args) -> tuple[dict, int]:
         top = max(EXAMPLE_C_MAX, S.m + EXAMPLE_P_MAX)
         c = alternating_syzygy_sums(h, top)
         gold_c = [_golden_c(powers, r) for r in range(top + 1)]
-        k = _k_values(S, c, EXAMPLE_P_MAX)
-        gold_k = _k_values(S, gold_c, EXAMPLE_P_MAX)
+        k = k_values(S, c, EXAMPLE_P_MAX)
+        gold_k = k_values(S, gold_c, EXAMPLE_P_MAX)
         fields = []
         fields.append(("gaps", list(gaps.gaps), list(gold_gaps)))
         fields.append(("numerator", h.numerator.sparse_str(), gold_q))

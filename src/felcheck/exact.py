@@ -5,7 +5,9 @@ Everything in this module is exact. Scalars are Python ints or
 polynomials store only their nonzero terms as ascending (exponent,
 coefficient) pairs, and power series carry an explicit truncation order that
 is part of the value. power_sums is the one power-sum kernel of the library.
-No floating point appears anywhere.
+No floating point appears anywhere. Only the benchmark's probes
+(perfbench/spans.py) and the tests use IntPolynomial.at_exp and .exact_div
+and RationalSeries; no other module in the library calls them.
 """
 
 from __future__ import annotations
@@ -149,14 +151,6 @@ class IntPolynomial:
 
     def __hash__(self):
         return hash((self._exps, self._coefs))
-
-    def __sub__(self, other):
-        if not isinstance(other, IntPolynomial):
-            return NotImplemented
-        acc = dict(self.items())
-        for e, c in other.items():
-            acc[e] = acc.get(e, 0) - c
-        return IntPolynomial._summed(acc)
 
     def __mul__(self, other):
         if not isinstance(other, IntPolynomial):

@@ -58,9 +58,15 @@ def k_denominator(S: SemigroupSpec, p: int) -> int:
     return (-1) ** S.m * S.pi * (factorial(S.m + p) // factorial(p))
 
 
-def k_invariant(S: SemigroupSpec, h: HilbertData, p: int) -> Fraction:
-    """Normalized invariant: the (m+p)-th alternating sum divided by k_denominator(S, p)."""
-    if p < 0:
+def k_values(S: SemigroupSpec, c, p_max: int) -> list[Fraction]:
+    """The normalized invariants K_p = c[m+p] / k_denominator(S, p) for
+    p <= p_max, from the alternating syzygy sums c."""
+    if p_max < 0:
         raise ValueError("p must be nonnegative")
-    return Fraction(alternating_syzygy_sums(h, S.m + p)[-1], k_denominator(S, p))
+    return [Fraction(c[S.m + p], k_denominator(S, p)) for p in range(p_max + 1)]
+
+
+def k_invariant(S: SemigroupSpec, h: HilbertData, p: int) -> Fraction:
+    """The normalized invariant K_p, from the Hilbert numerator alone."""
+    return k_values(S, alternating_syzygy_sums(h, S.m + p), p)[p]
 

@@ -25,8 +25,8 @@ one integer (Kronecker substitution), so each factor costs one big-integer
 product; then E[N] = sum_j c_j j! S(N, j). A factor with p < 0 is
 -e^{pu} (e^{|p|u} - 1), so the negative factors add one sign and one
 binomial convolution with the powers of their sum. Substituting u = t/q and
-dividing by t^m prod x_i turns E into the sigma series: coefficient n is
-E[n+m] / ((n+m)! prod p_i q^n). No Fraction arithmetic runs inside the
+dividing by t^m prod x_i gives T_n(x) = n! E[n+m] / ((n+m)! prod p_i q^n),
+one Fraction per value (t_values), with n!/(n+m)! = 1/perm(n+m, m). No Fraction arithmetic runs inside the
 loops.
 
 Bernoulli numbers and zig-zag (secant/tangent) numbers are included because
@@ -41,10 +41,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from math import comb, factorial, lcm, prod
+from math import comb, factorial, lcm, perm, prod
 from operator import mul
 
-from .exact import RationalSeries, power_sums
+from .exact import power_sums
 
 
 class ZeroVariable(ValueError):
@@ -163,20 +163,17 @@ def _scaled_bernoulli(n_max: int) -> tuple[int, tuple[int, ...]]:
     return L, tuple(b.numerator * (L // b.denominator) for b in table)
 
 
-def sigma_egf(x, order: int) -> RationalSeries:
-    """Product of (e^{x_i t} - 1)/(x_i t); coefficient n is T_n(x)/n!.
-
-    The empty product is the constant series 1.
+def t_values(x, n_max: int) -> list[Fraction]:
+    """T_n(x) for 0 <= n <= n_max: n! times the t^n coefficient of
+    prod_i (e^{x_i t} - 1)/(x_i t). With no variables, T_n is [n = 0].
     """
-    if order < 0:
-        raise ValueError("order must be nonnegative")
+    if n_max < 0:
+        raise ValueError("n_max must be nonnegative")
     ps, q = _integer_variables(x)
     m = len(ps)
-    e = _exp_minus_one_product(ps, order + m)
+    e = _exp_minus_one_product(ps, n_max + m)
     scale = prod(ps)
-    return RationalSeries(
-        Fraction(e[n + m], factorial(n + m) * scale * q**n) for n in range(order + 1)
-    )
+    return [Fraction(e[n + m], perm(n + m, m) * scale * q**n) for n in range(n_max + 1)]
 
 
 @lru_cache(maxsize=None)

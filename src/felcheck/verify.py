@@ -74,6 +74,7 @@ from .hilbert import (
     hilbert_numerator,
     k_denominator,
     k_invariant,  # noqa: F401  no check here uses it; perfbench's tracer test reads it off this module
+    k_values,
 )
 from .semigroup import (
     APERY_MAX,
@@ -215,10 +216,6 @@ class Invariants:
     G: tuple[int, ...]
     EG: tuple[int, ...]
 
-    def k(self, p: int) -> Fraction:
-        """The normalized invariant K_p."""
-        return Fraction(self.c[self.S.m + p], k_denominator(self.S, p))
-
 
 def invariants(
     S: SemigroupSpec, p_max: int = 8, order: int | None = None, bound: int = APERY_MAX
@@ -330,8 +327,8 @@ def verify_low_order(inv: Invariants) -> VerificationReport:
         + (15 * d1**4 + 30 * d1**2 * d2 + 5 * d2**2 - 2 * d4) / 60,
     ]
     report = VerificationReport(inv.S.generators)
-    for p, rhs in enumerate(closed):
-        report.checks.append(_record("LOW_ORDER_K", p, inv.k(p), rhs))
+    for p, (k, rhs) in enumerate(zip(k_values(inv.S, inv.c, 3), closed)):
+        report.checks.append(_record("LOW_ORDER_K", p, k, rhs))
     return report
 
 

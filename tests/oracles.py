@@ -21,6 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
+from felcheck.exact import IntPolynomial
 from felcheck.universal import (
     _exp_minus_one_product,
     _integer_variables,
@@ -172,6 +173,15 @@ def dense_add(a, b):
 
 def dense_sub(a, b):
     return dense_add(a, [-c for c in b])
+
+
+def poly_sub(a, b):
+    """The IntPolynomial a - b, term by term: the reference routes' only
+    subtraction of polynomials."""
+    acc = dict(a.items())
+    for e, c in b.items():
+        acc[e] = acc.get(e, 0) - c
+    return IntPolynomial.from_terms(sorted(acc.items()))
 
 
 def dense_mul(a, b):

@@ -189,7 +189,7 @@ class TestTn:
         def reached(*args):
             raise SeriesReached
 
-        monkeypatch.setattr(cli, "sigma_egf", reached)
+        monkeypatch.setattr(cli, "t_values", reached)
         code, out, err = run_cli(capsys, "tn", str(ORDER_MAX + 1), "--at", "1")
         assert code == 2
         assert out == ""
@@ -204,7 +204,7 @@ class TestTn:
         # refused before any series is built, at the limit they are built
         def refused(n, m):
             with monkeypatch.context() as patch:
-                patch.setattr(cli, "sigma_egf", never)
+                patch.setattr(cli, "t_values", never)
                 code, out, err = run_cli(capsys, "tn", str(n), "--at", ",".join(["1"] * m))
             assert (code, out) == (2, "")
             assert err.startswith("OrderTooLarge")
@@ -227,7 +227,7 @@ class TestTn:
             raise AssertionError("an entry was expanded or a series built")
 
         monkeypatch.setattr(cli, "Fraction", never)
-        monkeypatch.setattr(cli, "sigma_egf", never)
+        monkeypatch.setattr(cli, "t_values", never)
         too_long = (
             "9" * (cli.AT_ENTRY_MAX + 1),
             "1e" + str(cli.AT_ENTRY_MAX),
@@ -276,7 +276,7 @@ class TestTn:
             code, _, _ = run_cli(capsys, "tn", "1", "--at", "1/0")
             assert code == 2
             assert sys.get_int_max_str_digits() == 4321
-            monkeypatch.setattr(cli, "sigma_egf", lambda *args: 1 / 0)
+            monkeypatch.setattr(cli, "t_values", lambda *args: 1 / 0)
             with pytest.raises(ZeroDivisionError):
                 run_cli(capsys, "tn", "1", "--at", "1")
             assert sys.get_int_max_str_digits() == 4321

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 from math import gcd
 
+import pytest
+
 from felcheck.exact import IntPolynomial, power_sums
 from felcheck.hilbert import (
     alternating_syzygy_sums,
@@ -12,7 +14,7 @@ from felcheck.hilbert import (
 )
 from felcheck.semigroup import compute_gaps, make_semigroup
 
-from oracles import gaps_by_table, representable_table
+from oracles import gaps_by_table, poly_sub, representable_table
 
 F = Fraction
 
@@ -98,7 +100,7 @@ class TestHilbertNumerator:
     def test_structural_identity(self):
         S, gaps, h = _pipeline([5, 6, 8, 9])
         one_minus_z = IntPolynomial.one_minus_pow(1)
-        assert h.numerator == h.prod.exact_div(one_minus_z) - _phi(gaps) * h.prod
+        assert h.numerator == poly_sub(h.prod.exact_div(one_minus_z), _phi(gaps) * h.prod)
 
     def test_membership_series_oracle(self):
         # Q equals the truncated membership series times the product polynomial
@@ -138,7 +140,7 @@ class TestAlternatingSums:
 
     def test_batched_matches_single(self):
         _, _, h = _pipeline([5, 6, 8, 9])
-        one_minus_q = IntPolynomial([1]) - h.numerator
+        one_minus_q = poly_sub(IntPolynomial([1]), h.numerator)
         assert alternating_syzygy_sums(h, 8) == [
             sum(c * n**r for n, c in one_minus_q.items()) for r in range(9)
         ]
@@ -150,7 +152,7 @@ class TestAlternatingSums:
 
         for _ in range(10):
             S, gaps, h = _pipeline(_random_gens(rng, m_max=4, d_max=25))
-            series = (IntPolynomial([1]) - h.numerator).at_exp(12)
+            series = poly_sub(IntPolynomial([1]), h.numerator).at_exp(12)
             c = alternating_syzygy_sums(h, 12)
             for n in range(13):
                 assert factorial(n) * series.coeff(n) == c[n]
@@ -173,6 +175,8 @@ class TestKInvariant:
         S, _, h = _pipeline([1])
         for p in range(4):
             assert k_invariant(S, h, p) == 0
+        with pytest.raises(ValueError):
+            k_invariant(S, h, -1)
 
     def test_closed_form_two_generators(self):
         S, _, h = _pipeline([3, 5])

@@ -70,3 +70,15 @@ def test_every_imported_name_is_read():
         for name, tree in _modules()
     }
     assert {name: names for name, names in unused.items() if names} == {}
+
+
+def test_only_exact_names_the_series_container():
+    """RationalSeries stays off every runtime path: exact.py defines it for
+    the benchmark's probes and the tests, and no other module in src, the
+    package __init__ included, imports or reads it."""
+    named = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        if "RationalSeries" in {*_imported(tree), *_loads(tree)} and path.name != "exact.py":
+            named.append(path.name)
+    assert named == []
