@@ -16,6 +16,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
+from .exact import power_sums
 from .hilbert import alternating_syzygy_sums, hilbert_numerator, k_values
 from .semigroup import (
     APERY_MAX,
@@ -178,7 +179,7 @@ def cmd_invariants(args) -> tuple[dict, int]:
     S = make_semigroup(args.generators)
     gaps = compute_gaps(S, args.bound)
     stats = generator_stats(S, args.p_max + 1)
-    G = gap_power_sums(gaps.apery, args.p_max)
+    G = gap_power_sums(power_sums(gaps.apery, args.p_max + 1), args.p_max)
     doc = {
         "schema": SCHEMA_VERSION,
         "command": "invariants",

@@ -4,9 +4,12 @@ The Hilbert series of the semigroup is Q(z) / prod_i (1 - z^{d_i}). It also
 equals Ap(z) / (1 - z^a), where a is the least generator and Ap(z) has a unit
 coefficient at each element of the Apéry set of a. So the numerator is the
 sparse product Q = Ap(z) * prod (1 - z^{d_i}) over every generator except one
-copy of a: at most a * 2^(m-1) terms, built from the Apéry set alone without
-any series truncation. HilbertData holds the series as that numerator over
-P = prod (1 - z^{d_i}); no gap polynomial is built.
+copy of a, built from the Apéry set alone without any series truncation.
+Each binomial is one cancelling merge into a dict of the terms
+(_times_binomials), and only the terms that survive are sorted: for
+(999961, 999979, 999983) the 999,961 terms of Ap(z) merge into the 6 of Q.
+HilbertData holds the series as that numerator over P = prod (1 - z^{d_i}),
+built by the same merge; no gap polynomial is built.
 """
 
 from __future__ import annotations
@@ -27,12 +30,24 @@ class HilbertData:
     numerator: IntPolynomial  # Hilbert numerator Q, constant term 1
 
 
+def _times_binomials(terms: dict, ds) -> IntPolynomial:
+    """The polynomial with the exponent -> coefficient dict terms, times
+    prod (1 - z^d) over ds; terms is consumed.
+
+    Each binomial is one merge into the dict: the coefficient c at e adds -c
+    at e + d, and an entry that reaches zero is deleted.
+    """
+    for d in ds:
+        for e, c in list(terms.items()):
+            v = terms.pop(e + d, 0) - c
+            if v:
+                terms[e + d] = v
+    return IntPolynomial._summed(terms)
+
+
 def product_polynomial(S: SemigroupSpec) -> IntPolynomial:
     """Expanded product of (1 - z^{d_i}) over all generators."""
-    out = IntPolynomial([1])
-    for d in S.generators:
-        out = out * IntPolynomial.one_minus_pow(d)
-    return out
+    return _times_binomials({0: 1}, S.generators)
 
 
 def hilbert_numerator(S: SemigroupSpec, apery) -> HilbertData:
@@ -41,10 +56,7 @@ def hilbert_numerator(S: SemigroupSpec, apery) -> HilbertData:
     set (semigroup.apery_set)."""
     rest = list(S.generators)
     rest.remove(min(rest))
-    numerator = IntPolynomial.from_terms((w, 1) for w in sorted(apery))
-    for d in rest:
-        numerator = numerator * IntPolynomial.one_minus_pow(d)
-    return HilbertData(product_polynomial(S), numerator)
+    return HilbertData(product_polynomial(S), _times_binomials(dict.fromkeys(apery, 1), rest))
 
 
 def alternating_syzygy_sums(h: HilbertData, r_max: int) -> list[int]:

@@ -16,10 +16,10 @@ DEFAULT_BOUND = 10**7
 # Largest least generator a, the size of the Apéry set, that apery_set
 # accepts by default; verify and hilbert read the Apéry set and never the
 # gaps, so their cost grows with a. On a 2-core VM, `felcheck verify` on
-# three primes near a with --p-max 6 takes 1.2 s and 36 MB at a = 10^5,
-# 3.1 s and 69 MB at 3 * 10^5, and 9.7 s and 187 MB just below 10^6; six
-# primes near 10^5 take 2.3 s and 54 MB. The limit bounds a, not the whole
-# cost: the Hilbert numerator has up to a * 2^(m-1) terms.
+# three primes near a with --p-max 6 takes 0.55 s and 34 MB at a = 10^5,
+# 1.1 s and 65 MB at 3 * 10^5, and 3.4 s and 183 MB just below 10^6; six
+# primes near 10^5 take 0.6 s and 47 MB. The limit bounds a, not the whole
+# cost: the Hilbert numerator is merged from up to a * 2^(m-1) terms.
 APERY_MAX = 10**6
 
 
@@ -149,22 +149,48 @@ def compute_gaps(S: SemigroupSpec, bound: int = DEFAULT_BOUND) -> GapData:
     return GapData(tuple(gaps), frobenius, len(gaps), apery)
 
 
-def gap_power_sums(apery, r_max: int) -> list[int]:
+def _range_power_sums(a: int, n_max: int) -> list[int]:
+    """R_n = sum_{r<a} r^n for 0 <= n <= n_max, with 0^0 = 1, without a
+    pass over range(a).
+
+    The telescoping sum of (r+1)^(n+1) - r^(n+1) over r < a gives
+    sum_{k<=n} C(n+1, k) R_k = a^(n+1), solved for R_n by exact division by
+    n + 1: O(n_max^2) big-integer operations, where the power_sums kernel
+    over range(a) takes O(a n_max). Timed on a 2-core VM, the two cross near
+    a = n_max / 2 up to n_max = 70, near a = n_max at 300 and near
+    a = 1.6 n_max at 501, so gap_power_sums takes this route when
+    a > n_max, which costs at most about a factor 1.5. At a = 300 and
+    n_max = 13 it takes 0.03 ms and the kernel 0.5 ms; at a = 20 and
+    n_max = 501, 107 ms and 3.5 ms.
+    """
+    R = []
+    power = 1
+    for n in range(n_max + 1):
+        power *= a
+        R.append((power - sum(map(mul, _binomial_row(n + 1), R))) // (n + 1))
+    return R
+
+
+def gap_power_sums(W, r_max: int) -> list[int]:
     """All gap power sums G_r for 0 <= r <= r_max, from the Apéry set alone.
 
-    The gaps congruent to w mod a (w in the Apéry set, a the least
-    generator) are w - a, w - 2a, ... down to the least positive one, so
+    W holds W_n = sum_w w^n over the Apéry set for n <= r_max + 1 (at
+    least), so W_0 = a, the least generator. The gaps congruent to w mod a
+    are w - a, w - 2a, ... down to the least positive one, so
     Phi(z) (z^a - 1) = sum_w z^w - sum_{r<a} z^r. At z = e^t the n-th EGF
     coefficient reads sum_{k=1..n} C(n, k) a^k G_{n-k} = W_n - R_n, with
-    W_n = sum_w w^n and R_n = sum_{r<a} r^n; its k = 1 term n a G_{n-1}
-    is solved for, exactly. This costs O(a r_max + r_max^2) instead of
+    R_n = sum_{r<a} r^n; its k = 1 term n a G_{n-1} is solved for,
+    exactly. R takes no pass over range(a) once a > r_max + 1
+    (_range_power_sums), so beyond the one pass over the Apéry set that
+    made W this costs O(r_max^2) big-integer operations, instead of
     O(genus r_max) (Tuenter, J. Number Theory 117, 2006).
     """
     if r_max < 0:
         raise ValueError("power must be nonnegative")
-    a = len(apery)
-    W = power_sums(apery, r_max + 1)
-    R = power_sums(range(a), r_max + 1)
+    if len(W) < r_max + 2:
+        raise ValueError(f"G_{r_max} needs W_0 .. W_{r_max + 1}, got {len(W)} sums")
+    a = W[0]
+    R = _range_power_sums(a, r_max + 1) if a > r_max + 1 else power_sums(range(a), r_max + 1)
     G = []
     for n in range(1, r_max + 2):
         row = _binomial_row(n)

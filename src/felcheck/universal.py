@@ -324,5 +324,4 @@ def _umbral_factor(d: int, n_max: int) -> list[int]:
     (B_1 = +1/2) and L as in _scaled_bernoulli(n_max): the EGF coefficients
     of L d t/(1 - e^{-d t})."""
     bern = _scaled_bernoulli(n_max)[1]
-    powers = power_sums([d], n_max)
-    return [(-b if k == 1 else b) * dk for k, (b, dk) in enumerate(zip(bern, powers))]
+    return [(-b if k == 1 else b) * d**k for k, b in enumerate(bern)]

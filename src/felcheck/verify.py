@@ -8,8 +8,10 @@ The per-semigroup identities are checked on integers. In exponential
 generating function (EGF) form, where a sequence v stands for the series
 sum_n v[n] t^n / n!, every side of every identity is an integer sequence, or
 one divided by L (n + 1). So invariants(S, p_max, order) builds one frozen
-Invariants bundle per semigroup: the Apéry set of the least generator a, the
-Hilbert numerator, and to index N = max(order, m + 3) + 1
+Invariants bundle per semigroup from the Apéry set of the least generator a.
+It reads that set twice: once into the Hilbert numerator, and once into
+W_n = sum_w w^n, the only form in which G and Phi read it. To index
+N = max(order, m + 3) + 1 the bundle holds
 
 - E, the EGF of prod_i (e^{d_i t} - 1), expanded around z = e^t = 1: in
   v = e^t - 1 it is prod_i ((1 + v)^{d_i} - 1), and v^j has the EGF
@@ -18,8 +20,10 @@ Hilbert numerator, and to index N = max(order, m + 3) + 1
 - L and D = L * (t / (e^t - 1)) * E, with L the lcm of the denominators of
   the Bernoulli numbers B_0 .. B_N;
 - c, the alternating syzygy power sums C_r of the Hilbert numerator Q;
-- G, the gap power sums, from the Apéry set alone by the recurrence in
-  semigroup.gap_power_sums;
+- W, read once from the Apéry set;
+- G, the gap power sums, from W alone by the recurrence in
+  semigroup.gap_power_sums, which makes no pass over range(a) once a
+  exceeds the order;
 - EG, the EGF product of E and G.
 
 verify_semigroup builds the bundle once and passes it to each check, which
@@ -39,13 +43,16 @@ so FEL_MAIN and EQ_FINAL both hold iff (n+1) L c[n] = (-1)^m (D[n+1] +
   Bernoulli-polynomial form sums each class; summed over the classes with
   Raabe's multiplication theorem sum_{r<a} B_j(r/a) = a^(1-j) B_j, it gives
   (n+1) a L Phi_n = sum_j C(n+1, j) L B_j a^j W_{n+1-j} - a L B_{n+1}, with
-  W_k = sum_w w^k over the Apéry set and B_1 = -1/2 (_gap_power_sums_by_classes).
-  G solves the recurrence of gap_power_sums instead. The two sides share
-  the Apéry set and exact.power_sums (both read W); the Phi side shares the
-  Bernoulli table (_scaled_bernoulli) with D. Phi_n is divided out to an
-  integer before any record is made; should a division leave a remainder,
-  the records of C and Phi compare every side times one integer M instead,
-  and Phi's fails, with a note;
+  W_k = sum_w w^k over the Apéry set and B_1 = -1/2; since B_j = 0 for the
+  odd j >= 3, only j = 1 and the even j are summed
+  (_gap_power_sums_by_classes). G solves the recurrence of gap_power_sums
+  instead. The two sides share W, which each would otherwise compute from
+  the same Apéry set with the same exact.power_sums kernel, so one pass
+  costs them no independence. The Phi side shares the Bernoulli table
+  (_scaled_bernoulli) with D; G reads no Bernoulli number. Phi_n is
+  divided out to an integer before any record is made; should a division
+  leave a remainder, the records of C and Phi compare every side times one
+  integer M instead, and Phi's fails, with a note;
 - LEMMA_SERIES_P: P(e^t) from the sparse z-expansion of P, the power sums
   sum_j P_j j^n, against (-1)^m E, the expansion around z = 1;
 - LEMMA_SERIES_PDIV: (n+1) L (P/(1 - z))(e^t) against -(-1)^m D[n+1]. The
@@ -129,7 +136,10 @@ class OrderTooLarge(ValueError):
         super().__init__(f"series order is limited to {ORDER_MAX}, got {order}")
 
 
-@dataclass(frozen=True)
+# Slotted, not frozen: a frozen dataclass sets each field through
+# object.__setattr__ and takes 2.3 us to build, this 0.5 us (a NamedTuple
+# 0.9 us), and a verify run makes 40 to 330 records per semigroup.
+@dataclass(slots=True)
 class CheckRecord:
     identity: str
     parameter: int | None
@@ -198,14 +208,15 @@ def _ratio_record(identity, parameter, lhs, rhs, dens, note="") -> CheckRecord:
 class Invariants:
     """Everything the per-semigroup checks read, built once by invariants().
 
-    apery is the Apéry set of the least generator, entry r the least element
-    of S congruent to r; Q (in h), G and Phi are all read off it, and no gap
-    list is held. E and D run to index max(order, m + 3) + 1, c, G and EG to
-    one less; see the module docstring.
+    W holds the power sums W_n = sum_w w^n over the Apéry set of the least
+    generator a, so W[0] = a; Q (in h) is built from the Apéry set, G and
+    Phi from W, and neither the Apéry set nor any gap list is held. E, D
+    and W run to index max(order, m + 3) + 1, c, G and EG to one less; see
+    the module docstring.
     """
 
     S: SemigroupSpec
-    apery: tuple[int, ...]
+    W: tuple[int, ...]
     h: HilbertData
     p_max: int
     order: int
@@ -233,15 +244,16 @@ def invariants(
     order = effective_order(S.m, p_max, order)[0]
     if order > ORDER_MAX:
         raise OrderTooLarge(order)
-    apery = tuple(apery_set(S, bound))
+    apery = apery_set(S, bound)
     h = hilbert_numerator(S, apery)
     top = max(order, S.m + 3)
+    W = power_sums(apery, top + 1)
     E = _exp_minus_one_product(S.generators, top + 1)
     L, bern = _scaled_bernoulli(top + 1)
-    G = gap_power_sums(apery, top)
+    G = gap_power_sums(W, top)
     return Invariants(
         S,
-        apery,
+        tuple(W),
         h,
         p_max,
         order,
@@ -379,20 +391,27 @@ def _quotient_power_sums(P: IntPolynomial, order: int) -> list[int]:
     return [sum(map(mul, a, _surjection_row(n))) for n in range(order + 1)]
 
 
-def _gap_power_sums_by_classes(apery, order: int) -> tuple[list[int], int]:
+def _gap_power_sums_by_classes(W, order: int) -> tuple[list[int], int]:
     """M Phi_n for n <= order, Phi_n the sum of g^n over the gaps, and M.
 
-    Phi_n comes from the Apéry set by Faulhaber's formula, summed over the
+    W holds the power sums of the Apéry set to index order + 1 at least,
+    and W[0] = a. Phi_n comes from W by Faulhaber's formula, summed over the
     residue classes (see the module docstring): (n+1) a L Phi_n is entry
     n + 1 of the EGF product of L B_j a^j, the EGF coefficients of
-    L a t/(e^{at} - 1), and W, less a L B_{n+1}. M is the least integer that
-    makes every M Phi_n an integer: 1 for an Apéry set.
+    L a t/(e^{at} - 1), and W, less a L B_{n+1}. Only j = 1 and the even j
+    enter the product, since B_j = 0 for the odd j >= 3. M is the least
+    integer that makes every M Phi_n an integer: 1 for an Apéry set.
     """
-    a = len(apery)
+    a = W[0]
     L, bern = _scaled_bernoulli(order + 1)
-    scaled = [b * a**j for j, b in enumerate(bern)]
-    sums = _egf_mul(scaled, power_sums(apery, order + 1), order + 1)
-    nums = [v - a * b for v, b in zip(sums[1:], bern[1:])]
+    even = [bern[j] * a**j for j in range(0, order + 2, 2)]
+    half = bern[1] * a  # L B_1 a, with B_1 = -1/2
+    nums = [
+        sum(map(mul, map(mul, _binomial_row(n)[::2], even), W[n::-2]))
+        + n * half * W[n - 1]
+        - a * bern[n]
+        for n in range(1, order + 2)
+    ]
     dens = [(n + 1) * a * L for n in range(order + 1)]
     M = lcm(*(d // gcd(v, d) for v, d in zip(nums, dens)))
     return [v * M // d for v, d in zip(nums, dens)], M
@@ -414,7 +433,7 @@ def verify_series_lemmas(inv: Invariants) -> VerificationReport:
 
     # M Phi, with M = 1 unless some Phi_n is not an integer; then the
     # records of C and Phi compare every side times M
-    phi, M = _gap_power_sums_by_classes(inv.apery, order)
+    phi, M = _gap_power_sums_by_classes(inv.W, order)
     p_sums = h.prod.power_sums(order)
     p_div = _quotient_power_sums(h.prod, order)
     phi_p = _egf_mul(phi, p_sums, order)

@@ -3,10 +3,11 @@ report fail, while the checks that do not read it keep passing.
 
 The corrupt input goes in where the invariants bundle is built, by
 replacing the apery_set or hilbert_numerator that verify calls, or the
-surjection-number rows that E is built from; in the Apéry set of a built
-bundle, which only the Phi route of the series lemmas reads; for the
-companion checks, by replacing the tangent numbers or the umbral factors
-that verify reads."""
+surjection-number rows that E is built from; in the power sums W of the
+Apéry set held by a built bundle, which G has already been computed from,
+so that only the Phi route of the series lemmas reads the corrupted sums;
+for the companion checks, by replacing the tangent numbers or the umbral
+factors that verify reads."""
 
 import hashlib
 from dataclasses import replace
@@ -14,7 +15,7 @@ from fractions import Fraction
 from math import factorial
 
 from felcheck import universal, verify
-from felcheck.exact import IntPolynomial
+from felcheck.exact import IntPolynomial, power_sums
 from felcheck.hilbert import hilbert_numerator
 from felcheck.semigroup import apery_set, make_semigroup
 from felcheck.verify import (
@@ -75,11 +76,16 @@ def test_changed_numerator_fails_inside_verify_semigroup(monkeypatch):
     assert fails[0].lhs != fails[0].rhs
 
 
+def with_apery_sums(inv, apery):
+    """inv with W replaced by the power sums of apery, to the same index."""
+    return replace(inv, W=tuple(power_sums(apery, len(inv.W) - 1)))
+
+
 def test_dropped_gap_with_apery_kept_fails_series_phi():
     # the Phi route reads the gaps 2, 7 in the class 2 mod 5 off apery[2] = 12;
     # 7 there drops the gap 7, while G and Q keep the true Apéry set
     dropped = APERY[:2] + (7,) + APERY[3:]
-    inv = replace(invariants(S, 6, ORDER), apery=dropped)
+    inv = with_apery_sums(invariants(S, 6, ORDER), dropped)
     assert inv.h == H
     assert statuses(verify_series_lemmas(inv))["LEMMA_SERIES_PHI"] == {"fail"}
     # G comes from the Apéry set alone, so the main identity does not see it
@@ -89,7 +95,7 @@ def test_dropped_gap_with_apery_kept_fails_series_phi():
 def test_apery_entry_off_its_class_fails_series_phi_without_an_exception():
     # 7 is not 1 mod 5, so the sums per residue class leave a remainder; the
     # records then compare every side times one integer and fail
-    inv = replace(invariants(S, 6, ORDER), apery=APERY[:1] + (7,) + APERY[2:])
+    inv = with_apery_sums(invariants(S, 6, ORDER), APERY[:1] + (7,) + APERY[2:])
     report = verify_series_lemmas(inv)
     phi = [c for c in report.checks if c.identity == "LEMMA_SERIES_PHI"]
     assert [(c.status, c.note) for c in phi] == [("fail", "Phi from the Apéry set is not an integer")]

@@ -1,7 +1,10 @@
 """Property tests: the Apéry-built Hilbert numerator against two independent
-routes, the Apéry-built gap power sums against the gap list of a
-representability table, the Faulhaber sums per residue class that verify
-reads for Phi(e^t) against a scan of the gap list, the sparse IntPolynomial
+routes, and its cancelling merge against the IntPolynomial product; the
+Apéry-built gap power sums against the gap list of a representability
+table, and the sums of r^n over r < a by their recurrence against the
+power-sum kernel; the Faulhaber sums per residue class that verify reads
+for Phi(e^t) against a scan of the gap list and against the full Bernoulli
+convolution; the sparse IntPolynomial
 against dense reference arithmetic, and the integer-built values T_n(x) against the Fraction
 series route; the surjection-number kernel for prod (e^{p u} - 1) and for
 P/(1 - z) at z = e^t against binomial convolution and long division; and
@@ -9,7 +12,7 @@ K_p from Q against Fel's formula as the paper states it, with T_n from the
 Fraction series."""
 
 from fractions import Fraction
-from math import comb, factorial, gcd
+from math import comb, factorial, gcd, lcm
 
 import pytest
 
@@ -19,9 +22,20 @@ from hypothesis import strategies as st  # noqa: E402
 
 from felcheck.exact import IntPolynomial, NonExactDivision, power_sums  # noqa: E402
 from felcheck.hilbert import hilbert_numerator, product_polynomial  # noqa: E402
-from felcheck.semigroup import apery_set, compute_gaps, gap_power_sums, make_semigroup  # noqa: E402
+from felcheck.semigroup import (  # noqa: E402
+    _range_power_sums,
+    apery_set,
+    compute_gaps,
+    gap_power_sums,
+    make_semigroup,
+)
 from felcheck.hilbert import k_values  # noqa: E402
-from felcheck.universal import _exp_minus_one_product, t_values  # noqa: E402
+from felcheck.universal import (  # noqa: E402
+    _egf_mul,
+    _exp_minus_one_product,
+    _scaled_bernoulli,
+    t_values,
+)
 from felcheck.verify import (  # noqa: E402
     _gap_power_sums_by_classes,
     _quotient_power_sums,
@@ -50,12 +64,12 @@ def terms_of(coeffs):
     return tuple((e, c) for e, c in enumerate(dense_trim(coeffs)) if c)
 
 
-# Generator lists with gcd 1: sizes 1-5 up to 30, so duplicates and the
-# generator 1 occur. A list with a larger gcd gets a 1 or the neighbour of
-# its first entry appended.
+# Generator lists with gcd 1: sizes 1 to max_size up to 30, so duplicates
+# and the generator 1 occur. A list with a larger gcd gets a 1 or the
+# neighbour of its first entry appended.
 @st.composite
-def generator_lists(draw):
-    gens = draw(st.lists(st.integers(1, 30), min_size=1, max_size=5))
+def generator_lists(draw, max_size=5):
+    gens = draw(st.lists(st.integers(1, 30), min_size=1, max_size=max_size))
     if gcd(*gens) != 1:
         gens.append(gens[0] + 1 if draw(st.booleans()) else 1)
     return draw(st.permutations(gens))
@@ -82,6 +96,31 @@ def test_apery_numerator_matches_both_oracles(gens):
 small_coeffs = st.lists(st.integers(-4, 4), max_size=9)
 # Sparse shapes: a few terms spread over a wide exponent range.
 wide_terms = st.dictionaries(st.integers(0, 400), st.integers(-5, 5), max_size=6)
+
+
+@SETTINGS
+@given(generator_lists(max_size=6))
+@example([1])
+@example([3, 3, 5])
+@example([4, 6, 10, 5])
+@example([5, 5, 5, 6, 6, 7])
+@example([2, 3, 4, 5, 6, 7])
+def test_merged_numerator_matches_the_product(gens):
+    # Q and P by the cancelling dict merge against IntPolynomial.__mul__,
+    # with duplicate and redundant generators kept as given
+    S = make_semigroup(gens)
+    apery = apery_set(S)
+    by_product = IntPolynomial.from_terms((w, 1) for w in sorted(apery))
+    for d in sorted(gens)[1:]:
+        by_product = by_product * IntPolynomial.one_minus_pow(d)
+    prod = IntPolynomial([1])
+    for d in gens:
+        prod = prod * IntPolynomial.one_minus_pow(d)
+    h = hilbert_numerator(S, apery)
+    assert h.numerator == by_product
+    assert h.prod == prod
+    assert all(c for _, c in h.numerator.items())
+    assert all(c for _, c in h.prod.items())
 
 
 def dense_of(terms):
@@ -188,7 +227,8 @@ def test_egf_series_match_fraction_route(x, order):
 def test_apery_gap_sums_match_table_oracle(gens, r_max):
     gaps = gaps_by_table(gens)
     expected = [sum(g**r for g in gaps) for r in range(r_max + 1)]
-    assert gap_power_sums(apery_set(make_semigroup(gens)), r_max) == expected
+    W = power_sums(apery_set(make_semigroup(gens)), r_max + 1)
+    assert gap_power_sums(W, r_max) == expected
 
 
 @SETTINGS
@@ -201,7 +241,49 @@ def test_apery_gap_sums_match_table_oracle(gens, r_max):
 def test_gap_sums_by_classes_match_the_gap_scan(gens, order):
     S = make_semigroup(gens)
     scan = power_sums(compute_gaps(S).gaps, order)
-    assert _gap_power_sums_by_classes(tuple(apery_set(S)), order) == (scan, 1)
+    assert _gap_power_sums_by_classes(power_sums(apery_set(S), order + 1), order) == (scan, 1)
+
+
+@SETTINGS
+@given(st.integers(1, 400), st.integers(0, 80))
+@example(1, 0)
+@example(1, 80)
+@example(80, 80)
+@example(81, 80)
+@example(400, 0)
+@example(150, 200)
+@example(250, 200)
+@example(20, 501)
+@example(999, 501)
+def test_range_sums_recurrence_matches_the_kernel(a, n_max):
+    # gap_power_sums takes the recurrence when a > n_max and the kernel
+    # otherwise; the two agree on either side of that line
+    assert _range_power_sums(a, n_max) == power_sums(range(a), n_max)
+
+
+def phi_by_full_convolution(W, order):
+    """_gap_power_sums_by_classes with the whole Bernoulli row convolved,
+    zero entries and all, by _egf_mul."""
+    a = W[0]
+    L, bern = _scaled_bernoulli(order + 1)
+    scaled = [b * a**j for j, b in enumerate(bern)]
+    sums = _egf_mul(scaled, W, order + 1)
+    nums = [v - a * b for v, b in zip(sums[1:], bern[1:])]
+    dens = [(n + 1) * a * L for n in range(order + 1)]
+    M = lcm(*(d // gcd(v, d) for v, d in zip(nums, dens)))
+    return [v * M // d for v, d in zip(nums, dens)], M
+
+
+@SETTINGS
+@given(st.lists(st.integers(0, 500), min_size=1, max_size=40), st.integers(0, 40))
+@example([0], 0)
+@example([0, 6, 12, 8, 9], 12)
+@example([0, 7, 12, 8, 9], 12)
+@example([3, 1], 40)
+def test_phi_skipping_zero_bernoulli_entries_matches_the_full_convolution(values, order):
+    # any list stands in for the Apéry set, so M > 1 occurs too
+    W = power_sums(values, order + 1)
+    assert _gap_power_sums_by_classes(W, order) == phi_by_full_convolution(W, order)
 
 
 # Signed integer vectors for the product of the factors e^{p u} - 1: lengths
