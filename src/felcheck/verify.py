@@ -72,7 +72,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, gcd, lcm
-from operator import mul
+from operator import add, mul
 
 from .exact import IntPolynomial, power_sums
 from .hilbert import (
@@ -192,11 +192,20 @@ def _render(values, dens) -> str:
     return " ".join(map(_fraction_str, values, dens))
 
 
+def _value_record(identity, parameter, lhs, rhs, den, note="") -> CheckRecord:
+    """Record for the one value lhs/den against rhs/den: the sides are equal
+    iff the integers are, and then one rendering serves both."""
+    text = _fraction_str(lhs, den)
+    if lhs == rhs:
+        return CheckRecord(identity, parameter, text, text, PASS, note)
+    return CheckRecord(identity, parameter, text, _fraction_str(rhs, den), FAIL, note)
+
+
 def _ratio_record(identity, parameter, lhs, rhs, dens, note="") -> CheckRecord:
     """Record for two sides whose entries are lhs[n]/dens[n] and rhs[n]/dens[n].
 
     The sides are equal iff the integer lists are, and then one rendering
-    serves both; a single value is a list of length one.
+    serves both.
     """
     text = _render(lhs, dens)
     if list(lhs) == list(rhs):
@@ -285,11 +294,11 @@ def verify_fel_main(inv: Invariants) -> VerificationReport:
     report = VerificationReport(S.generators)
     for p in range(inv.p_max + 1):
         n = S.m + p
-        lhs = [(n + 1) * L * inv.c[n]]
-        rhs = [sign * (inv.D[n + 1] + (n + 1) * L * inv.EG[n])]
+        lhs = (n + 1) * L * inv.c[n]
+        rhs = sign * (inv.D[n + 1] + (n + 1) * L * inv.EG[n])
         fel_den = (n + 1) * L * k_denominator(S, p)
-        report.checks.append(_ratio_record("FEL_MAIN", p, lhs, rhs, [fel_den]))
-        report.checks.append(_ratio_record("EQ_FINAL", p, lhs, rhs, [factorial(n + 1) * L]))
+        report.checks.append(_value_record("FEL_MAIN", p, lhs, rhs, fel_den))
+        report.checks.append(_value_record("EQ_FINAL", p, lhs, rhs, factorial(n + 1) * L))
     return report
 
 
@@ -310,7 +319,7 @@ def verify_thm_kp(inv: Invariants) -> VerificationReport:
         return report
     expected = [1] + [0] * (S.m - 2) + [(-1) ** S.m * factorial(S.m - 1) * S.pi]
     for r, value in enumerate(expected):
-        report.checks.append(_ratio_record("THM_KP", r, [inv.c[r]], [value], [1]))
+        report.checks.append(_value_record("THM_KP", r, inv.c[r], value, 1))
     return report
 
 
@@ -363,9 +372,7 @@ def verify_m2_closed_form(inv: Invariants) -> VerificationReport:
     for p in range(inv.p_max + 1):
         # K_p = c[p+2] / (pi (p+1)(p+2)) against pi^{p+2} over the same denominator
         report.checks.append(
-            _ratio_record(
-                "M2_CLOSED_FORM", p, [inv.c[p + 2]], [S.pi ** (p + 2)], [k_denominator(S, p)]
-            )
+            _value_record("M2_CLOSED_FORM", p, inv.c[p + 2], S.pi ** (p + 2), k_denominator(S, p))
         )
     return report
 
@@ -461,21 +468,37 @@ def verify_series_lemmas(inv: Invariants) -> VerificationReport:
     return report
 
 
-def _sample_point(rng) -> tuple[list[tuple[int, int]], list[int]]:
+def _randint(rng, lo: int, hi: int) -> int:
+    """The value rng.randint(lo, hi) returns, from the same generator state.
+
+    random.Random draws it as lo + _randbelow(hi - lo + 1): getrandbits of
+    the bit length of that width, drawn again while it is not below the
+    width. This is that loop, without the argument checks of randrange.
+    """
+    width = hi - lo + 1
+    k = width.bit_length()
+    r = rng.getrandbits(k)
+    while r >= width:
+        r = rng.getrandbits(k)
+    return lo + r
+
+
+def _sample_point(rng) -> tuple[str, list[int]]:
     """1 to 4 nonzero rationals num/den with |num|, den <= 9 and a nonzero
-    sum, so T_1 is invertible: the reduced (num, den) pairs, and the integers
-    p_i = q x_i with q the lcm of the denominators."""
+    sum, so T_1 is invertible: their text in lowest terms, as a Fraction
+    prints them, and the integers p_i = q x_i with q the lcm of the
+    denominators."""
     while True:
         x = []
-        for _ in range(rng.randint(1, 4)):
-            num = rng.randint(-9, 9) or 1
-            den = rng.randint(1, 9)
+        for _ in range(_randint(rng, 1, 4)):
+            num = _randint(rng, -9, 9) or 1
+            den = _randint(rng, 1, 9)
             g = gcd(num, den)
             x.append((num // g, den // g))
         q = lcm(*(den for _, den in x))
         ps = [num * (q // den) for num, den in x]
         if sum(ps):
-            return x, ps
+            return ", ".join(f"{num}/{den}" if den != 1 else str(num) for num, den in x), ps
 
 
 @lru_cache(maxsize=None)
@@ -497,9 +520,36 @@ def _evaluate(terms, s) -> int:
     return acc
 
 
+def _umbral_coefficient(factors, ks, rows) -> int:
+    """Coefficient n of the EGF product of the factors, n = len(rows) - 1.
+
+    Each factor holds its EGF coefficients to order n and is zero off the
+    indices ks; rows[m] is row m of Pascal's triangle. The product of all
+    factors but the last is formed to order n, each factor convolving only
+    its entries at ks into it; of the full product only coefficient n is
+    formed.
+    """
+    n = len(rows) - 1
+    u, *rest = factors
+    if not rest:
+        return u[n]
+    *middle, last = rest
+    for f in middle:
+        v = [0] * (n + 1)
+        for k in ks:
+            a = f[k]
+            for m in range(k, n + 1):
+                v[m] += rows[m][k] * a * u[m - k]
+        u = v
+    row = rows[n]
+    return sum([row[k] * last[k] * u[n - k] for k in ks])
+
+
 ZIGZAG_N = 3  # FEL2_ZIGZAG for n = 1..3
+SIGNFLIP_N = 7  # FEL1_SIGNFLIP for n = 2..7
 # Cost is linear in samples: `felcheck verify 3 5 --samples 10000 --format json`
-# takes about 3 s and 115 MB on a 2-core VM, most of the memory for the 22 MB document.
+# takes about 2.4 s (the companion checks 1.5-1.9 s of it) and 110 MB on a
+# 2-core VM, most of the memory for the 90,000 records and the 22 MB document.
 SAMPLES_MAX = 10_000
 
 
@@ -508,19 +558,34 @@ def verify_companions(samples: int = 20, seed: int = 0) -> VerificationReport:
 
     The zig-zag recursion is checked for 1 <= n <= ZIGZAG_N at rational
     sample points; the Bernoulli-umbra sign-flip identity is checked for
-    2 <= n <= 7 at positive integer vectors. The sign-flip check negates
-    every even-indexed power sum; whenever the narrower "flip only s2 and sn"
-    reading would give a different value, that value is recorded in the note
-    rather than silently discarded. samples must lie in [1, SAMPLES_MAX].
+    2 <= n <= SIGNFLIP_N at positive integer vectors. The sign-flip check
+    negates every even-indexed power sum; whenever the narrower "flip only
+    s2 and sn" reading would give a different value, that value is recorded
+    in the note rather than silently discarded. samples must lie in
+    [1, SAMPLES_MAX].
 
-    Everything runs on integers, from the integer terms of symbolic T_n at
-    integer power sums. A rational sample point is drawn as reduced
-    (num, den) pairs and scaled to the integers p_i = q x_i. Both sign-flip
-    readings come from one pass over the terms of T_n. The umbral side is
-    the product of the factors d_i t/(1 - e^{-d_i t}) (universal._umbral_factor),
-    of which only coefficient n is formed, so it shares nothing with T_n. The
-    two sides, over the positive denominators of T_n and L^m, are compared by
-    cross-multiplication.
+    Everything runs on integers, one sample at a time, in the order of the
+    draws. A rational sample point is drawn as reduced (num, den) pairs and
+    scaled to the integers p_i = q x_i; T_j is homogeneous, so the recorded
+    values, both sides over T_1^K, are the same at the p_i.
+
+    - FEL2_ZIGZAG reads the integer terms of symbolic T_j (t_symbolic), over
+      one denominator V per n, at the power sums s_k = sum_i p_i^k, which
+      come from running products of the p_i; the right side reads the
+      tangent numbers (zigzag), with V^(2n-2j) folded into its coefficients
+      once per n.
+    - FEL1_SIGNFLIP reads the terms of T_n at the power sums of the entries
+      d_i, added up from a table of v^k for v in 1..9; both readings come
+      from one pass over those terms. The umbral side is n! L^m times the
+      t^n coefficient of the product of the m factors d_i t/(1 - e^{-d_i t})
+      (universal._umbral_factor), whose EGF coefficients vanish at the odd
+      k >= 3; _umbral_coefficient convolves only the others. It shares no
+      code with T_n but bernoulli(), which t_symbolic reads through
+      lambda_table and the factors through _scaled_bernoulli, and which the
+      tests pin against sympy.
+
+    Each record holds one value: the two sides, over one denominator, are
+    compared as integers, and the value is printed once when they agree.
     """
     if samples < 1:
         raise ValueError("samples must be at least 1")
@@ -532,31 +597,44 @@ def verify_companions(samples: int = 20, seed: int = 0) -> VerificationReport:
 
     for n in range(1, ZIGZAG_N + 1):
         K = 2 * n + 1
-        # T_K = sum_j (-1)^j A_{2j+1} C(K, 2j+1) T_{2n-2j} T_1^{2j+1}, A the tangent numbers
-        coeffs = [(-1) ** j * zigzag(2 * j + 1) * comb(K, 2 * j + 1) for j in range(n + 1)]
-        # T_j = w[j] / V for the T_j the identity reads, V the lcm of their denominators
+        # T_j = w_j / V for the T_j the identity reads, V the lcm of their denominators
         polys = {j: _sparse_terms(t_symbolic(j)) for j in (*range(0, K, 2), 1, K)}
         V = lcm(*(den for den, _ in polys.values()))
-        scaled = {
+        w = {
             j: [(c * (V // den), pairs) for c, pairs in terms] for j, (den, terms) in polys.items()
         }
+        # T_K = sum_j (-1)^j A_{2j+1} C(K, 2j+1) T_{2n-2j} T_1^(2j+1), A the
+        # tangent numbers. Times V^(K+1) both sides are integers, over the one
+        # denominator w_1^K V = T_1^K V^(K+1):
+        # w_K V^K = sum_j (-1)^j A_{2j+1} C(K, 2j+1) V^(2n-2j) w_{2n-2j} w_1^(2j+1)
+        rhs_terms = [
+            (
+                (-1) ** j * zigzag(2 * j + 1) * comb(K, 2 * j + 1) * V ** (2 * n - 2 * j),
+                w[2 * n - 2 * j],
+            )
+            for j in range(n + 1)
+        ]
+        top, one, VK = w[K], w[1], V**K
         for i in range(samples):
             x, ps = _sample_point(rng)
-            # T_j is homogeneous of degree j, so the recorded values, both
-            # sides over T_1^K, have degree 0 and the integers p_i give the
-            # same values. Times V^(K+1) both sides are integers, over the one
-            # denominator w[1]^K V = T_1^K V^(K+1).
-            s = power_sums(ps, K)[1:]
-            w = {j: _evaluate(terms, s) for j, terms in scaled.items()}
-            lhs = w[K] * V**K
-            rhs = sum(
-                c * w[2 * n - 2 * j] * w[1] ** (2 * j + 1) * V ** (2 * n - 2 * j)
-                for j, c in enumerate(coeffs)
-            )
-            note = f"sample {i}: x = ({', '.join(_fraction_str(*c) for c in x)})"
-            checks.append(_ratio_record("FEL2_ZIGZAG", n, [lhs], [rhs], [w[1] ** K * V], note))
+            s = [0] * K
+            for p in ps:
+                power = 1
+                for k in range(K):
+                    power *= p
+                    s[k] += power
+            w1 = _evaluate(one, s)
+            rhs, odd, square = 0, w1, w1 * w1
+            for c, terms in rhs_terms:
+                rhs += c * _evaluate(terms, s) * odd
+                odd *= square
+            lhs = _evaluate(top, s) * VK
+            note = f"sample {i}: x = ({x})"
+            checks.append(_value_record("FEL2_ZIGZAG", n, lhs, rhs, w1**K * V, note))
 
-    for n in range(2, 8):
+    # row v holds v^k for k = 1..SIGNFLIP_N; a sample's power sums add its entries' rows
+    powers = {v: [v**k for k in range(1, SIGNFLIP_N + 1)] for v in range(1, 10)}
+    for n in range(2, SIGNFLIP_N + 1):
         den, terms = _sparse_terms(t_symbolic(n))
         # The wide reading negates every even-index s_k (index i holds s_{i+1});
         # the narrow one negates only s2 and sn, so it differs from the wide
@@ -568,30 +646,27 @@ def verify_companions(samples: int = 20, seed: int = 0) -> VerificationReport:
             odd = sum(e for i, e in pairs if i % 2 and i + 1 not in (2, n)) % 2
             (differ if odd else same).append((c, pairs))
         L = _scaled_bernoulli(n)[0]
-        factors = [_umbral_factor(v, n) for v in range(10)]  # entries are at most 9
-        row = _binomial_row(n)
+        # L times the EGF coefficients of d t/(1 - e^{-d t}), zero off the indices ks
+        factors = {v: _umbral_factor(v, n) for v in range(1, 10)}
+        ks = [k for k, column in enumerate(zip(*factors.values())) if any(column)]
+        rows = [_binomial_row(m) for m in range(n + 1)]
         for i in range(samples):
-            d = tuple(rng.randint(1, 9) for _ in range(rng.randint(1, 4)))
-            s = power_sums(d, n)[1:]
+            d = tuple([_randint(rng, 1, 9) for _ in range(_randint(rng, 1, 4))])
+            s = powers[d[0]]
+            for v in d[1:]:
+                s = list(map(add, s, powers[v]))
             kept, flipped = _evaluate(same, s), _evaluate(differ, s)
-            wide, narrow = kept + flipped, kept - flipped
             # n! L^m times the t^n coefficient of prod_i d_i t/(1 - e^{-d_i t})
-            u = factors[d[0]]
-            for v in d[1:-1]:
-                u = _egf_mul(factors[v], u, n)
-            umbral = (
-                sum(map(mul, map(mul, row, factors[d[-1]]), reversed(u))) if len(d) > 1 else u[n]
-            )
+            umbral = _umbral_coefficient([factors[v] for v in d], ks, rows)
             scale = L ** len(d)
             note = f"sample {i}: d = {d}"
             if flipped:
                 note += (
-                    f"; flipping only s2 and s{n} gives {_fraction_str(narrow, den)}, "
+                    f"; flipping only s2 and s{n} gives {_fraction_str(kept - flipped, den)}, "
                     "the identity needs every even-index power sum flipped"
                 )
-            checks.append(
-                _ratio_record("FEL1_SIGNFLIP", n, [umbral * den], [wide * scale], [scale * den], note)
-            )
+            wide = (kept + flipped) * scale
+            checks.append(_value_record("FEL1_SIGNFLIP", n, umbral * den, wide, scale * den, note))
     return report
 
 

@@ -9,7 +9,9 @@ two renderers shared one field list per command. The `tn 54` digest, the
 largest symbolic table, was recorded while the terms were still stored as
 Fractions, before they became integers over one denominator. The two
 `tn 9 --at` digests were recorded while T_n(x) was still read off a
-RationalSeries of T_n(x)/n!.
+RationalSeries of T_n(x)/n!. The two verify digests with non-default
+--samples and --seed were recorded while each companion sample still went
+through exact.power_sums and the dense umbral product.
 Any change to what the CLI prints, however small, fails here.
 """
 
@@ -77,6 +79,13 @@ DIGESTS = {
     ),
     ("tn", "9", "--at=-2,-2,3/7,5", "--format", "tsv"): (
         "dfdfc62f6867384994dc5fd1b8ffcb784e2a2b4a9c784feb3edd07fdd9333c7f"
+    ),
+    # companion checks away from the default 20 samples at seed 0
+    ("verify", "3", "5", "--samples", "500", "--seed", "12345", "--format", "tsv"): (
+        "fbd717b50c98f530e7297712f93656dc99821d015c094b5b98f69a2622375c02"
+    ),
+    ("verify", "4", "5", "6", "--p-max", "2", "--samples", "7", "--seed", "99", "--format", "json"): (
+        "76997559bf155e6bb88bf33141d3bd8cf46ed72fcb30a3688cfd5cd11602d5b1"
     ),
 }
 

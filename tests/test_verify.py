@@ -1,15 +1,19 @@
 import random
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 
 from felcheck import semigroup, verify
 from felcheck.hilbert import hilbert_numerator, k_invariant, k_values
 from felcheck.semigroup import apery_set, make_semigroup
+from felcheck.universal import _binomial_row, _egf_mul, _umbral_factor
 from felcheck.verify import (
     ORDER_MAX,
     OrderTooLarge,
     VerificationReport,
+    _randint,
+    _umbral_coefficient,
     effective_order,
     invariants,
     random_semigroup,
@@ -235,6 +239,45 @@ class TestCompanions:
     def test_records_match_the_fraction_route(self, samples, seed):
         new = verify_companions(samples, seed).sort().checks
         assert new == companions_reference(samples, seed).sort().checks
+
+
+class TestDraws:
+    # no width here is a power of two, so Random._randbelow's rejection loop
+    # runs for each: width 19 draws 5 bits and rejects 13 of their 32 values
+    RANGES = [(1, 4), (-9, 9), (1, 9)]
+
+    @pytest.mark.parametrize("lo, hi", RANGES)
+    def test_same_values_as_randint(self, lo, hi):
+        ours, theirs = random.Random(17), random.Random(17)
+        drawn = [_randint(ours, lo, hi) for _ in range(2000)]
+        assert drawn == [theirs.randint(lo, hi) for _ in range(2000)]
+        assert set(drawn) == set(range(lo, hi + 1))
+        assert ours.getstate() == theirs.getstate()
+
+    def test_interleaved_ranges_keep_the_stream(self):
+        for seed in range(50):
+            order = random.Random(1000 + seed).choices(self.RANGES, k=400)
+            ours, theirs = random.Random(seed), random.Random(seed)
+            assert [_randint(ours, lo, hi) for lo, hi in order] == [
+                theirs.randint(lo, hi) for lo, hi in order
+            ]
+            assert ours.random() == theirs.random()
+
+
+class TestUmbralCoefficient:
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_sparse_product_equals_the_dense_one(self, n):
+        factors = {v: _umbral_factor(v, n) for v in range(1, 10)}
+        # B_k = 0 for the odd k >= 3, so each factor vanishes off ks
+        ks = [0, 1, *range(2, n + 1, 2)]
+        assert all(f[k] == 0 for f in factors.values() for k in range(n + 1) if k not in ks)
+        rows = [_binomial_row(m) for m in range(n + 1)]
+        for size in range(1, 5):
+            for d in combinations_with_replacement(range(1, 10), size):
+                dense = factors[d[0]]
+                for v in d[1:]:
+                    dense = _egf_mul(factors[v], dense, n)
+                assert _umbral_coefficient([factors[v] for v in d], ks, rows) == dense[n], d
 
 
 class TestAssembledReport:
