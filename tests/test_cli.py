@@ -2,12 +2,14 @@ import hashlib
 import json
 import sys
 import time
+from dataclasses import replace
 from fractions import Fraction as F
 from math import factorial
 
 import pytest
 
 from felcheck import cli, verify
+from felcheck.exact import IntPolynomial
 from felcheck.semigroup import APERY_MAX
 from felcheck.universal import SYMBOLIC_N_MAX
 from felcheck.verify import ORDER_MAX, CheckRecord, VerificationReport
@@ -565,6 +567,47 @@ class TestVerify:
         assert all(line.count("\t") == 6 for line in lines[1:])
 
 
+def _bump_c5(sums):
+    def bumped(h, r_max):
+        c = sums(h, r_max)
+        c[5] += 1
+        return c
+
+    return bumped
+
+
+def _change_456_numerator(numerator):
+    """hilbert_numerator with the z^10 coefficient of Q for (4, 5, 6) changed
+    from -1 to 0; the other examples keep theirs."""
+
+    def changed(S, apery):
+        h = numerator(S, apery)
+        if S.generators != (4, 5, 6):
+            return h
+        terms = dict(h.numerator.items())
+        terms[10] += 1
+        return replace(h, numerator=IntPolynomial.from_terms(sorted(terms.items())))
+
+    return changed
+
+
+# A route of `examples` tampered with: the cli name replaced, a wrapper of the
+# original, and the mismatch it must name; with the SHA-256 of the full
+# stdout, recorded while each example still compared its K_p as well.
+TAMPERED_EXAMPLES = {
+    "C[5] + 1": ("alternating_syzygy_sums", _bump_c5, "3 5: C[5]"),
+    "(4, 5, 6) numerator": ("hilbert_numerator", _change_456_numerator, "4 5 6: numerator"),
+}
+TAMPERED_EXAMPLE_DIGESTS = {
+    ("C[5] + 1", "table"): "35da3b5427acbcba3559babc8b5d87534f83a01c63dd38832d6ca0d0615b54ca",
+    ("C[5] + 1", "tsv"): "b6702e92b265cd87f6f263fd3da5eb4de9f38a8773396f285f84f42ca9aa7da1",
+    ("C[5] + 1", "json"): "d7edb0f715acc90677f718e6edb44948ed06d29792ce0cfe0c904f2c67e61891",
+    ("(4, 5, 6) numerator", "table"): "e8819df4f05e236df05359d954dfb8e8f27162d4ee261bff1b4501cdd132202c",
+    ("(4, 5, 6) numerator", "tsv"): "1dbebb6906021fb594cfbfca530cb46f6b0de72e5735214b454acd635e096b53",
+    ("(4, 5, 6) numerator", "json"): "d2a89e3aac26ab49c22799e232006229104e8f330a3a5b5abc359217f2c816f7",
+}
+
+
 class TestExamples:
     def test_all_pass(self, capsys):
         code, out, _ = run_cli(capsys, "examples")
@@ -587,6 +630,23 @@ class TestExamples:
         code, out, _ = run_cli(capsys, "examples")
         assert code == 1
         assert "mismatch: 3 5: gaps" in out
+
+    @pytest.mark.parametrize("fmt", ["table", "tsv", "json"])
+    @pytest.mark.parametrize("case", sorted(TAMPERED_EXAMPLES))
+    def test_tampered_route_names_the_first_mismatch(self, capsys, monkeypatch, case, fmt):
+        name, tamper, mismatch = TAMPERED_EXAMPLES[case]
+        monkeypatch.setattr(cli, name, tamper(getattr(cli, name)))
+        code, out, err = run_cli(capsys, "examples", "--format", fmt)
+        assert (code, err) == (1, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == TAMPERED_EXAMPLE_DIGESTS[case, fmt]
+        if fmt == "json":
+            assert json.loads(out)["mismatch"] == mismatch
+        elif fmt == "table":
+            assert f"mismatch: {mismatch}" in out.splitlines()
+        else:  # the TSV names no mismatch: every row of that example says FAIL
+            where = mismatch.split(":")[0]
+            rows = [line for line in out.splitlines() if line.startswith(where + "\t")]
+            assert rows and all(row.endswith("\tFAIL") for row in rows)
 
 
 class TestOutput:
