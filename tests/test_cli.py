@@ -624,8 +624,8 @@ class TestExamples:
 
     def test_golden_mismatch_names_field(self, capsys, monkeypatch):
         tampered = list(cli.GOLDEN_EXAMPLES)
-        gens, gaps, q, powers = tampered[0]
-        tampered[0] = (gens, (1, 2, 4, 8), q, powers)
+        gens, gaps, q = tampered[0]
+        tampered[0] = (gens, (1, 2, 4, 8), q)
         monkeypatch.setattr(cli, "GOLDEN_EXAMPLES", tuple(tampered))
         code, out, _ = run_cli(capsys, "examples")
         assert code == 1

@@ -21,6 +21,7 @@ import json
 import pytest
 
 from felcheck import cli
+from felcheck.semigroup import make_semigroup
 
 H456_C = (
     "1 0 -240 -7920 -203520 -4804800 -109393920 -2448526080 -54345891840 "
@@ -116,6 +117,18 @@ def test_hilbert_456_json_literal(capsys):
     assert doc["Q"] == "0:1 10:-1 12:-1 22:1"
     assert " ".join(doc["C"]) == H456_C
     assert " ".join(doc["K"]) == H456_K
+
+
+def test_examples_golden_sums_match_the_hilbert_literal():
+    # the hand sums over the numerator's text give what `hilbert 4 5 6` prints
+    sums = [str(cli._golden_c("0:1 10:-1 12:-1 22:1", r)) for r in range(12)]
+    assert " ".join(sums) == H456_C
+
+
+@pytest.mark.parametrize("gens", [gens for gens, _, _ in cli.GOLDEN_EXAMPLES], ids=str)
+def test_examples_compare_every_sum_that_k_reads(gens):
+    # K_p reads C_m .. C_{m+p}: with these all compared, K needs no comparison
+    assert cli.EXAMPLE_C_MAX >= make_semigroup(gens).m + cli.EXAMPLE_P_MAX
 
 
 def test_hilbert_large_numerator(capsys):
