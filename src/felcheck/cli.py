@@ -255,7 +255,7 @@ def cmd_verify(args) -> tuple[dict, int]:
     else:
         raise ValueError("give generators or use --random")
     # first, so that a bad --samples is refused before any semigroup is drawn or verified
-    companions = verify_companions(args.samples, args.seed).sort()
+    companions = verify_companions(args.samples, args.seed)
     if args.random:
         rng = random.Random(args.seed)
         semigroups = [random_semigroup(rng, args.m_max, args.d_max) for _ in range(args.count)]

@@ -29,11 +29,12 @@ N = max(order, m + 3) + 1 the bundle holds
 verify_semigroup builds the bundle once and passes it to each check, which
 takes nothing else: verify_fel_main(inv), verify_thm_kp(inv), and so on. No
 check builds or scans the gap list: every cost grows with a and the order,
-not with the genus.
+not with the genus. Each check makes its records in report order (that of
+IDENTITIES, parameters ascending), and a report concatenates them.
 
 With n = m + p, Fel's bracket is p! (D[n+1] + (n+1) L EG[n]) / ((n+1)! pi L),
-so FEL_MAIN and EQ_FINAL both hold iff (n+1) L c[n] = (-1)^m (D[n+1] +
-(n+1) L EG[n]). The series lemmas compare, for every n <= order:
+so FEL_MAIN holds iff (n+1) L c[n] = (-1)^m (D[n+1] + (n+1) L EG[n]). The
+series lemmas compare, for every n <= order:
 
 - LEMMA_SERIES_C: c against (1 - Q)(e^t), with 1 - Q assembled by the
   second route 1 - P/(1 - z) + Phi P, P = prod (1 - z^{d_i}) and Phi the
@@ -60,6 +61,8 @@ so FEL_MAIN and EQ_FINAL both hold iff (n+1) L c[n] = (-1)^m (D[n+1] +
   (_quotient_power_sums), so no polynomial division runs; the right side is
   the Bernoulli convolution of E;
 - LEMMA_ONE_MINUS_Q: c against [n = 0] + (-1)^m (EG[n] + D[n+1] / ((n+1) L)).
+  Its entry n = m + p, the integers of FEL_MAIN over (n+1)! L, is the final
+  equation before normalization, recorded as EQ_FINAL for each p <= p_max.
 
 A record prints each value num/den in lowest terms, reduced by gcd with no
 Fraction made, and a passing record prints one value for both sides.
@@ -102,7 +105,7 @@ from .universal import (
     zigzag,
 )
 
-# Every identity, in report order, with the name of its parameter.
+# Every identity, in report order (parameters ascending, None first), with its parameter's name.
 IDENTITIES = {
     "FEL_MAIN": "p",
     "THM_KP": "r",
@@ -117,7 +120,6 @@ IDENTITIES = {
     "FEL1_SIGNFLIP": "n",
     "FEL2_ZIGZAG": "n",
 }
-_RANK = {identity: rank for rank, identity in enumerate(IDENTITIES)}
 
 PASS, FAIL, SKIP = "pass", "fail", "skip"
 
@@ -162,16 +164,6 @@ class VerificationReport:
     @property
     def passed(self) -> bool:
         return all(c.status != FAIL for c in self.checks)
-
-    def sort(self) -> "VerificationReport":
-        """Deterministic ordering by identity then parameter (stable for samples)."""
-        self.checks.sort(
-            key=lambda c: (
-                _RANK[c.identity],
-                c.parameter if c.parameter is not None else -1,
-            )
-        )
-        return self
 
 
 def _record(identity, parameter, lhs, rhs, note="") -> CheckRecord:
@@ -282,12 +274,11 @@ def verify_fel_main(inv: Invariants) -> VerificationReport:
     the Hilbert numerator. The right side is Fel's bracket in EGF form, read
     from D and EG in the bundle, both built on E; it is not T_n evaluated at
     sigma_k and delta_k as the paper states the formula, which only the
-    tests check (test_fel_formula_as_stated). The un-normalized form is
-    recorded alongside as EQ_FINAL. Both records read E, D and EG from the
-    bundle and compare the same integers, (n+1) L c[n] against
-    (-1)^m (D[n+1] + (n+1) L EG[n]) with n = m + p; only the printed
-    denominator differs: (n+1) L k_denominator(S, p) for FEL_MAIN, so that
-    it prints K_p, and (n+1)! L for EQ_FINAL.
+    tests check (test_fel_formula_as_stated). Each record compares
+    (n+1) L c[n] against (-1)^m (D[n+1] + (n+1) L EG[n]) with n = m + p,
+    over (n+1) L k_denominator(S, p), so that it prints K_p. Only FEL_MAIN
+    records are made here; the un-normalized form, EQ_FINAL, compares the
+    same integers and comes from verify_series_lemmas.
     """
     S, L = inv.S, inv.L
     sign = (-1) ** S.m
@@ -298,7 +289,6 @@ def verify_fel_main(inv: Invariants) -> VerificationReport:
         rhs = sign * (inv.D[n + 1] + (n + 1) * L * inv.EG[n])
         fel_den = (n + 1) * L * k_denominator(S, p)
         report.checks.append(_value_record("FEL_MAIN", p, lhs, rhs, fel_den))
-        report.checks.append(_value_record("EQ_FINAL", p, lhs, rhs, factorial(n + 1) * L))
     return report
 
 
@@ -326,9 +316,9 @@ def verify_thm_kp(inv: Invariants) -> VerificationReport:
 def verify_low_order(inv: Invariants) -> VerificationReport:
     """Check the four low-order closed forms for the normalized invariants.
 
-    The coefficient of G_1 in the p = 3 row is binom(3,1) * T_2
-    = (3*s1^2 + s2)/4; see the decisions ledger for the provenance of that
-    coefficient.
+    Each row is Fel's formula at p, whose G_r term is C(p, r) T_{p-r}(sigma)
+    G_r: in the p = 3 row the coefficient of G_1 is C(3, 1) T_2
+    = (3*s1^2 + s2)/4, with T_2 = (3*s1^2 + s2)/12.
     """
     stats = generator_stats(inv.S, 4)
     s1, s2 = stats.sigma[0], stats.sigma[1]
@@ -425,10 +415,12 @@ def _gap_power_sums_by_classes(W, order: int) -> tuple[list[int], int]:
 
 
 def verify_series_lemmas(inv: Invariants) -> VerificationReport:
-    """Check the five series identities coefficient-by-coefficient to the order.
+    """Check the five series identities coefficient-by-coefficient to the
+    order, then EQ_FINAL for each p <= p_max.
 
     Each side is an integer EGF sequence, compared entry by entry over the
-    denominator n! (or (n+1)! L); see the module docstring.
+    denominator n! (or (n+1)! L); see the module docstring. EQ_FINAL at p is
+    entry n = m + p of LEMMA_ONE_MINUS_Q, read from that lemma's lists.
     """
     order, L, h = inv.order, inv.L, inv.h
     sign = (-1) ** inv.S.m
@@ -465,6 +457,9 @@ def verify_series_lemmas(inv: Invariants) -> VerificationReport:
         (n == 0) * L + sign * ((n + 1) * L * inv.EG[n] + inv.D[n + 1]) for n in ns
     ]
     report.checks.append(_ratio_record("LEMMA_ONE_MINUS_Q", order, lhs_q, assembled, scaled))
+    for p in range(inv.p_max + 1):
+        n = inv.S.m + p
+        report.checks.append(_value_record("EQ_FINAL", p, lhs_q[n], assembled[n], scaled[n]))
     return report
 
 
@@ -565,9 +560,10 @@ def verify_companions(samples: int = 20, seed: int = 0) -> VerificationReport:
     [1, SAMPLES_MAX].
 
     Everything runs on integers, one sample at a time, in the order of the
-    draws. A rational sample point is drawn as reduced (num, den) pairs and
-    scaled to the integers p_i = q x_i; T_j is homogeneous, so the recorded
-    values, both sides over T_1^K, are the same at the p_i.
+    draws, zig-zag first; the report lists the sign-flip records first, as
+    IDENTITIES does. A rational sample point is drawn as reduced (num, den)
+    pairs and scaled to the integers p_i = q x_i; T_j is homogeneous, so the
+    recorded values, both sides over T_1^K, are the same at the p_i.
 
     - FEL2_ZIGZAG reads the integer terms of symbolic T_j (t_symbolic), over
       one denominator V per n, at the power sums s_k = sum_i p_i^k, which
@@ -592,8 +588,7 @@ def verify_companions(samples: int = 20, seed: int = 0) -> VerificationReport:
     if samples > SAMPLES_MAX:
         raise ValueError(f"samples is limited to {SAMPLES_MAX}, got {samples}")
     rng = random.Random(seed)
-    report = VerificationReport(None, seed=seed)
-    checks = report.checks
+    zig, flip = [], []
 
     for n in range(1, ZIGZAG_N + 1):
         K = 2 * n + 1
@@ -630,7 +625,7 @@ def verify_companions(samples: int = 20, seed: int = 0) -> VerificationReport:
                 odd *= square
             lhs = _evaluate(top, s) * VK
             note = f"sample {i}: x = ({x})"
-            checks.append(_value_record("FEL2_ZIGZAG", n, lhs, rhs, w1**K * V, note))
+            zig.append(_value_record("FEL2_ZIGZAG", n, lhs, rhs, w1**K * V, note))
 
     # row v holds v^k for k = 1..SIGNFLIP_N; a sample's power sums add its entries' rows
     powers = {v: [v**k for k in range(1, SIGNFLIP_N + 1)] for v in range(1, 10)}
@@ -666,8 +661,8 @@ def verify_companions(samples: int = 20, seed: int = 0) -> VerificationReport:
                     "the identity needs every even-index power sum flipped"
                 )
             wide = (kept + flipped) * scale
-            checks.append(_value_record("FEL1_SIGNFLIP", n, umbral * den, wide, scale * den, note))
-    return report
+            flip.append(_value_record("FEL1_SIGNFLIP", n, umbral * den, wide, scale * den, note))
+    return VerificationReport(None, flip + zig, seed=seed)
 
 
 def random_semigroup(rng, m_max: int, d_max: int) -> SemigroupSpec:
@@ -707,9 +702,9 @@ def verify_semigroup(
     order: int | None = None,
     bound: int = APERY_MAX,
 ) -> VerificationReport:
-    """Run every per-semigroup identity on one invariants bundle and merge
-    the records into one report. An order below m + p_max is raised to it,
-    with a warning."""
+    """Run every per-semigroup identity on one invariants bundle and
+    concatenate the records, already in report order, into one report. An
+    order below m + p_max is raised to it, with a warning."""
     order, warning = effective_order(S.m, p_max, order)
     inv = invariants(S, p_max, order, bound)
     report = VerificationReport(S.generators, order=order)
@@ -723,4 +718,4 @@ def verify_semigroup(
         verify_series_lemmas,
     ):
         report.checks.extend(check(inv).checks)
-    return report.sort()
+    return report

@@ -57,10 +57,9 @@ def corrupted(monkeypatch, apery=APERY, h=None):
 
 def test_changed_numerator_coefficient_fails_fel_main_eq_final_and_one_minus_q(monkeypatch):
     inv = corrupted(monkeypatch, h=bumped_numerator(H))
-    main = statuses(verify_fel_main(inv))
-    assert main["FEL_MAIN"] == {"fail"}
-    assert main["EQ_FINAL"] == {"fail"}
+    assert statuses(verify_fel_main(inv))["FEL_MAIN"] == {"fail"}
     lemmas = statuses(verify_series_lemmas(inv))
+    assert lemmas["EQ_FINAL"] == {"fail"}
     assert lemmas["LEMMA_ONE_MINUS_Q"] == {"fail"}
     assert lemmas["LEMMA_SERIES_PHI"] == {"pass"}
 
@@ -74,6 +73,24 @@ def test_changed_numerator_fails_inside_verify_semigroup(monkeypatch):
         assert "fail" in found[identity]
     fails = [c for c in report.checks if c.identity == "FEL_MAIN" and c.status == "fail"]
     assert fails[0].lhs != fails[0].rhs
+
+
+def eq_final_and_one_minus_q(report, m):
+    """(lhs, rhs) of each EQ_FINAL record, and of entry m + p of LEMMA_ONE_MINUS_Q."""
+    (lemma,) = [c for c in report.checks if c.identity == "LEMMA_ONE_MINUS_Q"]
+    lhs, rhs = lemma.lhs.split(" "), lemma.rhs.split(" ")
+    finals = [c for c in report.checks if c.identity == "EQ_FINAL"]
+    entries = [(lhs[m + c.parameter], rhs[m + c.parameter]) for c in finals]
+    return [(c.lhs, c.rhs) for c in finals], entries
+
+
+def test_changed_numerator_eq_final_is_still_read_off_one_minus_q(monkeypatch):
+    monkeypatch.setattr(verify, "hilbert_numerator", lambda S, apery: bumped_numerator(H))
+    report = verify_semigroup(S, p_max=6)
+    finals, entries = eq_final_and_one_minus_q(report, S.m)
+    assert statuses(report)["EQ_FINAL"] == {"fail"}
+    assert len(finals) == 7
+    assert finals == entries
 
 
 def with_apery_sums(inv, apery):
@@ -155,5 +172,9 @@ def test_failing_signflip_records_keep_their_text(monkeypatch):
     # FEL1_SIGNFLIP records were still built by hand, before _ratio_record
     monkeypatch.setattr(verify, "_umbral_factor", bumped_umbral_factor)
     report = verify.verify_companions(samples=5, seed=0)
-    text = "\n".join("\t".join((c.lhs, c.rhs, c.status, c.note)) for c in report.checks)
+    # the digest lists the records in the order of the draws, zig-zag first
+    zig = [c for c in report.checks if c.identity == "FEL2_ZIGZAG"]
+    flip = [c for c in report.checks if c.identity == "FEL1_SIGNFLIP"]
+    assert report.checks == flip + zig
+    text = "\n".join("\t".join((c.lhs, c.rhs, c.status, c.note)) for c in zig + flip)
     assert hashlib.sha256(text.encode()).hexdigest() == SIGNFLIP_FAILING_DIGEST

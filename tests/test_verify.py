@@ -4,14 +4,14 @@ from itertools import combinations_with_replacement
 
 import pytest
 
-from felcheck import semigroup, verify
+from felcheck import cli, semigroup, verify
 from felcheck.hilbert import hilbert_numerator, k_invariant, k_values
 from felcheck.semigroup import apery_set, make_semigroup
 from felcheck.universal import _binomial_row, _egf_mul, _umbral_factor
 from felcheck.verify import (
+    IDENTITIES,
     ORDER_MAX,
     OrderTooLarge,
-    VerificationReport,
     _randint,
     _umbral_coefficient,
     effective_order,
@@ -27,12 +27,25 @@ from felcheck.verify import (
 )
 
 from oracles import companions_reference
+from test_failure_paths import eq_final_and_one_minus_q
 
 F = Fraction
 
 
 def _by_identity(report, identity):
     return [c for c in report.checks if c.identity == identity]
+
+
+# one semigroup for each m = 1..6
+GENERATORS_M1_TO_M6 = [(1,), (3, 5), (4, 5, 6), (5, 6, 8, 9), (6, 7, 8, 9, 11), (7, 8, 9, 10, 11, 13)]
+
+
+def _report_keys(report):
+    """(rank in IDENTITIES, parameter) of each record, a missing parameter as -1."""
+    rank = list(IDENTITIES)
+    return [
+        (rank.index(c.identity), -1 if c.parameter is None else c.parameter) for c in report.checks
+    ]
 
 
 class TestFelMain:
@@ -52,7 +65,7 @@ class TestFelMain:
         assert verify_fel_main(invariants(make_semigroup([5, 6, 8, 9]), 4)).passed
 
     def test_includes_unnormalized_form(self):
-        report = verify_fel_main(invariants(make_semigroup([3, 5]), 2))
+        report = verify_series_lemmas(invariants(make_semigroup([3, 5]), 2))
         finals = _by_identity(report, "EQ_FINAL")
         assert [c.parameter for c in finals] == [0, 1, 2]
         assert all(c.status == "pass" for c in finals)
@@ -132,7 +145,8 @@ class TestSeriesLemmas:
     def test_worked_examples(self, gens, order):
         report = verify_series_lemmas(invariants(make_semigroup(gens), 0, order))
         assert report.passed
-        assert len(report.checks) == 5
+        # the five lemmas, then EQ_FINAL at p = 0
+        assert len(report.checks) == 5 + 1
 
     def test_order_below_m_rejected(self):
         with pytest.raises(ValueError, match="order"):
@@ -237,8 +251,11 @@ class TestCompanions:
         "samples, seed", [(s, seed) for seed in range(10) for s in (1, 3, 20)] + [(200, 11)]
     )
     def test_records_match_the_fraction_route(self, samples, seed):
-        new = verify_companions(samples, seed).sort().checks
-        assert new == companions_reference(samples, seed).sort().checks
+        # the reference makes the zig-zag records first; the report puts them last
+        ref = companions_reference(samples, seed).checks
+        flip = [c for c in ref if c.identity == "FEL1_SIGNFLIP"]
+        zig = [c for c in ref if c.identity == "FEL2_ZIGZAG"]
+        assert verify_companions(samples, seed).checks == flip + zig
 
 
 class TestDraws:
@@ -281,12 +298,36 @@ class TestUmbralCoefficient:
 
 
 class TestAssembledReport:
-    def test_sorted_deterministically(self):
-        S = make_semigroup([3, 5])
-        report = verify_semigroup(S, p_max=3)
-        keys = [(c.identity, c.parameter) for c in report.checks]
-        resorted = VerificationReport(S.generators, list(report.checks)).sort()
-        assert [(c.identity, c.parameter) for c in resorted.checks] == keys
+    def test_records_come_in_report_order(self):
+        for gens in GENERATORS_M1_TO_M6:
+            S = make_semigroup(gens)
+            for p_max in range(9):
+                # the default order, an explicit one above it, and 0, which is raised
+                for order in (None, S.m + p_max + 3, 0):
+                    keys = _report_keys(verify_semigroup(S, p_max, order))
+                    assert keys == sorted(keys), (gens, p_max, order)
+
+    def test_companion_records_come_in_report_order(self):
+        # the companion report as the verify command emits it
+        parser = cli.build_parser()
+        for seed in range(6):
+            for samples in (1, 4):
+                argv = ["verify", "1", "--samples", str(samples), "--seed", str(seed)]
+                doc, _ = cli.cmd_verify(parser.parse_args(argv))
+                companions = doc["reports"][-1]
+                assert companions.generators is None
+                keys = _report_keys(companions)
+                assert keys == sorted(keys), (seed, samples)
+                assert keys[0][0] < keys[-1][0]
+
+    def test_eq_final_is_entry_m_plus_p_of_one_minus_q(self):
+        for gens in GENERATORS_M1_TO_M6:
+            S = make_semigroup(gens)
+            for p_max in (0, 3, 8):
+                report = verify_semigroup(S, p_max)
+                finals, entries = eq_final_and_one_minus_q(report, S.m)
+                assert len(finals) == p_max + 1
+                assert finals == entries, (gens, p_max)
 
     def test_order_auto_raise(self):
         S = make_semigroup([5, 6, 8, 9])
