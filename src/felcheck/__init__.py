@@ -44,6 +44,7 @@ from .universal import (
 )
 from .verify import (
     CheckRecord,
+    DigitLimitExceeded,
     Invariants,
     OrderTooLarge,
     VerificationReport,
@@ -64,6 +65,7 @@ __all__ = [
     "AperyTooLarge",
     "BoundExceeded",
     "CheckRecord",
+    "DigitLimitExceeded",
     "EmptyGenerators",
     "GapData",
     "GcdNotOne",

@@ -1,7 +1,7 @@
 """Command-line front end with deterministic table, JSON, and TSV output.
 
 Exit codes: 0 success, 1 verification failure, 2 input/validation error or
-an output file that cannot be written.
+output that cannot be written (an output file, or a closed stdout pipe).
 Rational values are always rendered exactly ("num/den", integers without the
 "/1"); identical arguments produce byte-identical output.
 """
@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 from contextlib import contextmanager
@@ -503,15 +504,18 @@ def main(argv=None) -> int:
             print(f"{type(err).__name__}: {err}", file=sys.stderr)
             return 2
         text = RENDERERS[args.format](doc)
-        if args.out:
-            try:
+        try:
+            if args.out:
                 with open(args.out, "w") as fh:
                     fh.write(text + "\n")
-            except OSError as err:
-                print(f"OSError: {err}", file=sys.stderr)
-                return 2
-        else:
-            print(text)
+            else:
+                print(text, flush=True)
+        except OSError as err:
+            if not args.out:
+                # what stdout still buffers would fail again at exit: send it nowhere
+                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            print(f"OSError: {err}", file=sys.stderr)
+            return 2
         return code
 
 

@@ -1,8 +1,8 @@
 """Exact verification of the gap/syzygy identities over whole semigroups.
 
 Every check compares two exact values and passes only on literal equality;
-there is no tolerance anywhere. Randomized sweeps take an explicit seed that
-is recorded in the report, so every run is reproducible.
+there is no tolerance anywhere. Randomized sweeps take an explicit seed, which
+the verify command prints with its output, so every run is reproducible.
 
 The per-semigroup identities are checked on integers. In exponential
 generating function (EGF) form, where a sequence v stands for the series
@@ -27,10 +27,11 @@ N = max(order, m + 3) + 1 the bundle holds
 - EG, the EGF product of E and G.
 
 verify_semigroup builds the bundle once and passes it to each check, which
-takes nothing else: verify_fel_main(inv), verify_thm_kp(inv), and so on. No
-check builds or scans the gap list: every cost grows with a and the order,
-not with the genus. Each check makes its records in report order (that of
-IDENTITIES, parameters ascending), and a report concatenates them.
+takes nothing else and returns a list of CheckRecords: verify_fel_main(inv),
+verify_thm_kp(inv), and so on. No check builds or scans the gap list: every
+cost grows with a and the order, not with the genus. Each check makes its
+records in report order (that of IDENTITIES, parameters ascending), and
+verify_semigroup concatenates them into the one report of the semigroup.
 
 With n = m + p, Fel's bracket is p! (D[n+1] + (n+1) L EG[n]) / ((n+1)! pi L),
 so FEL_MAIN holds iff (n+1) L c[n] = (-1)^m (D[n+1] + (n+1) L EG[n]). The
@@ -125,9 +126,9 @@ PASS, FAIL, SKIP = "pass", "fail", "skip"
 
 # Largest series order invariants() builds; the O(N^2) big-integer
 # convolutions D and EG and the surjection-number sums of E dominate. At
-# N = 500 on a 2-core VM (medians of 3), `felcheck verify 3 5 --order N`
-# takes 0.7 s, 20 29 37 41 53 59 take 1.8 s, 211 223 227 take 3.6 s and
-# 1009 1013 1019 take 35 s: the limit bounds the order, not the cost.
+# N = 500 on a 2-core VM (medians of 3, two passes), `felcheck verify 3 5
+# --order N` takes 0.9-1.4 s, 20 29 37 41 53 59 take 1.7-2.3 s, 211 223 227
+# 3.0-4.8 s and 1009 1013 1019 6.4-7.2 s: the limit bounds the order, not the cost.
 ORDER_MAX = 500
 
 
@@ -159,16 +160,29 @@ class VerificationReport:
     checks: list[CheckRecord] = field(default_factory=list)
     warnings: list[str] = field(default_factory=list)
     order: int | None = None
-    seed: int | None = None
 
     @property
     def passed(self) -> bool:
         return all(c.status != FAIL for c in self.checks)
 
 
+class DigitLimitExceeded(ValueError):
+    """A record's value has more digits than CPython's int/str conversion limit."""
+
+    def __init__(self, err: ValueError):
+        super().__init__(f"{err}; sys.set_int_max_str_digits(0) lifts it, as the felcheck CLI does")
+
+
+def _skip(identity, note) -> list[CheckRecord]:
+    return [CheckRecord(identity, None, "", "", SKIP, note)]
+
+
 def _record(identity, parameter, lhs, rhs, note="") -> CheckRecord:
     status = PASS if lhs == rhs else FAIL
-    return CheckRecord(identity, parameter, str(lhs), str(rhs), status, note)
+    try:
+        return CheckRecord(identity, parameter, str(lhs), str(rhs), status, note)
+    except ValueError as err:
+        raise DigitLimitExceeded(err) from err
 
 
 def _fraction_str(v: int, d: int) -> str:
@@ -177,11 +191,10 @@ def _fraction_str(v: int, d: int) -> str:
     g = gcd(v, d) if d > 0 else -gcd(v, d)
     v //= g
     d //= g
-    return f"{v}/{d}" if d != 1 else str(v)
-
-
-def _render(values, dens) -> str:
-    return " ".join(map(_fraction_str, values, dens))
+    try:
+        return f"{v}/{d}" if d != 1 else str(v)
+    except ValueError as err:
+        raise DigitLimitExceeded(err) from err
 
 
 def _value_record(identity, parameter, lhs, rhs, den, note="") -> CheckRecord:
@@ -194,15 +207,12 @@ def _value_record(identity, parameter, lhs, rhs, den, note="") -> CheckRecord:
 
 
 def _ratio_record(identity, parameter, lhs, rhs, dens, note="") -> CheckRecord:
-    """Record for two sides whose entries are lhs[n]/dens[n] and rhs[n]/dens[n].
-
-    The sides are equal iff the integer lists are, and then one rendering
-    serves both.
-    """
-    text = _render(lhs, dens)
+    """Record for the sides with entries lhs[n]/dens[n] and rhs[n]/dens[n]:
+    they are equal iff the integer lists are, and then one rendering serves both."""
+    text = " ".join(map(_fraction_str, lhs, dens))
     if list(lhs) == list(rhs):
         return CheckRecord(identity, parameter, text, text, PASS, note)
-    return CheckRecord(identity, parameter, text, _render(rhs, dens), FAIL, note)
+    return CheckRecord(identity, parameter, text, " ".join(map(_fraction_str, rhs, dens)), FAIL, note)
 
 
 @dataclass(frozen=True)
@@ -267,8 +277,8 @@ def invariants(
     )
 
 
-def verify_fel_main(inv: Invariants) -> VerificationReport:
-    """Check the main identity for 0 <= p <= p_max.
+def verify_fel_main(inv: Invariants) -> list[CheckRecord]:
+    """The FEL_MAIN records, one for each 0 <= p <= p_max.
 
     The left side is the normalized alternating syzygy sum c[m + p] from
     the Hilbert numerator. The right side is Fel's bracket in EGF form, read
@@ -276,45 +286,35 @@ def verify_fel_main(inv: Invariants) -> VerificationReport:
     sigma_k and delta_k as the paper states the formula, which only the
     tests check (test_fel_formula_as_stated). Each record compares
     (n+1) L c[n] against (-1)^m (D[n+1] + (n+1) L EG[n]) with n = m + p,
-    over (n+1) L k_denominator(S, p), so that it prints K_p. Only FEL_MAIN
-    records are made here; the un-normalized form, EQ_FINAL, compares the
-    same integers and comes from verify_series_lemmas.
+    over (n+1) L k_denominator(S, p), so that it prints K_p. The
+    un-normalized form, EQ_FINAL, compares the same integers and comes from
+    verify_series_lemmas.
     """
     S, L = inv.S, inv.L
     sign = (-1) ** S.m
-    report = VerificationReport(S.generators)
+    records = []
     for p in range(inv.p_max + 1):
         n = S.m + p
         lhs = (n + 1) * L * inv.c[n]
         rhs = sign * (inv.D[n + 1] + (n + 1) * L * inv.EG[n])
-        fel_den = (n + 1) * L * k_denominator(S, p)
-        report.checks.append(_value_record("FEL_MAIN", p, lhs, rhs, fel_den))
-    return report
+        records.append(_value_record("FEL_MAIN", p, lhs, rhs, (n + 1) * L * k_denominator(S, p)))
+    return records
 
 
-def verify_thm_kp(inv: Invariants) -> VerificationReport:
-    """Check the three structural clauses of the low-index alternating sums.
-
-    Applies to two or more generators; for a single generator the statement
-    is vacuous and a skip record is emitted instead.
-    """
+def verify_thm_kp(inv: Invariants) -> list[CheckRecord]:
+    """The THM_KP records, one for each C_r with r < m: the three structural
+    clauses of the low-index alternating sums. For a single generator the
+    statement is vacuous, and one skip record is returned instead."""
     S = inv.S
-    report = VerificationReport(S.generators)
     if S.m == 1:
-        report.checks.append(
-            CheckRecord(
-                "THM_KP", None, "", "", SKIP, "statement applies to m >= 2 only"
-            )
-        )
-        return report
+        return _skip("THM_KP", "statement applies to m >= 2 only")
     expected = [1] + [0] * (S.m - 2) + [(-1) ** S.m * factorial(S.m - 1) * S.pi]
-    for r, value in enumerate(expected):
-        report.checks.append(_value_record("THM_KP", r, inv.c[r], value, 1))
-    return report
+    return [_value_record("THM_KP", r, inv.c[r], value, 1) for r, value in enumerate(expected)]
 
 
-def verify_low_order(inv: Invariants) -> VerificationReport:
-    """Check the four low-order closed forms for the normalized invariants.
+def verify_low_order(inv: Invariants) -> list[CheckRecord]:
+    """The LOW_ORDER_K records: the four low-order closed forms for the
+    normalized invariants K_0 .. K_3.
 
     Each row is Fel's formula at p, whose G_r term is C(p, r) T_{p-r}(sigma)
     G_r: in the p = 3 row the coefficient of G_1 is C(3, 1) T_2
@@ -337,34 +337,27 @@ def verify_low_order(inv: Invariants) -> VerificationReport:
         + Fraction(s1 * (s1**2 + s2), 8) * G[0]
         + (15 * d1**4 + 30 * d1**2 * d2 + 5 * d2**2 - 2 * d4) / 60,
     ]
-    report = VerificationReport(inv.S.generators)
-    for p, (k, rhs) in enumerate(zip(k_values(inv.S, inv.c, 3), closed)):
-        report.checks.append(_record("LOW_ORDER_K", p, k, rhs))
-    return report
+    return [
+        _record("LOW_ORDER_K", p, k, rhs)
+        for p, (k, rhs) in enumerate(zip(k_values(inv.S, inv.c, 3), closed))
+    ]
 
 
-def verify_m2_closed_form(inv: Invariants) -> VerificationReport:
-    """For two coprime generators: the numerator is 1 - z^{d1*d2} and
-    the invariants are (d1*d2)^{p+1} / ((p+1)(p+2))."""
+def verify_m2_closed_form(inv: Invariants) -> list[CheckRecord]:
+    """The M2_CLOSED_FORM records. For two coprime generators the numerator
+    is 1 - z^{d1*d2} and the invariants are (d1*d2)^{p+1} / ((p+1)(p+2));
+    for any other m one skip record is returned."""
     S = inv.S
-    report = VerificationReport(S.generators)
     if S.m != 2:
-        report.checks.append(
-            CheckRecord(
-                "M2_CLOSED_FORM", None, "", "", SKIP, f"m = {S.m}; statement is for m = 2"
-            )
-        )
-        return report
+        return _skip("M2_CLOSED_FORM", f"m = {S.m}; statement is for m = 2")
     expected = IntPolynomial.one_minus_pow(S.pi)
-    report.checks.append(
-        _record("M2_CLOSED_FORM", None, inv.h.numerator, expected, "numerator form")
-    )
+    records = [_record("M2_CLOSED_FORM", None, inv.h.numerator, expected, "numerator form")]
     for p in range(inv.p_max + 1):
         # K_p = c[p+2] / (pi (p+1)(p+2)) against pi^{p+2} over the same denominator
-        report.checks.append(
+        records.append(
             _value_record("M2_CLOSED_FORM", p, inv.c[p + 2], S.pi ** (p + 2), k_denominator(S, p))
         )
-    return report
+    return records
 
 
 def _quotient_power_sums(P: IntPolynomial, order: int) -> list[int]:
@@ -376,10 +369,7 @@ def _quotient_power_sums(P: IntPolynomial, order: int) -> list[int]:
     coefficients i! S(n, i). The binomials run down each term of P, so the
     cost is O(terms of P * order), whatever the degree of P.
     """
-    exps, cur = [], []
-    for j, coeff in P.items():
-        exps.append(j)
-        cur.append(coeff)
+    exps, cur = zip(*P.items())
     a = []
     for k in range(1, order + 2):
         # P_j C(j, k) from P_j C(j, k - 1), exactly
@@ -414,21 +404,20 @@ def _gap_power_sums_by_classes(W, order: int) -> tuple[list[int], int]:
     return [v * M // d for v, d in zip(nums, dens)], M
 
 
-def verify_series_lemmas(inv: Invariants) -> VerificationReport:
-    """Check the five series identities coefficient-by-coefficient to the
-    order, then EQ_FINAL for each p <= p_max.
+def verify_series_lemmas(inv: Invariants) -> list[CheckRecord]:
+    """The records of the five series identities, each compared
+    coefficient-by-coefficient to the order, then EQ_FINAL for each p <= p_max.
 
     Each side is an integer EGF sequence, compared entry by entry over the
     denominator n! (or (n+1)! L); see the module docstring. EQ_FINAL at p is
     entry n = m + p of LEMMA_ONE_MINUS_Q, read from that lemma's lists.
     """
-    order, L, h = inv.order, inv.L, inv.h
-    sign = (-1) ** inv.S.m
+    order, L, h, m = inv.order, inv.L, inv.h, inv.S.m
+    sign = (-1) ** m
     ns = range(order + 1)
     c = inv.c[: order + 1]
     facts = [factorial(n) for n in ns]
     scaled = [factorial(n + 1) * L for n in ns]
-    report = VerificationReport(inv.S.generators, order=order)
 
     # M Phi, with M = 1 unless some Phi_n is not an integer; then the
     # records of C and Phi compare every side times M
@@ -439,28 +428,26 @@ def verify_series_lemmas(inv: Invariants) -> VerificationReport:
     one_minus_q = [M * ((n == 0) - p_div[n]) + phi_p[n] for n in ns]
     m_facts = [M * f for f in facts]
     m_c = [M * v for v in c]
-    report.checks.append(_ratio_record("LEMMA_SERIES_C", order, one_minus_q, m_c, m_facts))
-
     m_G = [M * g for g in inv.G[: order + 1]]
     note = "" if M == 1 else "Phi from the Apéry set is not an integer"
-    report.checks.append(_ratio_record("LEMMA_SERIES_PHI", order, phi, m_G, m_facts, note))
-
     rhs_p = [sign * e for e in inv.E[: order + 1]]
-    report.checks.append(_ratio_record("LEMMA_SERIES_P", order, p_sums, rhs_p, facts))
-
     lhs_pdiv = [(n + 1) * L * v for n, v in zip(ns, p_div)]
     rhs_pdiv = [-sign * inv.D[n + 1] for n in ns]
-    report.checks.append(_ratio_record("LEMMA_SERIES_PDIV", order, lhs_pdiv, rhs_pdiv, scaled))
-
     lhs_q = [(n + 1) * L * v for n, v in zip(ns, c)]
     assembled = [
         (n == 0) * L + sign * ((n + 1) * L * inv.EG[n] + inv.D[n + 1]) for n in ns
     ]
-    report.checks.append(_ratio_record("LEMMA_ONE_MINUS_Q", order, lhs_q, assembled, scaled))
-    for p in range(inv.p_max + 1):
-        n = inv.S.m + p
-        report.checks.append(_value_record("EQ_FINAL", p, lhs_q[n], assembled[n], scaled[n]))
-    return report
+    return [
+        _ratio_record("LEMMA_SERIES_C", order, one_minus_q, m_c, m_facts),
+        _ratio_record("LEMMA_SERIES_PHI", order, phi, m_G, m_facts, note),
+        _ratio_record("LEMMA_SERIES_P", order, p_sums, rhs_p, facts),
+        _ratio_record("LEMMA_SERIES_PDIV", order, lhs_pdiv, rhs_pdiv, scaled),
+        _ratio_record("LEMMA_ONE_MINUS_Q", order, lhs_q, assembled, scaled),
+        *(
+            _value_record("EQ_FINAL", p, lhs_q[m + p], assembled[m + p], scaled[m + p])
+            for p in range(inv.p_max + 1)
+        ),
+    ]
 
 
 def _randint(rng, lo: int, hi: int) -> int:
@@ -662,7 +649,7 @@ def verify_companions(samples: int = 20, seed: int = 0) -> VerificationReport:
                 )
             wide = (kept + flipped) * scale
             flip.append(_value_record("FEL1_SIGNFLIP", n, umbral * den, wide, scale * den, note))
-    return VerificationReport(None, flip + zig, seed=seed)
+    return VerificationReport(None, flip + zig)
 
 
 def random_semigroup(rng, m_max: int, d_max: int) -> SemigroupSpec:
@@ -707,15 +694,11 @@ def verify_semigroup(
     order below m + p_max is raised to it, with a warning."""
     order, warning = effective_order(S.m, p_max, order)
     inv = invariants(S, p_max, order, bound)
-    report = VerificationReport(S.generators, order=order)
-    if warning:
-        report.warnings.append(warning)
-    for check in (
-        verify_fel_main,
-        verify_thm_kp,
-        verify_low_order,
-        verify_m2_closed_form,
-        verify_series_lemmas,
-    ):
-        report.checks.extend(check(inv).checks)
-    return report
+    checks = [
+        *verify_fel_main(inv),
+        *verify_thm_kp(inv),
+        *verify_low_order(inv),
+        *verify_m2_closed_form(inv),
+        *verify_series_lemmas(inv),
+    ]
+    return VerificationReport(S.generators, checks, [warning] if warning else [], order)

@@ -333,7 +333,7 @@ def companions_reference(samples, seed):
     rebuilt per sample, the sign-flip readings by evaluate_symbolic and the
     umbral side by umbral_power_multinomial. Same rng calls, same records."""
     rng = random.Random(seed)
-    report = VerificationReport(None, seed=seed)
+    report = VerificationReport(None)
     tangent = [zigzag(2 * j + 1) for j in range(ZIGZAG_N + 1)]
 
     for n in range(1, ZIGZAG_N + 1):

@@ -1,10 +1,13 @@
 import hashlib
 import json
+import os
+import subprocess
 import sys
 import time
 from dataclasses import replace
 from fractions import Fraction as F
 from math import factorial
+from pathlib import Path
 
 import pytest
 
@@ -500,6 +503,21 @@ class TestVerify:
         argv = ("4", "5", "6", "--bound", "4", "--samples", "1")
         assert run_cli(capsys, "verify", *argv)[0] == 0
 
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no digit limit")
+    def test_verify_past_the_digit_limit_passes(self, capsys):
+        # the library raises DigitLimitExceeded here (tests/test_verify.py);
+        # the CLI lifts the limit for its run and restores the caller's
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4321)
+        try:
+            argv = ("verify", "2", str(10**700 + 1), "--p-max", "4", "--samples", "1")
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, err) == (0, "")
+            assert out.endswith("overall: pass\n")
+            assert sys.get_int_max_str_digits() == 4321
+        finally:
+            sys.set_int_max_str_digits(limit)
+
     def test_order_warning(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "5", "6", "8", "9", "--order", "5", "--samples", "1")
         assert code == 0
@@ -543,7 +561,7 @@ class TestVerify:
         drawn = iter(unusual_reports())
         monkeypatch.setattr(cli, "verify_semigroup", lambda S, *args: next(drawn))
         monkeypatch.setattr(
-            cli, "verify_companions", lambda samples, seed: VerificationReport(None, [PASSED], [], seed=seed)
+            cli, "verify_companions", lambda samples, seed: VerificationReport(None, [PASSED], [])
         )
         argv = ("verify", "--random", "--count", "3", "--samples", "2", "--seed", "4", "--format", fmt)
         code, out, err = run_cli(capsys, *argv)
@@ -667,6 +685,24 @@ class TestOutput:
         assert out == ""
         assert err.startswith("OSError: ") and "missing" in err
         assert not target.parent.exists()
+
+    def test_closed_stdout_pipe(self):
+        # tn 40 prints 868 kB, more than a pipe buffer holds; the reader
+        # closes the pipe after 100 bytes, and the write fails as an
+        # unwritable --out does: exit 2, one line on stderr, no traceback
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        cmd = [sys.executable, "-m", "felcheck", "tn", "40"]
+        proc = subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        head = proc.stdout.read(100)
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 2
+        assert head.startswith(b"T_0 = 1\nT_1 = s1/2\n")
+        assert err.startswith("OSError: ") and err.count("\n") == 1, err
+        assert "Traceback" not in err and "Exception ignored" not in err
 
 
 class TestRejectedArguments:

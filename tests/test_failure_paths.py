@@ -32,9 +32,9 @@ ORDER = S.m + 8
 SIGNFLIP_FAILING_DIGEST = "d436e0af0167ee4fd2deb29217ad87315dfaf410fb498f03ba02cc78c5c39411"
 
 
-def statuses(report):
+def statuses(records):
     out = {}
-    for check in report.checks:
+    for check in records:
         out.setdefault(check.identity, set()).add(check.status)
     return out
 
@@ -67,7 +67,7 @@ def test_changed_numerator_coefficient_fails_fel_main_eq_final_and_one_minus_q(m
 def test_changed_numerator_fails_inside_verify_semigroup(monkeypatch):
     monkeypatch.setattr(verify, "hilbert_numerator", lambda S, apery: bumped_numerator(H))
     report = verify_semigroup(S, p_max=6)
-    found = statuses(report)
+    found = statuses(report.checks)
     assert not report.passed
     for identity in ("FEL_MAIN", "EQ_FINAL", "LEMMA_ONE_MINUS_Q"):
         assert "fail" in found[identity]
@@ -88,7 +88,7 @@ def test_changed_numerator_eq_final_is_still_read_off_one_minus_q(monkeypatch):
     monkeypatch.setattr(verify, "hilbert_numerator", lambda S, apery: bumped_numerator(H))
     report = verify_semigroup(S, p_max=6)
     finals, entries = eq_final_and_one_minus_q(report, S.m)
-    assert statuses(report)["EQ_FINAL"] == {"fail"}
+    assert statuses(report.checks)["EQ_FINAL"] == {"fail"}
     assert len(finals) == 7
     assert finals == entries
 
@@ -113,11 +113,11 @@ def test_apery_entry_off_its_class_fails_series_phi_without_an_exception():
     # 7 is not 1 mod 5, so the sums per residue class leave a remainder; the
     # records then compare every side times one integer and fail
     inv = with_apery_sums(invariants(S, 6, ORDER), APERY[:1] + (7,) + APERY[2:])
-    report = verify_series_lemmas(inv)
-    phi = [c for c in report.checks if c.identity == "LEMMA_SERIES_PHI"]
+    records = verify_series_lemmas(inv)
+    phi = [c for c in records if c.identity == "LEMMA_SERIES_PHI"]
     assert [(c.status, c.note) for c in phi] == [("fail", "Phi from the Apéry set is not an integer")]
     assert phi[0].rhs == " ".join(str(Fraction(g, factorial(n))) for n, g in enumerate(inv.G[: ORDER + 1]))
-    lemmas = statuses(report)
+    lemmas = statuses(records)
     assert lemmas["LEMMA_SERIES_C"] == {"fail"}
     assert lemmas["LEMMA_SERIES_P"] == lemmas["LEMMA_ONE_MINUS_Q"] == {"pass"}
 
@@ -149,7 +149,7 @@ def test_changed_surjection_number_fails_series_p(monkeypatch):
 
 def test_changed_tangent_numbers_fail_every_zigzag_record(monkeypatch):
     monkeypatch.setattr(verify, "zigzag", lambda j: universal.zigzag(j) + 1)
-    found = statuses(verify.verify_companions(samples=5, seed=0))
+    found = statuses(verify.verify_companions(samples=5, seed=0).checks)
     assert found["FEL2_ZIGZAG"] == {"fail"}
     assert found["FEL1_SIGNFLIP"] == {"pass"}
 
@@ -162,7 +162,7 @@ def bumped_umbral_factor(d, n_max):
 
 def test_changed_umbral_factor_fails_every_signflip_record(monkeypatch):
     monkeypatch.setattr(verify, "_umbral_factor", bumped_umbral_factor)
-    found = statuses(verify.verify_companions(samples=5, seed=0))
+    found = statuses(verify.verify_companions(samples=5, seed=0).checks)
     assert found["FEL1_SIGNFLIP"] == {"fail"}
     assert found["FEL2_ZIGZAG"] == {"pass"}
 
