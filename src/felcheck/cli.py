@@ -1,7 +1,10 @@
 """Command-line front end with deterministic table, JSON, and TSV output.
 
-Exit codes: 0 success, 1 verification failure, 2 input/validation error or
-output that cannot be written (an output file, or a closed stdout pipe).
+Each subcommand's handler, COMMANDS[name], returns a dict of only its own
+fields; main makes the document by putting "schema" and "command" before
+them. Exit codes: 1 when the document says "passed": false (a
+verification failure), 2 for an input/validation error or output that
+cannot be written (an output file, or a closed stdout pipe), 0 otherwise.
 Rational values are always rendered exactly ("num/den", integers without the
 "/1"); identical arguments produce byte-identical output.
 """
@@ -159,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def cmd_invariants(args) -> tuple[dict, int]:
+def cmd_invariants(args) -> dict:
     if args.p_max < 0:
         raise ValueError("p_max must be nonnegative")
     # G_0 .. G_p_max is a series to order p_max: the same limit as verify
@@ -169,9 +172,7 @@ def cmd_invariants(args) -> tuple[dict, int]:
     gaps = compute_gaps(S, args.bound)
     stats = generator_stats(S, args.p_max + 1)
     G = gap_power_sums(power_sums(gaps.apery, args.p_max + 1), args.p_max)
-    doc = {
-        "schema": SCHEMA_VERSION,
-        "command": "invariants",
+    return {
         "generators": list(S.generators),
         "m": S.m,
         "pi": str(S.pi),
@@ -182,10 +183,9 @@ def cmd_invariants(args) -> tuple[dict, int]:
         "sigma": [str(v) for v in stats.sigma],
         "delta": [str(v) for v in stats.delta],
     }
-    return doc, 0
 
 
-def cmd_hilbert(args) -> tuple[dict, int]:
+def cmd_hilbert(args) -> dict:
     S = make_semigroup(args.generators)
     if args.p_max < 0:
         raise ValueError("p_max must be nonnegative")
@@ -194,18 +194,15 @@ def cmd_hilbert(args) -> tuple[dict, int]:
         raise OrderTooLarge(S.m + args.p_max)
     h = hilbert_numerator(S, apery_set(S, args.bound))
     c = alternating_syzygy_sums(h, S.m + args.p_max)
-    doc = {
-        "schema": SCHEMA_VERSION,
-        "command": "hilbert",
+    return {
         "generators": list(S.generators),
         "Q": h.numerator.sparse_str(),
         "C": [str(v) for v in c],
         "K": [str(v) for v in k_values(S, c, args.p_max)],
     }
-    return doc, 0
 
 
-def cmd_tn(args) -> tuple[dict, int]:
+def cmd_tn(args) -> dict:
     if args.n_max < 0:
         raise ValueError("n_max must be nonnegative")
     at = None
@@ -221,18 +218,14 @@ def cmd_tn(args) -> tuple[dict, int]:
         values = [t_symbolic(n).pretty() for n in range(args.n_max + 1)]
     else:
         values = [str(v) for v in t_values(at, args.n_max)]
-    terms = [{"n": n, "T": value} for n, value in enumerate(values)]
-    doc = {
-        "schema": SCHEMA_VERSION,
-        "command": "tn",
+    return {
         "n_max": args.n_max,
         "at": [str(c) for c in at] if at is not None else None,
-        "terms": terms,
+        "terms": [{"n": n, "T": value} for n, value in enumerate(values)],
     }
-    return doc, 0
 
 
-def cmd_verify(args) -> tuple[dict, int]:
+def cmd_verify(args) -> dict:
     # read before --random fills in the defaults
     given = [name for name in RANDOM_DEFAULTS if getattr(args, name) is not None]
     if args.random:
@@ -263,10 +256,7 @@ def cmd_verify(args) -> tuple[dict, int]:
         semigroups.sort(key=lambda S: S.generators)
     reports = [verify_semigroup(S, args.p_max, args.order, args.bound) for S in semigroups]
     reports.append(companions)
-    passed = all(r.passed for r in reports)
-    doc = {
-        "schema": SCHEMA_VERSION,
-        "command": "verify",
+    return {
         "p_max": args.p_max,
         "seed": args.seed,
         "samples": args.samples,
@@ -276,12 +266,11 @@ def cmd_verify(args) -> tuple[dict, int]:
             else None
         ),
         "reports": reports,
-        "passed": passed,
+        "passed": all(r.passed for r in reports),
     }
-    return doc, 0 if passed else 1
 
 
-def cmd_examples(args) -> tuple[dict, int]:
+def cmd_examples(args) -> dict:
     entries = []
     mismatch = None
     for gens, gold_gaps, gold_q in GOLDEN_EXAMPLES:
@@ -305,15 +294,7 @@ def cmd_examples(args) -> tuple[dict, int]:
                 "passed": wrong is None,
             }
         )
-    passed = mismatch is None
-    doc = {
-        "schema": SCHEMA_VERSION,
-        "command": "examples",
-        "examples": entries,
-        "mismatch": mismatch,
-        "passed": passed,
-    }
-    return doc, 0 if passed else 1
+    return {"examples": entries, "mismatch": mismatch, "passed": mismatch is None}
 
 
 def render_json(doc: dict) -> str:
@@ -499,24 +480,24 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     with _any_digits():
         try:
-            doc, code = COMMANDS[args.command](args)
+            doc = {"schema": SCHEMA_VERSION, "command": args.command, **COMMANDS[args.command](args)}
         except ValueError as err:
             print(f"{type(err).__name__}: {err}", file=sys.stderr)
             return 2
         text = RENDERERS[args.format](doc)
         try:
-            if args.out:
-                with open(args.out, "w") as fh:
+            if args.out is not None:
+                with open(args.out, "w", encoding="utf-8") as fh:
                     fh.write(text + "\n")
             else:
                 print(text, flush=True)
         except OSError as err:
-            if not args.out:
+            if args.out is None:
                 # what stdout still buffers would fail again at exit: send it nowhere
                 os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
             print(f"OSError: {err}", file=sys.stderr)
             return 2
-        return code
+        return 1 if doc.get("passed") is False else 0
 
 
 if __name__ == "__main__":

@@ -4,7 +4,9 @@ Everything in this module is exact. Scalars are Python ints or
 ``fractions.Fraction`` (always in lowest terms with positive denominator),
 polynomials store only their nonzero terms as ascending (exponent,
 coefficient) pairs, and power series carry an explicit truncation order that
-is part of the value. power_sums is the one power-sum kernel of the library.
+is part of the value. power_sums is the one power-sum kernel of the
+semigroup pipeline; the companion checks in verify compute the power sums of
+their sample points inline, from running products.
 No floating point appears anywhere. Only the benchmark's probes
 (perfbench/spans.py) and the tests use IntPolynomial.at_exp and .exact_div
 and RationalSeries; no other module in the library calls them.
@@ -18,7 +20,8 @@ from heapq import heapify, heappop, heappush
 from math import factorial
 from operator import index, mul
 
-# Values per block in power_sums: a gap list of any length adds no memory peak.
+# Values per block in power_sums: a list of any length, such as an Apéry set,
+# adds no memory peak.
 _POWER_BLOCK = 512
 
 

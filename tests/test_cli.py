@@ -545,7 +545,7 @@ class TestVerify:
     )
     def test_json_renderer_writes_what_json_dumps_writes(self, argv):
         args = cli.build_parser().parse_args(list(argv))
-        doc, _ = cli.cmd_verify(args)
+        doc = {"schema": cli.SCHEMA_VERSION, "command": "verify", **cli.cmd_verify(args)}
         laid_out = dict(doc, reports=[report_dict(r) for r in doc["reports"]])
         assert cli.render_json(doc) == json.dumps(laid_out, indent=2)
 
@@ -667,6 +667,48 @@ class TestExamples:
             assert rows and all(row.endswith("\tFAIL") for row in rows)
 
 
+def _bump_verify_numerator(monkeypatch):
+    monkeypatch.setattr(verify, "hilbert_numerator", lambda S, apery: bumped_numerator(H))
+
+
+def _bump_examples_c5(monkeypatch):
+    monkeypatch.setattr(cli, "alternating_syzygy_sums", _bump_c5(cli.alternating_syzygy_sums))
+
+
+VERIFY_5689 = ("verify", "5", "6", "8", "9", "--p-max", "2", "--samples", "1")
+
+
+# One passing run of each subcommand, and the failing fixtures of verify and
+# examples: (argv, the tamper that makes the run fail or None).
+ENVELOPE_RUNS = [
+    (("invariants", "3", "5"), None),
+    (("hilbert", "4", "5", "6"), None),
+    (("tn", "3", "--at", "1/2,3"), None),
+    (VERIFY_5689, None),
+    (("examples",), None),
+    (VERIFY_5689, _bump_verify_numerator),
+    (("examples",), _bump_examples_c5),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, tamper",
+    ENVELOPE_RUNS,
+    ids=[" ".join(argv) + (f" {tamper.__name__}" if tamper else "") for argv, tamper in ENVELOPE_RUNS],
+)
+def test_main_adds_the_envelope_and_exits_1_exactly_when_not_passed(
+    capsys, monkeypatch, argv, tamper
+):
+    if tamper is not None:
+        tamper(monkeypatch)
+    code, out, err = run_cli(capsys, *argv, "--format", "json")
+    doc = json.loads(out)
+    assert list(doc.items())[:2] == [("schema", 1), ("command", argv[0])]
+    assert err == ""
+    assert code == (1 if doc.get("passed") is False else 0)
+    assert code == (tamper is not None)
+
+
 class TestOutput:
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "report.json"
@@ -675,7 +717,7 @@ class TestOutput:
         )
         assert code == 0
         assert out == ""
-        doc = json.loads(target.read_text())
+        doc = json.loads(target.read_text(encoding="utf-8"))
         assert doc["gaps"] == [1, 2, 4, 7]
 
     def test_unwritable_out_path(self, capsys, tmp_path):
@@ -685,6 +727,12 @@ class TestOutput:
         assert out == ""
         assert err.startswith("OSError: ") and "missing" in err
         assert not target.parent.exists()
+
+    def test_empty_out_path(self, capsys):
+        # an empty path fails to open like any other, and does not mean stdout
+        code, out, err = run_cli(capsys, "tn", "2", "--out", "")
+        assert (code, out) == (2, "")
+        assert err.startswith("OSError: ") and err.count("\n") == 1
 
     def test_closed_stdout_pipe(self):
         # tn 40 prints 868 kB, more than a pipe buffer holds; the reader
@@ -706,6 +754,22 @@ class TestOutput:
 
 
 class TestRejectedArguments:
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no digit limit")
+    def test_generator_past_the_digit_limit_is_refused(self, capsys):
+        # argv is parsed under the caller's int/str limit, before main lifts
+        # it for the run: the only bound on a generator's length
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            with pytest.raises(SystemExit) as exit_:
+                cli.main(["verify", "2", "1" * 4400, "--p-max", "1", "--samples", "1"])
+            assert exit_.value.code == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert "invalid int value" in err
+        finally:
+            sys.set_int_max_str_digits(limit)
+
     def test_zero_denominator_in_at(self, capsys):
         code, out, err = run_cli(capsys, "tn", "3", "--at", "1/0")
         assert code == 2

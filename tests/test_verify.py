@@ -319,7 +319,7 @@ class TestAssembledReport:
         for seed in range(6):
             for samples in (1, 4):
                 argv = ["verify", "1", "--samples", str(samples), "--seed", str(seed)]
-                doc, _ = cli.cmd_verify(parser.parse_args(argv))
+                doc = cli.cmd_verify(parser.parse_args(argv))
                 companions = doc["reports"][-1]
                 assert companions.generators is None
                 keys = _report_keys(companions)
