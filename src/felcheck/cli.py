@@ -7,6 +7,10 @@ verification failure), 2 for an input/validation error or output that
 cannot be written (an output file, or a closed stdout pipe), 0 otherwise.
 Rational values are always rendered exactly ("num/den", integers without the
 "/1"); identical arguments produce byte-identical output.
+
+The argument parser is built once per process, on the first call of
+build_parser(), and every later call, main's included, returns that same
+parser: callers must not add arguments to it or change its defaults.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ import random
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
+from functools import cache
 from json.encoder import encode_basestring_ascii
 
 from .exact import power_sums
@@ -29,6 +34,7 @@ from .semigroup import (
     compute_gaps,
     gap_power_sums,
     generator_stats,
+    least_generator,
     make_semigroup,
 )
 from .universal import SYMBOLIC_N_MAX, SymbolicOrderTooLarge, t_symbolic, t_values
@@ -115,6 +121,9 @@ def _golden_c(numerator: str, r: int) -> int:
     return (r == 0) - sum(c * e**r for e, c in terms)
 
 
+# Built once: the 34 add_argument calls, each making an argparse HelpFormatter,
+# took about a fifth of a verify-large op (2-core VM, Python 3.11).
+@cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="felcheck",
@@ -238,16 +247,24 @@ def cmd_verify(args) -> dict:
             raise ValueError(f"--count must be at least 1, got {args.count}")
         if args.count > COUNT_MAX:
             raise ValueError(f"--count is limited to {COUNT_MAX}, got {args.count}")
-        # the deepest order any drawn semigroup can need, refused before the draw
-        deepest = effective_order(args.m_max, args.p_max, args.order)[0]
-        if deepest > ORDER_MAX:
-            raise OrderTooLarge(deepest)
+        m = args.m_max
     elif given:
         raise ValueError(f"--{given[0].replace('_', '-')} applies only with --random")
     elif args.generators:
         semigroups = [make_semigroup(args.generators)]
+        m = semigroups[0].m
     else:
         raise ValueError("give generators or use --random")
+    # what invariants() refuses, in its order, refused before the companion
+    # checks run or any semigroup is drawn: a negative p_max, the deepest order
+    # a semigroup can need, then a given least generator above --bound
+    if args.p_max < 0:
+        raise ValueError("p_max must be nonnegative")
+    deepest = effective_order(m, args.p_max, args.order)[0]
+    if deepest > ORDER_MAX:
+        raise OrderTooLarge(deepest)
+    if not args.random:
+        least_generator(semigroups[0], args.bound)
     # first, so that a bad --samples is refused before any semigroup is drawn or verified
     companions = verify_companions(args.samples, args.seed)
     if args.random:
@@ -494,7 +511,9 @@ def main(argv=None) -> int:
         except OSError as err:
             if args.out is None:
                 # what stdout still buffers would fail again at exit: send it nowhere
-                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+                devnull = os.open(os.devnull, os.O_WRONLY)
+                os.dup2(devnull, sys.stdout.fileno())
+                os.close(devnull)
             print(f"OSError: {err}", file=sys.stderr)
             return 2
         return 1 if doc.get("passed") is False else 0

@@ -99,6 +99,15 @@ def make_semigroup(generators) -> SemigroupSpec:
     return SemigroupSpec(gens, len(gens), prod(gens))
 
 
+def least_generator(S: SemigroupSpec, bound: int) -> int:
+    """The least generator a, the size of the Apéry set; above bound it is
+    refused with AperyTooLarge."""
+    a = min(S.generators)
+    if a > bound:
+        raise AperyTooLarge(f"least generator {a} exceeds bound {bound}")
+    return a
+
+
 def apery_set(S: SemigroupSpec, bound: int = APERY_MAX) -> list[int]:
     """Smallest semigroup element in each residue class mod the least generator.
 
@@ -106,9 +115,7 @@ def apery_set(S: SemigroupSpec, bound: int = APERY_MAX) -> list[int]:
     element of S congruent to r mod min(generators). A least generator above
     bound is refused up front with AperyTooLarge.
     """
-    a = min(S.generators)
-    if a > bound:
-        raise AperyTooLarge(f"least generator {a} exceeds bound {bound}")
+    a = least_generator(S, bound)
     dist = [None] * a
     dist[0] = 0
     steps = sorted(set(S.generators))

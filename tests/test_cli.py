@@ -503,6 +503,24 @@ class TestVerify:
         argv = ("4", "5", "6", "--bound", "4", "--samples", "1")
         assert run_cli(capsys, "verify", *argv)[0] == 0
 
+    def test_costly_generators_refused_before_the_companions(self, capsys, monkeypatch):
+        def never(*args):
+            raise AssertionError("the companions ran or a semigroup was verified")
+
+        monkeypatch.setattr(cli, "verify_companions", never)
+        monkeypatch.setattr(cli, "verify_semigroup", never)
+        order = f"OrderTooLarge: series order is limited to {ORDER_MAX}, got "
+        refused = (
+            (("3", "5", "--p-max", "600"), order + "604\n"),
+            (("1000003", "1000033"), f"AperyTooLarge: least generator 1000003 exceeds bound {APERY_MAX}\n"),
+            # both too large: the order is refused first, as invariants() does
+            (("1000003", "1000033", "--order", "600"), order + "600\n"),
+            (("1000003", "1000033", "--p-max", "-1"), "ValueError: p_max must be nonnegative\n"),
+        )
+        for argv, message in refused:
+            code, out, err = run_cli(capsys, "verify", *argv, "--samples", "10000")
+            assert (code, out, err) == (2, "", message), argv
+
     @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no digit limit")
     def test_verify_past_the_digit_limit_passes(self, capsys):
         # the library raises DigitLimitExceeded here (tests/test_verify.py);
@@ -751,6 +769,82 @@ class TestOutput:
         assert head.startswith(b"T_0 = 1\nT_1 = s1/2\n")
         assert err.startswith("OSError: ") and err.count("\n") == 1, err
         assert "Traceback" not in err and "Exception ignored" not in err
+
+    def test_closed_stdout_pipe_closes_its_devnull_descriptor(self, capsys, monkeypatch):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        real_open = os.open
+        opened = []
+
+        def recording_open(*args, **kwargs):
+            opened.append(real_open(*args, **kwargs))
+            return opened[-1]
+
+        with open(write_end, "w", encoding="utf-8") as stream:
+            monkeypatch.setattr(sys, "stdout", stream)
+            monkeypatch.setattr(os, "open", recording_open)
+            code = cli.main(["tn", "3"])
+            monkeypatch.undo()
+            assert code == 2
+            assert len(opened) == 1
+            with pytest.raises(OSError):
+                os.fstat(opened[0])
+        assert capsys.readouterr().err.startswith("OSError: ")
+
+
+def outcome(capsys, parse, argv):
+    """(exit code, stdout, stderr) of parse(argv); argparse's own exits included."""
+    try:
+        code = parse(argv)
+    except SystemExit as stop:
+        code = stop.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+class TestSharedParser:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--help"],
+            *([command, "--help"] for command in cli.COMMANDS),
+            ["verify", "3", "5", "--p-max", "x"],
+            ["nosuch"],
+        ],
+        ids=" ".join,
+    )
+    def test_help_and_usage_errors_match_a_fresh_parser(self, capsys, monkeypatch, argv):
+        # help wraps at the terminal width and its text changes across
+        # Python versions: compare with a parser built afresh, not with bytes
+        monkeypatch.setenv("COLUMNS", "80")
+        fresh = outcome(capsys, cli.build_parser.__wrapped__().parse_args, argv)
+        assert fresh[0] in (0, 2) and fresh[1] + fresh[2]
+        assert outcome(capsys, cli.build_parser().parse_args, argv) == fresh
+        assert outcome(capsys, cli.main, argv) == fresh
+        assert outcome(capsys, cli.main, argv) == fresh
+
+    def test_calls_do_not_leak_into_each_other(self, capsys):
+        argvs = [
+            ["verify", "--random", "--count", "2", "--samples", "1"],
+            # --random set the sweep defaults on its namespace, not on the parser
+            ["verify", "3", "5", "--m-max", "4"],
+            ["verify", "4", "5", "6", "--p-max", "2", "--samples", "1", "--format", "tsv"],
+            ["verify", "3", "5", "--p-max", "x"],
+            ["invariants", "3", "5", "--format", "json"],
+            ["hilbert", "4", "5", "6", "--bound", "3"],
+            ["tn", "4", "--at", "1/2,3"],
+            ["tn", "3"],
+            ["examples", "--format", "tsv"],
+            ["verify", "--help"],
+        ]
+        forward = [outcome(capsys, cli.main, argv) for argv in argvs]
+        backward = [outcome(capsys, cli.main, argv) for argv in reversed(argvs)]
+        assert forward == backward[::-1]
+        assert forward[1][0] == 2 and "--m-max applies only with --random" in forward[1][2]
+        assert [code for code, _, _ in forward] == [0, 2, 0, 2, 0, 2, 0, 0, 0, 0]
+
+    def test_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
 
 
 class TestRejectedArguments:
