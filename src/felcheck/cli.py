@@ -42,6 +42,7 @@ from .verify import (
     IDENTITIES,
     ORDER_MAX,
     OrderTooLarge,
+    check_samples,
     effective_order,
     random_semigroup,
     verify_companions,
@@ -172,11 +173,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_invariants(args) -> dict:
-    if args.p_max < 0:
-        raise ValueError("p_max must be nonnegative")
     # G_0 .. G_p_max is a series to order p_max: the same limit as verify
-    if args.p_max > ORDER_MAX:
-        raise OrderTooLarge(args.p_max)
+    effective_order(0, args.p_max, args.p_max)
     S = make_semigroup(args.generators)
     gaps = compute_gaps(S, args.bound)
     stats = generator_stats(S, args.p_max + 1)
@@ -196,11 +194,8 @@ def cmd_invariants(args) -> dict:
 
 def cmd_hilbert(args) -> dict:
     S = make_semigroup(args.generators)
-    if args.p_max < 0:
-        raise ValueError("p_max must be nonnegative")
     # C_0 .. C_{m+p_max} is a series to order m + p_max: the same limit as verify
-    if S.m + args.p_max > ORDER_MAX:
-        raise OrderTooLarge(S.m + args.p_max)
+    effective_order(S.m, args.p_max, S.m + args.p_max)
     h = hilbert_numerator(S, apery_set(S, args.bound))
     c = alternating_syzygy_sums(h, S.m + args.p_max)
     return {
@@ -255,22 +250,18 @@ def cmd_verify(args) -> dict:
         m = semigroups[0].m
     else:
         raise ValueError("give generators or use --random")
-    # what invariants() refuses, in its order, refused before the companion
-    # checks run or any semigroup is drawn: a negative p_max, the deepest order
-    # a semigroup can need, then a given least generator above --bound
-    if args.p_max < 0:
-        raise ValueError("p_max must be nonnegative")
-    deepest = effective_order(m, args.p_max, args.order)[0]
-    if deepest > ORDER_MAX:
-        raise OrderTooLarge(deepest)
-    if not args.random:
-        least_generator(semigroups[0], args.bound)
-    # first, so that a bad --samples is refused before any semigroup is drawn or verified
-    companions = verify_companions(args.samples, args.seed)
+    # every refusal comes before any check runs: the deepest order a semigroup
+    # can need (and a negative p_max), --samples, an empty draw range, then a
+    # least generator above --bound
+    effective_order(m, args.p_max, args.order)
+    check_samples(args.samples)
     if args.random:
         rng = random.Random(args.seed)
         semigroups = [random_semigroup(rng, args.m_max, args.d_max) for _ in range(args.count)]
         semigroups.sort(key=lambda S: S.generators)
+    for S in semigroups:
+        least_generator(S, args.bound)
+    companions = verify_companions(args.samples, args.seed)
     reports = [verify_semigroup(S, args.p_max, args.order, args.bound) for S in semigroups]
     reports.append(companions)
     return {

@@ -133,7 +133,7 @@ ORDER_MAX = 500
 
 
 class OrderTooLarge(ValueError):
-    """invariants() refuses a series order above ORDER_MAX before any work is done."""
+    """effective_order refuses a series order above ORDER_MAX before any work is done."""
 
     def __init__(self, order: int):
         super().__init__(f"series order is limited to {ORDER_MAX}, got {order}")
@@ -244,17 +244,14 @@ def invariants(
 ) -> Invariants:
     """The invariants of S for identities up to p_max and series to the order.
 
-    order defaults to m + p_max + 2; an explicit order below m + p_max, or a
-    negative p_max, raises ValueError, an order above ORDER_MAX raises
-    OrderTooLarge, and a least generator above bound raises AperyTooLarge.
+    order defaults to m + p_max + 2; effective_order refuses a negative p_max
+    and an order above ORDER_MAX, an explicit order below m + p_max raises
+    ValueError, and a least generator above bound raises AperyTooLarge.
     """
-    if p_max < 0:
-        raise ValueError("p_max must be nonnegative")
-    if order is not None and order < S.m + p_max:
+    resolved, warning = effective_order(S.m, p_max, order)
+    if warning:
         raise ValueError(f"order {order} is below m + p_max = {S.m + p_max}")
-    order = effective_order(S.m, p_max, order)[0]
-    if order > ORDER_MAX:
-        raise OrderTooLarge(order)
+    order = resolved
     apery = apery_set(S, bound)
     h = hilbert_numerator(S, apery)
     top = max(order, S.m + 3)
@@ -535,6 +532,14 @@ SIGNFLIP_N = 7  # FEL1_SIGNFLIP for n = 2..7
 SAMPLES_MAX = 10_000
 
 
+def check_samples(samples: int) -> None:
+    """Refuse a companion sample count outside [1, SAMPLES_MAX] with ValueError."""
+    if samples < 1:
+        raise ValueError("samples must be at least 1")
+    if samples > SAMPLES_MAX:
+        raise ValueError(f"samples is limited to {SAMPLES_MAX}, got {samples}")
+
+
 def verify_companions(samples: int = 20, seed: int = 0) -> VerificationReport:
     """Randomized exact checks of the two companion identities for T.
 
@@ -543,8 +548,8 @@ def verify_companions(samples: int = 20, seed: int = 0) -> VerificationReport:
     2 <= n <= SIGNFLIP_N at positive integer vectors. The sign-flip check
     negates every even-indexed power sum; whenever the narrower "flip only
     s2 and sn" reading would give a different value, that value is recorded
-    in the note rather than silently discarded. samples must lie in
-    [1, SAMPLES_MAX].
+    in the note rather than silently discarded. check_samples refuses a
+    samples count outside [1, SAMPLES_MAX] before anything is drawn.
 
     Everything runs on integers, one sample at a time, in the order of the
     draws, zig-zag first; the report lists the sign-flip records first, as
@@ -570,10 +575,7 @@ def verify_companions(samples: int = 20, seed: int = 0) -> VerificationReport:
     Each record holds one value: the two sides, over one denominator, are
     compared as integers, and the value is printed once when they agree.
     """
-    if samples < 1:
-        raise ValueError("samples must be at least 1")
-    if samples > SAMPLES_MAX:
-        raise ValueError(f"samples is limited to {SAMPLES_MAX}, got {samples}")
+    check_samples(samples)
     rng = random.Random(seed)
     zig, flip = [], []
 
@@ -674,13 +676,19 @@ def random_semigroup(rng, m_max: int, d_max: int) -> SemigroupSpec:
 
 
 def effective_order(m: int, p_max: int, order: int | None) -> tuple[int, str | None]:
-    """Resolve the series order, enforcing the minimum m + p_max."""
-    minimum = m + p_max
+    """Resolve the series order: m + p_max + 2 by default, an order below
+    m + p_max raised to it with a warning. The one owner of its limits: a
+    negative p_max raises ValueError, an order above ORDER_MAX OrderTooLarge."""
+    if p_max < 0:
+        raise ValueError("p_max must be nonnegative")
+    minimum, warning = m + p_max, None
     if order is None:
-        return m + p_max + 2, None
-    if order < minimum:
-        return minimum, f"order raised from {order} to {minimum} (minimum is m + p_max)"
-    return order, None
+        order = minimum + 2
+    elif order < minimum:
+        order, warning = minimum, f"order raised from {order} to {minimum} (minimum is m + p_max)"
+    if order > ORDER_MAX:
+        raise OrderTooLarge(order)
+    return order, warning
 
 
 def verify_semigroup(

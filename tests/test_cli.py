@@ -363,6 +363,9 @@ BUMPED_OUTPUT = {
 }
 
 
+_EMPTY_RANGE = "ValueError: no coprime generator list has m in [1, {}] and entries in [1, {}]\n"
+
+
 class TestVerify:
     def test_trivial_semigroup_skips_structural_clauses(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "1", "--samples", "1")
@@ -520,6 +523,28 @@ class TestVerify:
         for argv, message in refused:
             code, out, err = run_cli(capsys, "verify", *argv, "--samples", "10000")
             assert (code, out, err) == (2, "", message), argv
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("--m-max", "0"), _EMPTY_RANGE.format(0, 30)),
+            (("--d-max", "0"), _EMPTY_RANGE.format(4, 0)),
+            # the least generators of all five draws are read before any is verified
+            (
+                ("--d-max", "3000000", "--count", "5"),
+                f"AperyTooLarge: least generator 1272186 exceeds bound {APERY_MAX}\n",
+            ),
+        ],
+        ids=["m-max-0", "d-max-0", "d-max-3000000"],
+    )
+    def test_random_refusals_come_before_the_companions(self, capsys, monkeypatch, argv, message):
+        def never(*args):
+            raise AssertionError("the companions ran or a semigroup was verified")
+
+        monkeypatch.setattr(cli, "verify_companions", never)
+        monkeypatch.setattr(cli, "verify_semigroup", never)
+        code, out, err = run_cli(capsys, "verify", "--random", *argv, "--samples", "10000")
+        assert (code, out, err) == (2, "", message)
 
     @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no digit limit")
     def test_verify_past_the_digit_limit_passes(self, capsys):

@@ -12,10 +12,12 @@ from felcheck.universal import _binomial_row, _egf_mul, _umbral_factor
 from felcheck.verify import (
     IDENTITIES,
     ORDER_MAX,
+    SAMPLES_MAX,
     DigitLimitExceeded,
     OrderTooLarge,
     _randint,
     _umbral_coefficient,
+    check_samples,
     effective_order,
     invariants,
     random_semigroup,
@@ -205,6 +207,9 @@ class TestInvariants:
             invariants(S, 0, ORDER_MAX + 1)
         with pytest.raises(OrderTooLarge):
             invariants(S, ORDER_MAX - 3)  # default order m + p_max + 2
+        # an order below m + p_max > ORDER_MAX: the limit is refused first
+        with pytest.raises(OrderTooLarge):
+            invariants(S, ORDER_MAX, 3)
 
     def test_k_is_the_normalized_invariant(self):
         S = make_semigroup([4, 5, 6])
@@ -252,6 +257,11 @@ class TestCompanions:
         for samples in (0, 10_001):
             with pytest.raises(ValueError):
                 verify_companions(samples=samples)
+        for samples in (0, SAMPLES_MAX + 1):
+            with pytest.raises(ValueError, match="samples"):
+                check_samples(samples)
+        for samples in (1, SAMPLES_MAX):
+            assert check_samples(samples) is None
 
     @pytest.mark.parametrize(
         "samples, seed", [(s, seed) for seed in range(10) for s in (1, 3, 20)] + [(200, 11)]
@@ -346,6 +356,16 @@ class TestAssembledReport:
         assert effective_order(2, 8, 15) == (15, None)
         order, warning = effective_order(4, 8, 3)
         assert order == 12 and "raised" in warning
+        # the limits it owns, refused before any work
+        with pytest.raises(ValueError, match="p_max must be nonnegative"):
+            effective_order(2, -1, None)
+        for p_max, order in ((ORDER_MAX - 3, None), (0, ORDER_MAX + 1), (ORDER_MAX - 1, 3)):
+            with pytest.raises(OrderTooLarge, match=f"got {ORDER_MAX + 1}$"):
+                effective_order(2, p_max, order)
+        assert effective_order(2, ORDER_MAX - 4, None) == (ORDER_MAX, None)
+        assert effective_order(2, 0, ORDER_MAX) == (ORDER_MAX, None)
+        order, warning = effective_order(2, ORDER_MAX - 2, 3)
+        assert order == ORDER_MAX and "raised" in warning
 
     def test_report_passes_end_to_end(self):
         rng = random.Random(109)
