@@ -37,7 +37,6 @@ from .universal import (
     SymbolicOrderTooLarge,
     ZeroVariable,
     bernoulli,
-    lambda_table,
     t_symbolic,
     t_values,
     zigzag,
@@ -93,7 +92,6 @@ __all__ = [
     "k_denominator",
     "k_invariant",
     "k_values",
-    "lambda_table",
     "make_semigroup",
     "product_polynomial",
     "random_semigroup",

@@ -78,6 +78,11 @@ class EntryTooLarge(ValueError):
 
 
 def _parse_rational(text: str) -> Fraction:
+    # Fraction reads "1_000" from CPython 3.11 on and "1 / 2" from 3.12 on,
+    # where 3.10 refuses both: refusing them here gives the same arguments
+    # the same result on every supported CPython
+    if "_" in text or len(text.split()) > 1:
+        raise ValueError(f"invalid --at entry {text!r}: '_' and inner spaces are not accepted")
     mantissa, _, exponent = text.lower().partition("e")
     size = len(text)
     if size <= AT_ENTRY_MAX and exponent:

@@ -6,12 +6,12 @@ The central objects are the polynomials T_n defined through the series
 
 whose t^n coefficient times n! is T_n(x_1, ..., x_m). T_n is symmetric and
 weight-n homogeneous, so it depends on x only through the power sums
-s_k = sum_i x_i^k. With lambda_k the log coefficients of (e^u - 1)/u, T_n is
-n! times the t^n coefficient of exp(sum_k lambda_k s_k t^k), and the symbolic
-form is read off by the exponential formula: one term per partition of n
-into parts k with lambda_k != 0, which are k = 1 and the even k. It is kept
-once, as integer numerators over one denominator (SigmaPolynomial), the form
-that both printing and the integer evaluation in verify read.
+s_k = sum_i x_i^k. The logarithmic derivative of the product is
+sum_k B_k s_k t^(k-1)/k! (B_1 = +1/2), so the symbolic form follows from one
+recurrence, T_n = sum_k C(n-1, k-1) (B_k / k) s_k T_{n-k}, over k = 1 and the
+even k. It is kept once, as integer numerators over one denominator
+(SigmaPolynomial), the form that both printing and the integer evaluation in
+verify read.
 
 The numeric series are built in integers, as exponential generating
 functions (EGFs: n! times the u^n coefficient). With q the lcm of the
@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from math import comb, factorial, lcm, perm, prod
+from math import comb, gcd, lcm, perm, prod
 from operator import mul
 
 from .exact import power_sums
@@ -53,8 +53,9 @@ class ZeroVariable(ValueError):
 
 # Largest n for which symbolic T_n is built: set as the largest N for which
 # every run of `felcheck tn N` stayed under 4 s on a 2-core VM, when the terms
-# were Fractions. As integers over one denominator, medians of five: 0.23 s at
-# N = 30, 1.4 s at 50 and 2.2 s at 54 (a 7.7 MB table), about 12% more per step.
+# were Fractions summed over partitions. By the integer recurrence, CLI wall
+# time, medians of five: 0.22 s at N = 30, 1.1 s at 50 and 1.8 s at 54 (a
+# 7.7 MB table), about 13% more per step.
 SYMBOLIC_N_MAX = 54
 
 
@@ -176,18 +177,6 @@ def t_values(x, n_max: int) -> list[Fraction]:
     return [Fraction(e[n + m], perm(n + m, m) * scale * q**n) for n in range(n_max + 1)]
 
 
-@lru_cache(maxsize=None)
-def lambda_table(K: int) -> tuple[Fraction, ...]:
-    """Coefficients of log((e^u - 1)/u) up to u^K, indexed so entry k is lambda_k.
-
-    Entry 0 is a zero placeholder. All odd entries from 3 on vanish.
-    """
-    if K < 1:
-        raise ValueError("K must be at least 1")
-    # the derivative of log((e^u - 1)/u) is 1/(1 - e^{-u}) - 1/u = sum_k B_k u^(k-1)/k!
-    return (Fraction(0), *(bernoulli(k) / (k * factorial(k)) for k in range(1, K + 1)))
-
-
 @dataclass(frozen=True, eq=False)
 class SigmaPolynomial:
     """Sparse polynomial in the power-sum indeterminates s1, s2, ...
@@ -240,11 +229,17 @@ class SigmaPolynomial:
 def t_symbolic(n: int) -> SigmaPolynomial:
     """T_n as an exact polynomial in s1 .. sn.
 
-    T_n is n! times the t^n coefficient of exp(sum_k lambda_k s_k t^k). By the
-    exponential formula (Stanley, EC2 5.1) it has one term per partition of n
-    into parts k with lambda_k != 0, that is k = 1 and the even k: a part k
-    taken m_k times gives s_k^m_k, and the coefficient is
-    n! prod_k lambda_k^m_k / m_k!. No number of variables enters.
+    With F(t) = prod_i (e^{x_i t} - 1)/(x_i t), the derivative of log F is
+    sum_k B_k s_k t^(k-1)/k! (B_1 = +1/2), and F' = F (log F)' gives
+
+        T_n = sum_k C(n-1, k-1) (B_k / k) s_k T_{n-k},
+
+    over k = 1 and the even k, where B_k != 0. Row n is built in integers
+    over the one denominator D, the lcm of the terms' denominators, and
+    reduced once by g = gcd(D, nums): D // g is the lcm of the reduced
+    coefficient denominators. The rows below are fetched in ascending order
+    first, so a cold call recurses at most two levels deep. No number of
+    variables enters.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -252,28 +247,24 @@ def t_symbolic(n: int) -> SigmaPolynomial:
         raise SymbolicOrderTooLarge(n)
     if n == 0:
         return SigmaPolynomial(1, {(): 1})
-    lam = lambda_table(n)
-    parts = [k for k in range(1, n + 1) if lam[k]]
-    weight = {k: [lam[k] ** m / factorial(m) for m in range(n // k + 1)] for k in parts}
-    terms = {}
-    mono = [0] * n
-
-    def place(rest: int, i: int, coeff: Fraction, top: int) -> None:
-        # parts[i], parts[i - 1], ..., parts[0] = 1 share what is left of n;
-        # top is the largest part used so far, where the key ends
-        if i == 0:
-            mono[0] = rest
-            terms[tuple(mono[:top])] = coeff * weight[1][rest]
-            return
-        k = parts[i]
-        for m_k in range(rest // k + 1):
-            mono[k - 1] = m_k
-            place(rest - m_k * k, i - 1, coeff * weight[k][m_k], max(top, k) if m_k else top)
-        mono[k - 1] = 0
-
-    place(n, len(parts) - 1, Fraction(factorial(n)), 1)
-    den = lcm(*(c.denominator for c in terms.values()))
-    return SigmaPolynomial(den, {m: c.numerator * (den // c.denominator) for m, c in terms.items()})
+    for j in range(n - 1):
+        t_symbolic(j)
+    # (k, numerator, denominator, row n - k) for the term C(n-1, k-1) (B_k / k) s_k T_{n-k}
+    steps = []
+    for k in (1, *range(2, n + 1, 2)):
+        b, row = bernoulli(k), t_symbolic(n - k)
+        steps.append((k, comb(n - 1, k - 1) * b.numerator, k * b.denominator * row.den, row.nums))
+    D = lcm(*(den for _, _, den, _ in steps))
+    nums = {}
+    for k, c, den, row in steps:
+        c *= D // den
+        for mono, a in row.items():
+            key = [*mono, *(0,) * (k - len(mono))]
+            key[k - 1] += 1
+            key = tuple(key)
+            nums[key] = nums.get(key, 0) + c * a
+    g = gcd(D, *nums.values())
+    return SigmaPolynomial(D // g, {mono: a // g for mono, a in nums.items()})
 
 
 def _table_size(n: int) -> int:

@@ -568,8 +568,8 @@ def verify_companions(samples: int = 20, seed: int = 0) -> VerificationReport:
       t^n coefficient of the product of the m factors d_i t/(1 - e^{-d_i t})
       (universal._umbral_factor), whose EGF coefficients vanish at the odd
       k >= 3; _umbral_coefficient convolves only the others. It shares no
-      code with T_n but bernoulli(), which t_symbolic reads through
-      lambda_table and the factors through _scaled_bernoulli, and which the
+      code with T_n but bernoulli(), which t_symbolic's recurrence reads
+      directly and the factors through _scaled_bernoulli, and which the
       tests pin against sympy.
 
     Each record holds one value: the two sides, over one denominator, are

@@ -6,15 +6,18 @@ recurrence, partition counts from the recurrence on the largest part,
 surjection numbers from inclusion-exclusion, the product of the factors
 e^{p u} - 1 from one binomial convolution per factor, the umbral powers
 from a literal multinomial expansion, the subset power sums from
-inclusion-exclusion over every subset, and the values of a symbolic T_n from
-its terms summed in Fraction. companions_reference is the one exception: it
-is the Fraction-based companion check that the integer kernel in
+inclusion-exclusion over every subset, the values of a symbolic T_n from
+its terms summed in Fraction, and the two sides of the universal identity
+U_n from the terms of symbolic T_n, expanded in Fraction, and
+bernoulli_minus. companions_reference is the one exception: it is the
+Fraction-based companion check that the integer kernel in
 verify_companions replaced, kept to pin that kernel's records. It reuses the
 library's E kernel (_exp_minus_one_product) for the zig-zag values, the
 symbolic T_n terms, zigzag and the record helpers; its sign-flip side is
 the multinomial umbral power and the Fraction evaluator here.
 """
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -148,6 +151,27 @@ def evaluate_symbolic(poly, sigma):
             c *= Fraction(sigma[k]) ** e
         total += c
     return total
+
+
+def universal_identity_sides(n):
+    """Both sides of U_n: T_n(s_1 - 1, s_2 - 1, ...) = sum_j C(n, j) B_j T_{n-j}(s),
+    with B_j from bernoulli_minus (B_1 = -1/2), as {monomial: Fraction} with
+    the zero coefficients dropped. The left side expands each s_k^e of
+    symbolic T_n by the binomial theorem."""
+    lhs, rhs = {}, {}
+    for mono, c in t_symbolic(n).terms.items():
+        for js in itertools.product(*(range(e + 1) for e in mono)):
+            coeff = c
+            for e, j in zip(mono, js):
+                coeff *= comb(e, j) * (-1) ** (e - j)
+            while js and not js[-1]:
+                js = js[:-1]
+            lhs[js] = lhs.get(js, 0) + coeff
+    for j in range(n + 1):
+        b = comb(n, j) * bernoulli_minus(j)
+        for mono, c in t_symbolic(n - j).terms.items():
+            rhs[mono] = rhs.get(mono, 0) + b * c
+    return {m: c for m, c in lhs.items() if c}, {m: c for m, c in rhs.items() if c}
 
 
 # Dense reference arithmetic on coefficient lists (index = exponent), kept

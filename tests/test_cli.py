@@ -895,6 +895,14 @@ class TestRejectedArguments:
         assert out == ""
         assert err.startswith("ZeroDenominator") and "'1/0'" in err
 
+    def test_underscore_or_inner_space_in_at(self, capsys):
+        # CPython 3.10 refuses both, 3.11 reads "1_000" and 3.12 reads "1 / 2"
+        for at, entry in (("1_000,3", "'1_000'"), ("1 / 2", "'1 / 2'"), ("1e1_0", "'1e1_0'")):
+            code, out, err = run_cli(capsys, "tn", "2", "--at", at)
+            assert code == 2
+            assert out == ""
+            assert err.startswith("ValueError") and entry in err
+
     def test_negative_p_max_for_hilbert(self, capsys):
         code, out, err = run_cli(capsys, "hilbert", "3", "5", "--p-max", "-1")
         assert code == 2

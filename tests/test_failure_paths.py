@@ -7,23 +7,29 @@ surjection-number rows that E is built from; in the power sums W of the
 Apéry set held by a built bundle, which G has already been computed from,
 so that only the Phi route of the series lemmas reads the corrupted sums;
 for the companion checks, by replacing the tangent numbers or the umbral
-factors that verify reads."""
+factors that verify reads; for symbolic T_n, by replacing the Bernoulli
+numbers that t_symbolic reads, with its cache cleared before and after."""
 
 import hashlib
 from dataclasses import replace
 from fractions import Fraction
 from math import factorial
 
+import pytest
+
 from felcheck import universal, verify
 from felcheck.exact import IntPolynomial, power_sums
 from felcheck.hilbert import hilbert_numerator
 from felcheck.semigroup import apery_set, make_semigroup
+from felcheck.universal import t_values
 from felcheck.verify import (
     invariants,
     verify_fel_main,
     verify_semigroup,
     verify_series_lemmas,
 )
+
+from oracles import evaluate_symbolic, universal_identity_sides
 
 S = make_semigroup([5, 6, 8, 9])
 APERY = tuple(apery_set(S))  # (0, 6, 12, 8, 9): gaps 1 2 3 4 7
@@ -178,3 +184,33 @@ def test_failing_signflip_records_keep_their_text(monkeypatch):
     assert report.checks == flip + zig
     text = "\n".join("\t".join((c.lhs, c.rhs, c.status, c.note)) for c in zig + flip)
     assert hashlib.sha256(text.encode()).hexdigest() == SIGNFLIP_FAILING_DIGEST
+
+
+REAL_BERNOULLI = universal.bernoulli
+
+
+@pytest.mark.parametrize(
+    "changed, first",
+    [
+        (lambda k: -REAL_BERNOULLI(k) if k == 1 else REAL_BERNOULLI(k), 1),
+        (lambda k: REAL_BERNOULLI(k) + Fraction(1, 30) if k == 4 else REAL_BERNOULLI(k), 4),
+    ],
+    ids=["flipped_B1", "B4_plus_1_30"],
+)
+def test_changed_bernoulli_number_fails_the_universal_identity(monkeypatch, changed, first):
+    # U_n reads B_j from the oracle on its right side: with t_symbolic's own
+    # bernoulli() on both sides, a flipped B_1 would pass. The numeric T_n at
+    # (3, 5) reads no Bernoulli number; a flipped B_1 negates the odd powers
+    # of s1, so it moves T_n only at odd n.
+    monkeypatch.setattr(universal, "bernoulli", changed)
+    universal.t_symbolic.cache_clear()
+    try:
+        for n in range(12):
+            lhs, rhs = universal_identity_sides(n)
+            assert (lhs == rhs) == (n < first), n
+            sigma = [3**k + 5**k for k in range(1, n + 1)]
+            value = evaluate_symbolic(universal.t_symbolic(n), sigma)
+            moved = n >= first and (first != 1 or n % 2 == 1)
+            assert (value == t_values((3, 5), n)[n]) != moved, n
+    finally:
+        universal.t_symbolic.cache_clear()

@@ -12,7 +12,6 @@ from felcheck.universal import (
     ZeroVariable,
     _surjection_row,
     bernoulli,
-    lambda_table,
     t_symbolic,
     t_values,
     zigzag,
@@ -30,6 +29,7 @@ from oracles import (
     surjection_number,
     umbral_by_series,
     umbral_power_multinomial,
+    universal_identity_sides,
 )
 
 F = Fraction
@@ -67,25 +67,23 @@ def _random_vector(rng, m_max=5):
     return tuple(xs)
 
 
-class TestLambdaTable:
+class TestLogCoefficients:
+    """The coefficients lambda_k of log((e^u - 1)/u), from the log series
+    oracle; t_symbolic reads them as k k! lambda_k = B_k."""
+
+    LOG = series_log([F(1, factorial(k + 1)) for k in range(12)])
+
     def test_first_values(self):
-        lam = lambda_table(4)
-        assert lam[1] == F(1, 2)
-        assert lam[2] == F(1, 24)
-        assert lam[3] == 0
-        assert lam[4] == F(-1, 2880)
+        assert self.LOG[1:5] == [F(1, 2), F(1, 24), 0, F(-1, 2880)]
 
     def test_odd_entries_vanish(self):
-        lam = lambda_table(11)
         for k in range(3, 12, 2):
-            assert lam[k] == 0
+            assert self.LOG[k] == 0
+            assert bernoulli(k) == 0
 
     def test_matches_bernoulli(self):
-        lam = lambda_table(8)
-        # the table is read off the Bernoulli numbers; the log series is a second route
-        assert list(lam) == series_log([F(1, factorial(k + 1)) for k in range(9)])
         for k in range(1, 9):
-            assert lam[k] == bernoulli(k) / (k * factorial(k))
+            assert k * factorial(k) * self.LOG[k] == bernoulli(k)
 
 
 class TestSurjectionRow:
@@ -256,6 +254,17 @@ class TestSymbolic:
             for x, q, ps in scaled:
                 value = F(_evaluate(terms, power_sums(ps, n)[1:]), den * q**n)
                 assert value == t_value(x, n), (n, x)
+
+
+class TestUniversalIdentity:
+    def test_holds_for_every_n_up_to_15(self):
+        # U_n: T_n(s_1 - 1, s_2 - 1, ...) = sum_j C(n, j) B_j T_{n-j}(s), with
+        # B_1 = -1/2: Fel's formula at order p = n - 1 for every numerical
+        # semigroup, as one identity in the power sums
+        for n in range(16):
+            lhs, rhs = universal_identity_sides(n)
+            assert lhs == rhs, n
+            assert lhs
 
 
 class TestSubsetPowerSum:
