@@ -12,7 +12,6 @@ from .hilbert import (
     alternating_syzygy_sums,
     hilbert_numerator,
     k_denominator,
-    k_invariant,
     k_values,
     product_polynomial,
 )
@@ -90,7 +89,6 @@ __all__ = [
     "hilbert_numerator",
     "invariants",
     "k_denominator",
-    "k_invariant",
     "k_values",
     "make_semigroup",
     "product_polynomial",

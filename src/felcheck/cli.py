@@ -489,14 +489,31 @@ def _any_digits():
             sys.set_int_max_str_digits(limit)
 
 
+def _send_nowhere(stream) -> None:
+    """Point stream's descriptor at os.devnull: what the stream still buffers
+    would fail again when the interpreter flushes it at exit."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, stream.fileno())
+    os.close(devnull)
+
+
+def _fail(message: str) -> int:
+    """Print message on stderr and return exit code 2. A stderr that cannot
+    be written, such as a pipe its reader closed, loses the message, not the code."""
+    try:
+        print(message, file=sys.stderr, flush=True)
+    except OSError:
+        _send_nowhere(sys.stderr)
+    return 2
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     with _any_digits():
         try:
             doc = {"schema": SCHEMA_VERSION, "command": args.command, **COMMANDS[args.command](args)}
         except ValueError as err:
-            print(f"{type(err).__name__}: {err}", file=sys.stderr)
-            return 2
+            return _fail(f"{type(err).__name__}: {err}")
         text = RENDERERS[args.format](doc)
         try:
             if args.out is not None:
@@ -506,12 +523,8 @@ def main(argv=None) -> int:
                 print(text, flush=True)
         except OSError as err:
             if args.out is None:
-                # what stdout still buffers would fail again at exit: send it nowhere
-                devnull = os.open(os.devnull, os.O_WRONLY)
-                os.dup2(devnull, sys.stdout.fileno())
-                os.close(devnull)
-            print(f"OSError: {err}", file=sys.stderr)
-            return 2
+                _send_nowhere(sys.stdout)
+            return _fail(f"OSError: {err}")
         return 1 if doc.get("passed") is False else 0
 
 

@@ -14,7 +14,6 @@ and RationalSeries; no other module in the library calls them.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import factorial
@@ -140,10 +139,6 @@ class IntPolynomial:
         """Degree, with the zero polynomial reported as -1."""
         return self._exps[-1] if self._exps else -1
 
-    def coeff(self, n: int) -> int:
-        i = bisect_left(self._exps, n)
-        return self._coefs[i] if i < len(self._exps) and self._exps[i] == n else 0
-
     def __bool__(self):
         return bool(self._exps)
 
@@ -247,9 +242,6 @@ class RationalSeries:
     @property
     def order(self) -> int:
         return len(self.coeffs) - 1
-
-    def coeff(self, n: int) -> Fraction:
-        return self.coeffs[n]
 
     def truncate(self, order: int) -> "RationalSeries":
         if order > self.order:

@@ -76,9 +76,3 @@ def k_values(S: SemigroupSpec, c, p_max: int) -> list[Fraction]:
     if p_max < 0:
         raise ValueError("p must be nonnegative")
     return [Fraction(c[S.m + p], k_denominator(S, p)) for p in range(p_max + 1)]
-
-
-def k_invariant(S: SemigroupSpec, h: HilbertData, p: int) -> Fraction:
-    """The normalized invariant K_p, from the Hilbert numerator alone."""
-    return k_values(S, alternating_syzygy_sums(h, S.m + p), p)[p]
-

@@ -73,26 +73,17 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, gcd, lcm
 from operator import add, mul
 
 from .exact import IntPolynomial, power_sums
-from .hilbert import (
-    HilbertData,
-    alternating_syzygy_sums,
-    hilbert_numerator,
-    k_denominator,
-    k_invariant,  # noqa: F401  no check here uses it; perfbench's tracer test reads it off this module
-    k_values,
-)
+from .hilbert import HilbertData, alternating_syzygy_sums, hilbert_numerator, k_denominator
 from .semigroup import (
     APERY_MAX,
     SemigroupSpec,
     apery_set,
     gap_power_sums,
-    generator_stats,
     make_semigroup,
 )
 from .universal import (
@@ -315,29 +306,29 @@ def verify_low_order(inv: Invariants) -> list[CheckRecord]:
 
     Each row is Fel's formula at p, whose G_r term is C(p, r) T_{p-r}(sigma)
     G_r: in the p = 3 row the coefficient of G_1 is C(3, 1) T_2
-    = (3*s1^2 + s2)/4, with T_2 = (3*s1^2 + s2)/12.
+    = (3*s1^2 + s2)/4, with T_2 = (3*s1^2 + s2)/12. The paper's delta_k
+    = (sigma_k - 1)/2^k enter as e_k = sigma_k - 1 = 2^k delta_k, so that
+    the closed form of K_p is an integer row over den = 2, 24, 24, 960. The
+    record compares c[m+p] den against row k_denominator(S, p), over
+    k_denominator(S, p) den, as FEL_MAIN does.
     """
-    stats = generator_stats(inv.S, 4)
-    s1, s2 = stats.sigma[0], stats.sigma[1]
-    d1, d2, d4 = stats.delta[0], stats.delta[1], stats.delta[3]
-    G = inv.G
-    closed = [
-        G[0] + d1,
-        G[1] + Fraction(s1, 2) * G[0] + (3 * d1**2 + d2) / 6,
-        G[2]
-        + s1 * G[1]
-        + Fraction(3 * s1**2 + s2, 12) * G[0]
-        + d1 * (d1**2 + d2) / 3,
-        G[3]
-        + Fraction(3 * s1, 2) * G[2]
-        + Fraction(3 * s1**2 + s2, 4) * G[1]
-        + Fraction(s1 * (s1**2 + s2), 8) * G[0]
-        + (15 * d1**4 + 30 * d1**2 * d2 + 5 * d2**2 - 2 * d4) / 60,
+    S, G = inv.S, inv.G
+    _, s1, s2, _, s4 = power_sums(S.generators, 4)
+    e1, e2, e4 = s1 - 1, s2 - 1, s4 - 1
+    t2 = 3 * s1**2 + s2  # 12 T_2(sigma)
+    # the G_r terms of the p = 3 row
+    g3 = 960 * G[3] + 1440 * s1 * G[2] + 240 * t2 * G[1] + 120 * s1 * (s1**2 + s2) * G[0]
+    rows = [
+        (2, 2 * G[0] + e1),
+        (24, 24 * G[1] + 12 * s1 * G[0] + 3 * e1**2 + e2),
+        (24, 24 * G[2] + 24 * s1 * G[1] + 2 * t2 * G[0] + e1 * (e1**2 + e2)),
+        (960, g3 + 15 * e1**4 + 30 * e1**2 * e2 + 5 * e2**2 - 2 * e4),
     ]
-    return [
-        _record("LOW_ORDER_K", p, k, rhs)
-        for p, (k, rhs) in enumerate(zip(k_values(inv.S, inv.c, 3), closed))
-    ]
+    records = []
+    for p, (den, row) in enumerate(rows):
+        k = k_denominator(S, p)
+        records.append(_value_record("LOW_ORDER_K", p, inv.c[S.m + p] * den, row * k, k * den))
+    return records
 
 
 def verify_m2_closed_form(inv: Invariants) -> list[CheckRecord]:

@@ -795,6 +795,29 @@ class TestOutput:
         assert err.startswith("OSError: ") and err.count("\n") == 1, err
         assert "Traceback" not in err and "Exception ignored" not in err
 
+    def test_closed_pipe_that_stderr_shares(self):
+        # as `felcheck tn 40 2>&1 | head -1`: the OSError line goes to the
+        # closed pipe too; that write fails quietly and the exit stays 2
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        cmd = [sys.executable, "-m", "felcheck", "tn", "40"]
+        proc = subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, env=env)
+        head = proc.stdout.read(100)
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 2
+        assert head.startswith(b"T_0 = 1\nT_1 = s1/2\n")
+
+    def test_refusal_with_a_closed_stderr_pipe(self, monkeypatch):
+        # the ValueError path writes only to stderr; a closed pipe there
+        # loses the message, and the refusal still exits 2
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        with open(write_end, "w", encoding="utf-8") as stream:
+            monkeypatch.setattr(sys, "stderr", stream)
+            assert cli.main(["tn", "2", "--at", "1_000,3"]) == 2
+            monkeypatch.undo()
+
     def test_closed_stdout_pipe_closes_its_devnull_descriptor(self, capsys, monkeypatch):
         read_end, write_end = os.pipe()
         os.close(read_end)

@@ -85,7 +85,7 @@ class TestAtExp:
         for _ in range(25):
             p = P(*[rng.randint(-5, 5) for _ in range(rng.randint(0, 7))])
             for n in range(6):
-                lhs = p.at_exp(n).coeff(n) * _factorial(n)
+                lhs = p.at_exp(n).coeffs[n] * _factorial(n)
                 rhs = sum(c * k**n for k, c in enumerate(p.coeffs))
                 assert lhs == rhs
 

@@ -6,7 +6,8 @@ replacing the apery_set or hilbert_numerator that verify calls, or the
 surjection-number rows that E is built from; in the power sums W of the
 Apéry set held by a built bundle, which G has already been computed from,
 so that only the Phi route of the series lemmas reads the corrupted sums;
-for the companion checks, by replacing the tangent numbers or the umbral
+in the G or c of a built bundle, for the LOW_ORDER_K records; for the
+companion checks, by replacing the tangent numbers or the umbral
 factors that verify reads; for symbolic T_n, by replacing the Bernoulli
 numbers that t_symbolic reads, with its cache cleared before and after."""
 
@@ -133,6 +134,37 @@ def test_changed_apery_entry_fails_fel_main(monkeypatch):
     apery[1] += min(S.generators)
     inv = corrupted(monkeypatch, apery, H)
     assert "fail" in statuses(verify_fel_main(inv))["FEL_MAIN"]
+
+
+def low_order_rows(records):
+    return [(c.identity, c.parameter, c.lhs, c.rhs, c.status) for c in records]
+
+
+def test_changed_gap_count_fails_every_low_order_row():
+    # G_0 (the genus) enters every closed form; rows recorded while
+    # LOW_ORDER_K still compared Fractions
+    inv = invariants(S, 6, ORDER)
+    records = verify.verify_low_order(replace(inv, G=(inv.G[0] + 1, *inv.G[1:])))
+    assert low_order_rows(records) == [
+        ("LOW_ORDER_K", 0, "37/2", "39/2", "fail"),
+        ("LOW_ORDER_K", 1, "560/3", "602/3", "fail"),
+        ("LOW_ORDER_K", 2, "32059/12", "11539/4", "fail"),
+        ("LOW_ORDER_K", 3, "451241/10", "485891/10", "fail"),
+    ]
+
+
+def test_changed_syzygy_sum_fails_its_low_order_row():
+    # m = 3 is odd, so the normaliser of K_1, -pi 4!/1! = -2880, is negative;
+    # c[m+1] enters K_1 alone
+    S3 = make_semigroup([4, 5, 6])
+    inv = invariants(S3, 3)
+    c = list(inv.c)
+    c[S3.m + 1] -= 7
+    records = verify.verify_low_order(replace(inv, c=tuple(c)))
+    assert [r for r in low_order_rows(records) if r[4] == "fail"] == [
+        ("LOW_ORDER_K", 1, "203527/2880", "212/3", "fail"),
+    ]
+    assert [r.status for r in records] == ["pass", "fail", "pass", "pass"]
 
 
 def test_changed_surjection_number_fails_series_p(monkeypatch):

@@ -141,7 +141,8 @@ def test_ring_operations_match_dense(a, b):
     assert tuple((pa * pb).items()) == terms_of(dense_mul(a, b))
     assert pa.coeffs == tuple(a)
     assert pa.degree == len(a) - 1
-    assert all(pa.coeff(n) == (a[n] if n < len(a) else 0) for n in range(len(a) + 2))
+    terms = dict(pa.items())
+    assert all(terms.get(n, 0) == (a[n] if n < len(a) else 0) for n in range(len(a) + 2))
 
 
 @SETTINGS

@@ -6,7 +6,8 @@ from itertools import combinations_with_replacement
 import pytest
 
 from felcheck import cli, semigroup, verify
-from felcheck.hilbert import hilbert_numerator, k_invariant, k_values
+from felcheck.exact import IntPolynomial
+from felcheck.hilbert import alternating_syzygy_sums, hilbert_numerator, k_values
 from felcheck.semigroup import apery_set, make_semigroup
 from felcheck.universal import _binomial_row, _egf_mul, _umbral_factor
 from felcheck.verify import (
@@ -215,7 +216,9 @@ class TestInvariants:
         S = make_semigroup([4, 5, 6])
         inv = invariants(S, 3)
         h = hilbert_numerator(S, apery_set(S))
-        assert k_values(S, inv.c, 3) == [k_invariant(S, h, p) for p in range(4)]
+        assert k_values(S, inv.c, 3) == [
+            k_values(S, alternating_syzygy_sums(h, S.m + p), p)[p] for p in range(4)
+        ]
 
     def test_reaches_the_low_order_index(self):
         inv = invariants(make_semigroup([2, 3]), 0, 2)
@@ -389,9 +392,12 @@ class TestDigitLimit:
                 verify_semigroup(S, 4)
             assert sys.get_int_max_str_digits() == 4300
             assert issubclass(DigitLimitExceeded, ValueError)
-            # the Fraction and polynomial records are rendered by str() instead
+            # every per-semigroup record but M2_CLOSED_FORM's numerator form
+            # holds integers over one denominator; that polynomial record is
+            # rendered by str() instead
+            big = IntPolynomial.from_terms([(0, 10**4300)])
             with pytest.raises(DigitLimitExceeded):
-                verify._record("LOW_ORDER_K", 0, F(10**4300, 3), F(1, 3))
+                verify._record("M2_CLOSED_FORM", None, big, IntPolynomial.one_minus_pow(3))
             sys.set_int_max_str_digits(0)
             assert verify_semigroup(S, 4).passed
         finally:
