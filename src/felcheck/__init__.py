@@ -12,7 +12,6 @@ from .hilbert import (
     alternating_syzygy_sums,
     hilbert_numerator,
     k_denominator,
-    k_values,
     product_polynomial,
 )
 from .semigroup import (
@@ -21,14 +20,12 @@ from .semigroup import (
     EmptyGenerators,
     GapData,
     GcdNotOne,
-    GeneratorStats,
     NonIntegerGenerator,
     NonPositiveGenerator,
     SemigroupSpec,
     apery_set,
     compute_gaps,
     gap_power_sums,
-    generator_stats,
     make_semigroup,
 )
 from .universal import (
@@ -67,7 +64,6 @@ __all__ = [
     "EmptyGenerators",
     "GapData",
     "GcdNotOne",
-    "GeneratorStats",
     "HilbertData",
     "IntPolynomial",
     "Invariants",
@@ -85,11 +81,9 @@ __all__ = [
     "bernoulli",
     "compute_gaps",
     "gap_power_sums",
-    "generator_stats",
     "hilbert_numerator",
     "invariants",
     "k_denominator",
-    "k_values",
     "make_semigroup",
     "product_polynomial",
     "random_semigroup",

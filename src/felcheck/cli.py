@@ -26,14 +26,13 @@ from functools import cache
 from json.encoder import encode_basestring_ascii
 
 from .exact import power_sums
-from .hilbert import alternating_syzygy_sums, hilbert_numerator, k_values
+from .hilbert import alternating_syzygy_sums, hilbert_numerator, k_denominator
 from .semigroup import (
     APERY_MAX,
     DEFAULT_BOUND,
     apery_set,
     compute_gaps,
     gap_power_sums,
-    generator_stats,
     least_generator,
     make_semigroup,
 )
@@ -155,7 +154,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     tn = sub.add_parser("tn", help="universal symmetric polynomials, symbolic or evaluated")
     tn.add_argument("n_max", type=int)
-    tn.add_argument("--at", metavar="X1,X2,...", help="evaluate at comma-separated rationals")
+    tn.add_argument(
+        "--at",
+        metavar="X1,X2,...",
+        help="evaluate at comma-separated rationals; write --at=-1,1 when the first is negative",
+    )
     add_output(tn)
 
     ver = sub.add_parser("verify", help="verify the identities exactly")
@@ -182,7 +185,7 @@ def cmd_invariants(args) -> dict:
     effective_order(0, args.p_max, args.p_max)
     S = make_semigroup(args.generators)
     gaps = compute_gaps(S, args.bound)
-    stats = generator_stats(S, args.p_max + 1)
+    sigma = power_sums(S.generators, args.p_max + 1)[1:]
     G = gap_power_sums(power_sums(gaps.apery, args.p_max + 1), args.p_max)
     return {
         "generators": list(S.generators),
@@ -192,8 +195,8 @@ def cmd_invariants(args) -> dict:
         "genus": gaps.genus,
         "gaps": list(gaps.gaps),
         "G": [str(v) for v in G],
-        "sigma": [str(v) for v in stats.sigma],
-        "delta": [str(v) for v in stats.delta],
+        "sigma": [str(v) for v in sigma],
+        "delta": [str(Fraction(s - 1, 2**k)) for k, s in enumerate(sigma, 1)],
     }
 
 
@@ -207,7 +210,7 @@ def cmd_hilbert(args) -> dict:
         "generators": list(S.generators),
         "Q": h.numerator.sparse_str(),
         "C": [str(v) for v in c],
-        "K": [str(v) for v in k_values(S, c, args.p_max)],
+        "K": [str(Fraction(c[S.m + p], k_denominator(S, p))) for p in range(args.p_max + 1)],
     }
 
 
@@ -303,7 +306,7 @@ def cmd_examples(args) -> dict:
                 "gaps": list(gaps.gaps),
                 "numerator": q,
                 "C": [str(v) for v in c],
-                "K": [str(v) for v in k_values(S, c, EXAMPLE_P_MAX)],
+                "K": [str(Fraction(c[S.m + p], k_denominator(S, p))) for p in range(EXAMPLE_P_MAX + 1)],
                 "passed": wrong is None,
             }
         )

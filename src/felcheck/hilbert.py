@@ -15,7 +15,6 @@ built by the same merge; no gap polynomial is built.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import factorial
 
 from .exact import IntPolynomial
@@ -69,10 +68,3 @@ def k_denominator(S: SemigroupSpec, p: int) -> int:
     """The normaliser of the p-th invariant: (-1)^m * pi * (m+p)!/p!."""
     return (-1) ** S.m * S.pi * (factorial(S.m + p) // factorial(p))
 
-
-def k_values(S: SemigroupSpec, c, p_max: int) -> list[Fraction]:
-    """The normalized invariants K_p = c[m+p] / k_denominator(S, p) for
-    p <= p_max, from the alternating syzygy sums c."""
-    if p_max < 0:
-        raise ValueError("p must be nonnegative")
-    return [Fraction(c[S.m + p], k_denominator(S, p)) for p in range(p_max + 1)]

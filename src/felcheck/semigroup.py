@@ -1,9 +1,8 @@
-"""Numerical semigroups: validation, gap sets, and generator power sums."""
+"""Numerical semigroups: validation, Apéry and gap sets, and gap power sums."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from heapq import heappop, heappush
 from math import gcd, prod
 from operator import index, mul
@@ -62,14 +61,6 @@ class GapData:
     frobenius: int  # -1 when the gap set is empty
     genus: int
     apery: tuple[int, ...]  # apery[r]: least element of S congruent to r mod min(generators)
-
-
-@dataclass(frozen=True)
-class GeneratorStats:
-    """Power sums of the generators: sigma[k-1] holds sum(d**k), delta[k-1] holds (sigma_k - 1) / 2**k."""
-
-    sigma: tuple[int, ...]
-    delta: tuple[Fraction, ...]
 
 
 def make_semigroup(generators) -> SemigroupSpec:
@@ -212,10 +203,3 @@ def gap_power_sums(W, r_max: int) -> list[int]:
         G.append(g)
     return G
 
-
-def generator_stats(S: SemigroupSpec, K: int) -> GeneratorStats:
-    """Generator power sums sigma_k and shifted variants delta_k for 1 <= k <= K."""
-    if K < 1:
-        raise ValueError("K must be at least 1")
-    sigma = tuple(power_sums(S.generators, K)[1:])
-    return GeneratorStats(sigma, tuple(Fraction(s - 1, 2**k) for k, s in enumerate(sigma, 1)))

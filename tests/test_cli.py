@@ -160,6 +160,19 @@ class TestTn:
         _, out, _ = run_cli(capsys, "tn", "2", "--at", "7/2,1/3")
         assert out.splitlines()[1] == "T_1 = 23/12"
 
+    def test_negative_first_entry(self, capsys):
+        # argparse reads "-1,1" as an option; "--at=" keeps it the option's value
+        with pytest.raises(SystemExit) as exit_:
+            cli.main(["tn", "3", "--at", "-1,1"])
+        assert exit_.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "argument --at: expected one argument" in err
+        code, out, _ = run_cli(capsys, "tn", "3", "--at=-1,1")
+        assert code == 0
+        # s1 = 0, s2 = 2: T_2 = (3*s1^2 + s2)/12
+        assert out.splitlines() == ["T_0 = 1", "T_1 = 0", "T_2 = 1/6", "T_3 = 0"]
+
     def test_evaluated_matches_fraction_series(self, capsys):
         _, out, _ = run_cli(capsys, "tn", "12", "--at", "1/2,3,-5")
         sigma = sigma_by_series((F(1, 2), 3, -5), 12)

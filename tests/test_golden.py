@@ -11,7 +11,10 @@ Fractions, before they became integers over one denominator. The two
 `tn 9 --at` digests were recorded while T_n(x) was still read off a
 RationalSeries of T_n(x)/n!. The two verify digests with non-default
 --samples and --seed were recorded while each companion sample still went
-through exact.power_sums and the dense umbral product.
+through exact.power_sums and the dense umbral product. The
+`invariants ... --p-max 12 --format json` digest and the three
+`hilbert 5 6 8 9 --p-max 12` digests were recorded while sigma and delta
+still came from a generator_stats wrapper and K from a k_values helper.
 Any change to what the CLI prints, however small, fails here.
 """
 
@@ -80,6 +83,19 @@ DIGESTS = {
     ),
     ("tn", "9", "--at=-2,-2,3/7,5", "--format", "tsv"): (
         "dfdfc62f6867384994dc5fd1b8ffcb784e2a2b4a9c784feb3edd07fdd9333c7f"
+    ),
+    # sigma_1..sigma_13, delta_1..delta_13 and K_0..K_12 past the default p_max
+    ("invariants", "5", "6", "8", "9", "--p-max", "12", "--format", "json"): (
+        "9122f0aa021f713fc12a70c63b99a6355420552b63e806d9a85b34f70d22b7f2"
+    ),
+    ("hilbert", "5", "6", "8", "9", "--p-max", "12", "--format", "table"): (
+        "363f5388a0b78096d8cd26a8810fb0d30150171767bd628ff01a64480fdc31e2"
+    ),
+    ("hilbert", "5", "6", "8", "9", "--p-max", "12", "--format", "json"): (
+        "a6bb722feeb7b0382c467711bff060ac1aeb080920b6912de49f517eb55ee3fb"
+    ),
+    ("hilbert", "5", "6", "8", "9", "--p-max", "12", "--format", "tsv"): (
+        "443c0007cb0c595dd14604dd3b300ae7e29aade8895a91f8e0bfe44c18df5e75"
     ),
     # companion checks away from the default 20 samples at seed 0
     ("verify", "3", "5", "--samples", "500", "--seed", "12345", "--format", "tsv"): (

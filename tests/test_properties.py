@@ -21,7 +21,7 @@ from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from felcheck.exact import IntPolynomial, NonExactDivision, power_sums  # noqa: E402
-from felcheck.hilbert import hilbert_numerator, product_polynomial  # noqa: E402
+from felcheck.hilbert import hilbert_numerator, k_denominator, product_polynomial  # noqa: E402
 from felcheck.semigroup import (  # noqa: E402
     _range_power_sums,
     apery_set,
@@ -29,7 +29,6 @@ from felcheck.semigroup import (  # noqa: E402
     gap_power_sums,
     make_semigroup,
 )
-from felcheck.hilbert import k_values  # noqa: E402
 from felcheck.universal import (  # noqa: E402
     _egf_mul,
     _exp_minus_one_product,
@@ -342,7 +341,7 @@ def test_fel_formula_as_stated(gens):
     sigma, delta = sigma_by_series(gens, 9), delta_by_series(gens, 9)
     T = [factorial(n) * sigma[n] for n in range(10)]
     T_delta = [Fraction(factorial(n), 2**n) * delta[n] for n in range(10)]
-    K = k_values(inv.S, inv.c, 8)
+    K = [Fraction(inv.c[inv.S.m + p], k_denominator(inv.S, p)) for p in range(9)]
     for p in range(9):
         stated = sum(comb(p, r) * T[p - r] * G[r] for r in range(p + 1))
         stated += Fraction(2 ** (p + 1), p + 1) * T_delta[p + 1]

@@ -7,7 +7,7 @@ import pytest
 
 from felcheck import cli, semigroup, verify
 from felcheck.exact import IntPolynomial
-from felcheck.hilbert import alternating_syzygy_sums, hilbert_numerator, k_values
+from felcheck.hilbert import alternating_syzygy_sums, hilbert_numerator, k_denominator
 from felcheck.semigroup import apery_set, make_semigroup
 from felcheck.universal import _binomial_row, _egf_mul, _umbral_factor
 from felcheck.verify import (
@@ -216,8 +216,9 @@ class TestInvariants:
         S = make_semigroup([4, 5, 6])
         inv = invariants(S, 3)
         h = hilbert_numerator(S, apery_set(S))
-        assert k_values(S, inv.c, 3) == [
-            k_values(S, alternating_syzygy_sums(h, S.m + p), p)[p] for p in range(4)
+        c = [alternating_syzygy_sums(h, S.m + p) for p in range(4)]
+        assert [F(inv.c[S.m + p], k_denominator(S, p)) for p in range(4)] == [
+            F(c[p][S.m + p], k_denominator(S, p)) for p in range(4)
         ]
 
     def test_reaches_the_low_order_index(self):
