@@ -41,6 +41,7 @@ from .verify import (
     IDENTITIES,
     ORDER_MAX,
     OrderTooLarge,
+    _fraction_str,
     check_samples,
     effective_order,
     random_semigroup,
@@ -196,7 +197,7 @@ def cmd_invariants(args) -> dict:
         "gaps": list(gaps.gaps),
         "G": [str(v) for v in G],
         "sigma": [str(v) for v in sigma],
-        "delta": [str(Fraction(s - 1, 2**k)) for k, s in enumerate(sigma, 1)],
+        "delta": [_fraction_str(s - 1, 2**k) for k, s in enumerate(sigma, 1)],
     }
 
 
@@ -210,7 +211,7 @@ def cmd_hilbert(args) -> dict:
         "generators": list(S.generators),
         "Q": h.numerator.sparse_str(),
         "C": [str(v) for v in c],
-        "K": [str(Fraction(c[S.m + p], k_denominator(S, p))) for p in range(args.p_max + 1)],
+        "K": [_fraction_str(c[S.m + p], k_denominator(S, p)) for p in range(args.p_max + 1)],
     }
 
 
@@ -306,7 +307,7 @@ def cmd_examples(args) -> dict:
                 "gaps": list(gaps.gaps),
                 "numerator": q,
                 "C": [str(v) for v in c],
-                "K": [str(Fraction(c[S.m + p], k_denominator(S, p))) for p in range(EXAMPLE_P_MAX + 1)],
+                "K": [_fraction_str(c[S.m + p], k_denominator(S, p)) for p in range(EXAMPLE_P_MAX + 1)],
                 "passed": wrong is None,
             }
         )

@@ -15,7 +15,7 @@ built by the same merge; no gap polynomial is built.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial
+from math import perm
 
 from .exact import IntPolynomial
 from .semigroup import SemigroupSpec
@@ -66,5 +66,5 @@ def alternating_syzygy_sums(h: HilbertData, r_max: int) -> list[int]:
 
 def k_denominator(S: SemigroupSpec, p: int) -> int:
     """The normaliser of the p-th invariant: (-1)^m * pi * (m+p)!/p!."""
-    return (-1) ** S.m * S.pi * (factorial(S.m + p) // factorial(p))
+    return (-1) ** S.m * S.pi * perm(S.m + p, S.m)
 

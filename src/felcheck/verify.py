@@ -65,6 +65,36 @@ series lemmas compare, for every n <= order:
   Its entry n = m + p, the integers of FEL_MAIN over (n+1)! L, is the final
   equation before normalization, recorded as EQ_FINAL for each p <= p_max.
 
+Which kernels each identity reads, as the records show it: each kernel
+perturbed once, the identities with a FAIL record on (5, 6, 8, 9) and on
+(3, 5) at p_max = 4 and in verify_companions(5, 0) (LEMMA_ left off the
+series lemmas; tests/test_failure_paths.py pins every row):
+
+  kernel, perturbed                     identities that fail
+  apery_set, class 1 raised by a        none; M2_CLOSED_FORM on (3, 5)
+  _surjection_row, last entry + 1       SERIES_P, SERIES_PDIV, SERIES_C,
+    in every row n >= 6                 ONE_MINUS_Q, EQ_FINAL, FEL_MAIN
+  _surjection_row, entry 1 + 1          none; SERIES_C and SERIES_PDIV
+    in every row n >= 6                 on (3, 5)
+  gap_power_sums, G_2 + 1               SERIES_PHI, LOW_ORDER_K,
+                                        ONE_MINUS_Q, EQ_FINAL, FEL_MAIN
+  _gap_power_sums_by_classes, Phi_2 + M SERIES_PHI, SERIES_C
+  hilbert_numerator, two extra terms    THM_KP, LOW_ORDER_K, SERIES_C,
+    in Q, Q(1) kept 0                   ONE_MINUS_Q, EQ_FINAL, FEL_MAIN;
+                                        and M2_CLOSED_FORM on (3, 5)
+  _scaled_bernoulli, L B_4 + 1          SERIES_PHI, SERIES_C, SERIES_PDIV,
+                                        ONE_MINUS_Q, EQ_FINAL, FEL_MAIN
+  zigzag, A_5 + 1                       FEL2_ZIGZAG
+  _umbral_factor, entry 2 + 1           FEL1_SIGNFLIP
+  power_sums, W_3 + 1                   no record: gap_power_sums raises
+                                        NonExactDivision in invariants
+
+FEL_MAIN fails exactly when EQ_FINAL does: they compare the same integers.
+E reads only the surjection entries j >= m, and P/(1 - z) only j >= m - 1,
+so entry 1 is read for m <= 2 alone. No record catches a wrong Apéry set
+for m >= 3: Q, W, G and Phi are all read off that one set, and Fel's
+formula holds for any set that Q and G are both built from.
+
 A record prints each value num/den in lowest terms, reduced by gcd with no
 Fraction made, and a passing record prints one value for both sides.
 """
@@ -660,8 +690,8 @@ def random_semigroup(rng, m_max: int, d_max: int) -> SemigroupSpec:
     if m_max == 1:
         return make_semigroup((1,))
     while True:
-        m = rng.randint(1, m_max)
-        gens = [rng.randint(1, d_max) for _ in range(m)]
+        m = _randint(rng, 1, m_max)
+        gens = [_randint(rng, 1, d_max) for _ in range(m)]
         if gcd(*gens) == 1:
             return make_semigroup(gens)
 

@@ -939,6 +939,20 @@ class TestRejectedArguments:
             assert out == ""
             assert err.startswith("ValueError") and entry in err
 
+    def test_negative_n_max_for_tn(self, capsys):
+        code, out, err = run_cli(capsys, "tn", "-1")
+        assert code == 2
+        assert out == ""
+        assert err == "ValueError: n_max must be nonnegative\n"
+
+    def test_exponent_that_is_not_an_integer_in_at(self, capsys):
+        # "1ex" reads as mantissa 1 and exponent "x": the length check keeps
+        # the text's own length, and Fraction refuses the entry
+        code, out, err = run_cli(capsys, "tn", "2", "--at", "1ex")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("ValueError") and "'1ex'" in err
+
     def test_negative_p_max_for_hilbert(self, capsys):
         code, out, err = run_cli(capsys, "hilbert", "3", "5", "--p-max", "-1")
         assert code == 2

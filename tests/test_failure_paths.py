@@ -9,7 +9,10 @@ so that only the Phi route of the series lemmas reads the corrupted sums;
 in the G or c of a built bundle, for the LOW_ORDER_K records; for the
 companion checks, by replacing the tangent numbers or the umbral
 factors that verify reads; for symbolic T_n, by replacing the Bernoulli
-numbers that t_symbolic reads, with its cache cleared before and after."""
+numbers that t_symbolic reads, with its cache cleared before and after.
+test_each_kernel_fails_exactly_its_readers perturbs each kernel that verify
+reads once and pins the exact set of identities that fail, the table in
+verify's module docstring."""
 
 import hashlib
 from dataclasses import replace
@@ -19,10 +22,10 @@ from math import factorial
 import pytest
 
 from felcheck import universal, verify
-from felcheck.exact import IntPolynomial, power_sums
+from felcheck.exact import IntPolynomial, NonExactDivision, power_sums
 from felcheck.hilbert import hilbert_numerator
-from felcheck.semigroup import apery_set, make_semigroup
-from felcheck.universal import t_values
+from felcheck.semigroup import apery_set, gap_power_sums, make_semigroup
+from felcheck.universal import _scaled_bernoulli, _surjection_row, _umbral_factor, t_values, zigzag
 from felcheck.verify import (
     invariants,
     verify_fel_main,
@@ -246,3 +249,159 @@ def test_changed_bernoulli_number_fails_the_universal_identity(monkeypatch, chan
             assert (value == t_values((3, 5), n)[n]) != moved, n
     finally:
         universal.t_symbolic.cache_clear()
+
+
+# Each kernel that verify reads, perturbed once: the replacements, then the
+# identities with a FAIL record on (5, 6, 8, 9) and on (3, 5) at p_max 4, and
+# in verify_companions(5, 0). The same table is in verify's module docstring.
+REAL_PHI_BY_CLASSES = verify._gap_power_sums_by_classes
+
+
+def raised_class_1(S, bound):
+    # class 1 mod a raised by a: a wrong Apéry set that Q, W, G and Phi all read
+    apery = apery_set(S, bound)
+    apery[1] += min(S.generators)
+    return apery
+
+
+def bumped_surjection_entry(j):
+    """_surjection_row with entry j (the last one for j = None) raised by 1
+    in every row n >= 6."""
+
+    def corrupt(n):
+        row = _surjection_row(n)
+        k = n if j is None else j
+        return row[:k] + (row[k] + 1,) + row[k + 1 :] if n >= 6 else row
+
+    return [(universal, "_surjection_row", corrupt), (verify, "_surjection_row", corrupt)]
+
+
+def two_extra_q_terms(S, apery):
+    # + z^(D+1) - z^(D+2), D = deg Q: Q(1) stays 0, C_1 moves by 1
+    h = hilbert_numerator(S, apery)
+    terms = dict(h.numerator.items())
+    top = max(terms)
+    terms[top + 1], terms[top + 2] = 1, -1
+    return replace(h, numerator=IntPolynomial.from_terms(sorted(terms.items())))
+
+
+def bumped_g2(W, r_max):
+    G = gap_power_sums(W, r_max)
+    G[2] += 1
+    return G
+
+
+def bumped_phi2(W, order):
+    phi, M = REAL_PHI_BY_CLASSES(W, order)
+    phi[2] += M
+    return phi, M
+
+
+def bumped_b4(n_max):
+    # L B_4 + 1 in verify's table only; the umbral factors read universal's
+    L, bern = _scaled_bernoulli(n_max)
+    return (L, (*bern[:4], bern[4] + 1, *bern[5:])) if n_max >= 4 else (L, bern)
+
+
+def bumped_umbral_entry_2(d, n_max):
+    factor = _umbral_factor(d, n_max)
+    factor[2] += 1
+    return factor
+
+
+def fails(text=""):
+    return frozenset(text.split())
+
+
+SERIES_SIDE = "LEMMA_ONE_MINUS_Q EQ_FINAL FEL_MAIN"
+KERNELS = {
+    "apery_set class 1 + a": (
+        [(verify, "apery_set", raised_class_1)],
+        fails(),
+        fails("M2_CLOSED_FORM"),
+        fails(),
+    ),
+    "surjection last entry + 1": (
+        bumped_surjection_entry(None),
+        fails(f"LEMMA_SERIES_P LEMMA_SERIES_PDIV LEMMA_SERIES_C {SERIES_SIDE}"),
+        fails(f"LEMMA_SERIES_P LEMMA_SERIES_PDIV LEMMA_SERIES_C {SERIES_SIDE}"),
+        fails(),
+    ),
+    "surjection entry 1 + 1": (
+        bumped_surjection_entry(1),
+        fails(),
+        fails("LEMMA_SERIES_C LEMMA_SERIES_PDIV"),
+        fails(),
+    ),
+    "G_2 + 1": (
+        [(verify, "gap_power_sums", bumped_g2)],
+        fails(f"LEMMA_SERIES_PHI LOW_ORDER_K {SERIES_SIDE}"),
+        fails(f"LEMMA_SERIES_PHI LOW_ORDER_K {SERIES_SIDE}"),
+        fails(),
+    ),
+    "Phi_2 + M": (
+        [(verify, "_gap_power_sums_by_classes", bumped_phi2)],
+        fails("LEMMA_SERIES_PHI LEMMA_SERIES_C"),
+        fails("LEMMA_SERIES_PHI LEMMA_SERIES_C"),
+        fails(),
+    ),
+    "two extra terms in Q": (
+        [(verify, "hilbert_numerator", two_extra_q_terms)],
+        fails(f"THM_KP LOW_ORDER_K LEMMA_SERIES_C {SERIES_SIDE}"),
+        fails(f"THM_KP LOW_ORDER_K LEMMA_SERIES_C M2_CLOSED_FORM {SERIES_SIDE}"),
+        fails(),
+    ),
+    "L B_4 + 1": (
+        [(verify, "_scaled_bernoulli", bumped_b4)],
+        fails(f"LEMMA_SERIES_PHI LEMMA_SERIES_C LEMMA_SERIES_PDIV {SERIES_SIDE}"),
+        fails(f"LEMMA_SERIES_PHI LEMMA_SERIES_C LEMMA_SERIES_PDIV {SERIES_SIDE}"),
+        fails(),
+    ),
+    "zigzag(5) + 1": (
+        [(verify, "zigzag", lambda j: zigzag(j) + (j == 5))],
+        fails(),
+        fails(),
+        fails("FEL2_ZIGZAG"),
+    ),
+    "umbral factor entry 2 + 1": (
+        [(verify, "_umbral_factor", bumped_umbral_entry_2)],
+        fails(),
+        fails(),
+        fails("FEL1_SIGNFLIP"),
+    ),
+}
+
+
+def failing(records):
+    return frozenset(c.identity for c in records if c.status == "fail")
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_each_kernel_fails_exactly_its_readers(monkeypatch, kernel):
+    patches, on_5689, on_35, in_companions = KERNELS[kernel]
+    _surjection_row(40)  # every true row read is cached before any swap
+    for module, name, replacement in patches:
+        monkeypatch.setattr(module, name, replacement)
+    found = [
+        failing(verify_semigroup(make_semigroup(gens), p_max=4).checks) for gens in (S.generators, [3, 5])
+    ]
+    assert found == [on_5689, on_35]
+    assert failing(verify.verify_companions(5, 0).checks) == in_companions
+    # FEL_MAIN and EQ_FINAL compare the same integers
+    for identities in found:
+        assert ("FEL_MAIN" in identities) == ("EQ_FINAL" in identities)
+
+
+def test_wrong_apery_power_sum_raises_instead_of_failing_a_record(monkeypatch):
+    # W_3 + 1 leaves G_2 a non-integer: gap_power_sums raises inside
+    # invariants, before any record, where the same non-integrality on the
+    # Phi route is a FAIL record (test_apery_entry_off_its_class_...)
+    def bumped_w3(values, k):
+        W = power_sums(values, k)
+        W[3] += 1
+        return W
+
+    monkeypatch.setattr(verify, "power_sums", bumped_w3)
+    for gens in ([5, 6, 8, 9], [3, 5]):
+        with pytest.raises(NonExactDivision, match="G_2 from the Apéry set is not an integer"):
+            verify_semigroup(make_semigroup(gens), p_max=4)

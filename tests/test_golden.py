@@ -15,6 +15,9 @@ through exact.power_sums and the dense umbral product. The
 `invariants ... --p-max 12 --format json` digest and the three
 `hilbert 5 6 8 9 --p-max 12` digests were recorded while sigma and delta
 still came from a generator_stats wrapper and K from a k_values helper.
+The `verify --random ... --d-max 600` digest was recorded while
+random_semigroup still drew through random.Random.randint and the CLI
+still printed K_p and delta_k through str(Fraction).
 Any change to what the CLI prints, however small, fails here.
 """
 
@@ -96,6 +99,12 @@ DIGESTS = {
     ),
     ("hilbert", "5", "6", "8", "9", "--p-max", "12", "--format", "tsv"): (
         "443c0007cb0c595dd14604dd3b300ae7e29aade8895a91f8e0bfe44c18df5e75"
+    ),
+    # width 600 draws 10 bits and rejects 424 of 1,024 values, so the draws'
+    # rejection loop runs on about 41% of them
+    ("verify", "--random", "--seed", "11", "--count", "30", "--m-max", "4", "--d-max", "600", "--p-max", "1",
+     "--format", "tsv"): (
+        "29c307ace3689e017f42c9d3a7ef76095d5bc03242b685b39109c3ef3ee2948a"
     ),
     # companion checks away from the default 20 samples at seed 0
     ("verify", "3", "5", "--samples", "500", "--seed", "12345", "--format", "tsv"): (

@@ -67,6 +67,30 @@ def _random_vector(rng, m_max=5):
     return tuple(xs)
 
 
+def _zigzag_sides(n, tangent):
+    """Both sides of the zig-zag recursion at K = 2n + 1 on t_symbolic's
+    integer rows, as {monomial: integer} over one denominator D. The term j
+    of the right side multiplies T_{2n-2j} by (s1/2)^(2j+1): it adds 2j + 1
+    to each s1 exponent and 2j + 1 to the power of 2 in the denominator.
+    """
+    K = 2 * n + 1
+    terms = []
+    for j in range(n + 1):
+        row = t_symbolic(2 * n - 2 * j)
+        c = (-1) ** j * tangent(2 * j + 1) * comb(K, 2 * j + 1)
+        terms.append((c, row.den * 2 ** (2 * j + 1), 2 * j + 1, row.nums))
+    top = t_symbolic(K)
+    D = lcm(top.den, *(den for _, den, _, _ in terms))
+    lhs = {mono: a * (D // top.den) for mono, a in top.nums.items()}
+    rhs = {}
+    for c, den, shift, nums in terms:
+        c *= D // den
+        for mono, a in nums.items():
+            key = (mono[0] + shift, *mono[1:]) if mono else (shift,)
+            rhs[key] = rhs.get(key, 0) + c * a
+    return lhs, {mono: a for mono, a in rhs.items() if a}
+
+
 class TestLogCoefficients:
     """The coefficients lambda_k of log((e^u - 1)/u), from the log series
     oracle; t_symbolic reads them as k k! lambda_k = B_k."""
@@ -382,6 +406,22 @@ class TestCompanionIdentities:
         rhs = zigzag(1) * comb(3, 1) * T[2] / T[1] ** 2 - zigzag(3) * comb(3, 3) * T[0]
         assert lhs == F(49, 32)
         assert lhs == rhs
+
+    def test_zigzag_recursion_symbolic_up_to_the_limit(self):
+        # T_K = sum_j (-1)^j A_{2j+1} C(K, 2j+1) T_1^(2j+1) T_{2n-2j}, K = 2n + 1,
+        # with T_1 = s1/2, holds as a polynomial identity for every K <= SYMBOLIC_N_MAX
+        for n in range((SYMBOLIC_N_MAX - 1) // 2 + 1):
+            lhs, rhs = _zigzag_sides(n, zigzag)
+            assert lhs == rhs, n
+
+    def test_zigzag_recursion_symbolic_sees_a_wrong_tangent_number(self):
+        # A_5 enters every K >= 5
+        def changed(j):
+            return zigzag(j) + (j == 5)
+
+        for n in range(6):
+            lhs, rhs = _zigzag_sides(n, changed)
+            assert (lhs == rhs) == (n < 2), n
 
 
 def test_bernoulli_and_zigzag_tables_are_shared_across_sizes():
