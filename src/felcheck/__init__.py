@@ -29,6 +29,7 @@ from .semigroup import (
     make_semigroup,
 )
 from .universal import (
+    OrderTooLarge,
     SigmaPolynomial,
     SymbolicOrderTooLarge,
     ZeroVariable,
@@ -41,7 +42,6 @@ from .verify import (
     CheckRecord,
     DigitLimitExceeded,
     Invariants,
-    OrderTooLarge,
     VerificationReport,
     invariants,
     random_semigroup,

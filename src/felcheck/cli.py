@@ -36,11 +36,9 @@ from .semigroup import (
     least_generator,
     make_semigroup,
 )
-from .universal import SYMBOLIC_N_MAX, SymbolicOrderTooLarge, t_symbolic, t_values
+from .universal import t_symbolic, t_values
 from .verify import (
     IDENTITIES,
-    ORDER_MAX,
-    OrderTooLarge,
     _fraction_str,
     check_samples,
     effective_order,
@@ -219,17 +217,11 @@ def cmd_tn(args) -> dict:
     if args.n_max < 0:
         raise ValueError("n_max must be nonnegative")
     at = None
-    if args.at is not None:
-        at = tuple(_parse_rational(tok.strip()) for tok in args.at.split(","))
-        # T_n at m values reads the series row n + m: at most the deepest row,
-        # ORDER_MAX + 1, that verify builds
-        if args.n_max + len(at) > ORDER_MAX + 1:
-            raise OrderTooLarge(args.n_max + len(at) - 1)
-    elif args.n_max > SYMBOLIC_N_MAX:
-        raise SymbolicOrderTooLarge(args.n_max)
-    if at is None:
+    if args.at is None:
+        t_symbolic(args.n_max)  # refuses too large an n_max before building any row
         values = [t_symbolic(n).pretty() for n in range(args.n_max + 1)]
     else:
+        at = tuple(_parse_rational(tok.strip()) for tok in args.at.split(","))
         values = [str(v) for v in t_values(at, args.n_max)]
     return {
         "n_max": args.n_max,

@@ -10,8 +10,9 @@ s_k = sum_i x_i^k. The logarithmic derivative of the product is
 sum_k B_k s_k t^(k-1)/k! (B_1 = +1/2), so the symbolic form follows from one
 recurrence, T_n = sum_k C(n-1, k-1) (B_k / k) s_k T_{n-k}, over k = 1 and the
 even k. It is kept once, as integer numerators over one denominator
-(SigmaPolynomial), the form that both printing and the integer evaluation in
-verify read.
+(SigmaPolynomial) with one sparse view, SigmaPolynomial.sparse, which
+printing and verify's companion checks read (_evaluate sums it). This module
+also owns both limits on T_n, ORDER_MAX and SYMBOLIC_N_MAX.
 
 The numeric series are built in integers, as exponential generating
 functions (EGFs: n! times the u^n coefficient). With q the lcm of the
@@ -39,7 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import accumulate
 from math import comb, gcd, lcm, perm, prod
 from operator import mul
@@ -49,6 +50,21 @@ from .exact import power_sums
 
 class ZeroVariable(ValueError):
     """The series factors (e^{x t} - 1)/(x t) need every variable nonzero."""
+
+
+# Largest series order verify.invariants() builds (t_values reads row ORDER_MAX + 1
+# at most); the O(N^2) big-integer convolutions D and EG and the surjection-number
+# sums of E dominate. At N = 500 on a 2-core VM (medians of 3, two passes), `felcheck
+# verify 3 5 --order N` takes 0.9-1.4 s, 20 29 37 41 53 59 take 1.7-2.3 s, 211 223 227
+# 3.0-4.8 s and 1009 1013 1019 6.4-7.2 s: the limit bounds the order, not the cost.
+ORDER_MAX = 500
+
+
+class OrderTooLarge(ValueError):
+    """A series order above ORDER_MAX, refused before any work is done."""
+
+    def __init__(self, order: int):
+        super().__init__(f"series order is limited to {ORDER_MAX}, got {order}")
 
 
 # Largest n for which symbolic T_n is built: set as the largest N for which
@@ -166,10 +182,13 @@ def _scaled_bernoulli(n_max: int) -> tuple[int, tuple[int, ...]]:
 
 def t_values(x, n_max: int) -> list[Fraction]:
     """T_n(x) for 0 <= n <= n_max: n! times the t^n coefficient of
-    prod_i (e^{x_i t} - 1)/(x_i t). With no variables, T_n is [n = 0].
+    prod_i (e^{x_i t} - 1)/(x_i t). With no variables, T_n is [n = 0]. T_n at
+    m values reads series row n + m: n_max + m > ORDER_MAX + 1 is refused first.
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
+    if n_max + len(x) > ORDER_MAX + 1:
+        raise OrderTooLarge(n_max + len(x) - 1)
     ps, q = _integer_variables(x)
     m = len(ps)
     e = _exp_minus_one_product(ps, n_max + m)
@@ -195,17 +214,23 @@ class SigmaPolynomial:
         """The coefficients as Fractions, keyed like nums."""
         return {mono: Fraction(num, self.den) for mono, num in self.nums.items()}
 
+    @cached_property
+    def sparse(self) -> tuple:
+        """Each term as (num, ((i, e), ...)): num times s_{i+1}^e over e > 0, in
+        the order pretty() prints them (exponent tuples descending); built once."""
+        return tuple(
+            (self.nums[mono], tuple((i, e) for i, e in enumerate(mono) if e))
+            for mono in sorted(self.nums, reverse=True)
+        )
+
     def pretty(self) -> str:
         """Cleared-denominator rendering, e.g. "(3*s1^2 + s2)/12"."""
-        if not self.nums:
+        if not self.sparse:
             return "0"
         den = self.den
         parts = []
-        for mono, n in sorted(self.nums.items(), reverse=True):
-            factors = []
-            for i, e in enumerate(mono):
-                if e:
-                    factors.append(f"s{i + 1}" + (f"^{e}" if e > 1 else ""))
+        for n, pairs in self.sparse:
+            factors = [f"s{i + 1}" + (f"^{e}" if e > 1 else "") for i, e in pairs]
             mag = abs(n)
             if factors and mag == 1:
                 body = "*".join(factors)
@@ -223,6 +248,17 @@ class SigmaPolynomial:
         if len(parts) > 1:
             return f"({text})/{den}"
         return f"{text}/{den}"
+
+
+def _evaluate(terms, s) -> int:
+    """The sum of c prod_i s[i]^e over (c, ((i, e), ...)) terms in the form of
+    SigmaPolynomial.sparse, the numerators possibly rescaled."""
+    acc = 0
+    for c, pairs in terms:
+        for i, e in pairs:
+            c *= s[i] ** e
+        acc += c
+    return acc
 
 
 @lru_cache(maxsize=None)

@@ -103,7 +103,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from functools import lru_cache
 from math import comb, factorial, gcd, lcm
 from operator import add, mul
 
@@ -117,8 +116,11 @@ from .semigroup import (
     make_semigroup,
 )
 from .universal import (
+    ORDER_MAX,
+    OrderTooLarge,
     _binomial_row,
     _egf_mul,
+    _evaluate,
     _exp_minus_one_product,
     _scaled_bernoulli,
     _surjection_row,
@@ -144,20 +146,6 @@ IDENTITIES = {
 }
 
 PASS, FAIL, SKIP = "pass", "fail", "skip"
-
-# Largest series order invariants() builds; the O(N^2) big-integer
-# convolutions D and EG and the surjection-number sums of E dominate. At
-# N = 500 on a 2-core VM (medians of 3, two passes), `felcheck verify 3 5
-# --order N` takes 0.9-1.4 s, 20 29 37 41 53 59 take 1.7-2.3 s, 211 223 227
-# 3.0-4.8 s and 1009 1013 1019 6.4-7.2 s: the limit bounds the order, not the cost.
-ORDER_MAX = 500
-
-
-class OrderTooLarge(ValueError):
-    """effective_order refuses a series order above ORDER_MAX before any work is done."""
-
-    def __init__(self, order: int):
-        super().__init__(f"series order is limited to {ORDER_MAX}, got {order}")
 
 
 # Slotted, not frozen: a frozen dataclass sets each field through
@@ -501,25 +489,6 @@ def _sample_point(rng) -> tuple[str, list[int]]:
             return ", ".join(f"{num}/{den}" if den != 1 else str(num) for num, den in x), ps
 
 
-@lru_cache(maxsize=None)
-def _sparse_terms(poly) -> tuple[int, tuple]:
-    """(den, ((num, ((index, exponent), ...)), ...)) for one T_n: its terms
-    with the zero exponents dropped. Keyed by the T_n object, which
-    t_symbolic caches, so that a verify run still calls t_symbolic."""
-    pairs = (tuple((i, e) for i, e in enumerate(mono) if e) for mono in poly.nums)
-    return poly.den, tuple(zip(poly.nums.values(), pairs))
-
-
-def _evaluate(terms, s) -> int:
-    """The sum of c prod_i s[i]^e over the (c, ((i, e), ...)) terms."""
-    acc = 0
-    for c, pairs in terms:
-        for i, e in pairs:
-            c *= s[i] ** e
-        acc += c
-    return acc
-
-
 def _umbral_coefficient(factors, ks, rows) -> int:
     """Coefficient n of the EGF product of the factors, n = len(rows) - 1.
 
@@ -578,12 +547,12 @@ def verify_companions(samples: int = 20, seed: int = 0) -> VerificationReport:
     pairs and scaled to the integers p_i = q x_i; T_j is homogeneous, so the
     recorded values, both sides over T_1^K, are the same at the p_i.
 
-    - FEL2_ZIGZAG reads the integer terms of symbolic T_j (t_symbolic), over
-      one denominator V per n, at the power sums s_k = sum_i p_i^k, which
+    - FEL2_ZIGZAG reads symbolic T_j as universal stores it (its .sparse view,
+      summed by _evaluate) over one denominator V per n, at s_k = sum_i p_i^k, which
       come from running products of the p_i; the right side reads the
       tangent numbers (zigzag), with V^(2n-2j) folded into its coefficients
       once per n.
-    - FEL1_SIGNFLIP reads the terms of T_n at the power sums of the entries
+    - FEL1_SIGNFLIP reads the same form of T_n at the power sums of the entries
       d_i, added up from a table of v^k for v in 1..9; both readings come
       from one pass over those terms. The umbral side is n! L^m times the
       t^n coefficient of the product of the m factors d_i t/(1 - e^{-d_i t})
@@ -603,10 +572,10 @@ def verify_companions(samples: int = 20, seed: int = 0) -> VerificationReport:
     for n in range(1, ZIGZAG_N + 1):
         K = 2 * n + 1
         # T_j = w_j / V for the T_j the identity reads, V the lcm of their denominators
-        polys = {j: _sparse_terms(t_symbolic(j)) for j in (*range(0, K, 2), 1, K)}
-        V = lcm(*(den for den, _ in polys.values()))
+        polys = {j: t_symbolic(j) for j in (*range(0, K, 2), 1, K)}
+        V = lcm(*(poly.den for poly in polys.values()))
         w = {
-            j: [(c * (V // den), pairs) for c, pairs in terms] for j, (den, terms) in polys.items()
+            j: [(c * (V // poly.den), pairs) for c, pairs in poly.sparse] for j, poly in polys.items()
         }
         # T_K = sum_j (-1)^j A_{2j+1} C(K, 2j+1) T_{2n-2j} T_1^(2j+1), A the
         # tangent numbers. Times V^(K+1) both sides are integers, over the one
@@ -640,12 +609,13 @@ def verify_companions(samples: int = 20, seed: int = 0) -> VerificationReport:
     # row v holds v^k for k = 1..SIGNFLIP_N; a sample's power sums add its entries' rows
     powers = {v: [v**k for k in range(1, SIGNFLIP_N + 1)] for v in range(1, 10)}
     for n in range(2, SIGNFLIP_N + 1):
-        den, terms = _sparse_terms(t_symbolic(n))
+        poly = t_symbolic(n)
+        den = poly.den
         # The wide reading negates every even-index s_k (index i holds s_{i+1});
         # the narrow one negates only s2 and sn, so it differs from the wide
         # one on the terms with an odd total exponent of the other even s_k.
         same, differ = [], []
-        for c, pairs in terms:
+        for c, pairs in poly.sparse:
             if sum(e for i, e in pairs if i % 2) % 2:
                 c = -c
             odd = sum(e for i, e in pairs if i % 2 and i + 1 not in (2, n)) % 2

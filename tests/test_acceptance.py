@@ -18,7 +18,6 @@ from felcheck.hilbert import alternating_syzygy_sums, hilbert_numerator, k_denom
 from felcheck.semigroup import apery_set, compute_gaps, make_semigroup
 from felcheck.universal import t_symbolic, t_values
 from felcheck.verify import (
-    _sparse_terms,
     invariants,
     random_semigroup,
     verify_companions,
@@ -114,9 +113,8 @@ def test_criterion_02_symbolic_table():
         assert cleared == {mono: F(c) for mono, c in terms.items()}
         assert all(c.denominator == 1 for c in cleared.values())
         # the integer form the companion checks read: the same numerators over den
-        scaled_den, scaled = _sparse_terms(t_symbolic(n))
-        assert scaled_den == den
-        assert {pairs: c for c, pairs in scaled} == {
+        assert t_symbolic(n).den == den
+        assert {pairs: c for c, pairs in t_symbolic(n).sparse} == {
             tuple((i, e) for i, e in enumerate(mono) if e): c for mono, c in terms.items()
         }
     _pass(2, "symbolic table for n <= 7")

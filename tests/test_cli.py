@@ -11,10 +11,10 @@ from pathlib import Path
 
 import pytest
 
-from felcheck import cli, verify
+from felcheck import cli, universal, verify
 from felcheck.exact import IntPolynomial
 from felcheck.semigroup import APERY_MAX
-from felcheck.universal import SYMBOLIC_N_MAX
+from felcheck.universal import SYMBOLIC_N_MAX, t_symbolic
 from felcheck.verify import ORDER_MAX, CheckRecord, VerificationReport
 
 from oracles import sigma_by_series
@@ -90,6 +90,15 @@ class TestInvariants:
         # the limit itself passes the guard and goes on to the gaps
         with pytest.raises(GapsReached):
             run_cli(capsys, "invariants", "3", "5", "--p-max", str(ORDER_MAX))
+
+    def test_bound_refuses_the_generator_product(self, capsys):
+        # compute_gaps' own refusal: min*max above --bound, the bound itself kept
+        code, out, err = run_cli(capsys, "invariants", "3", "5", "--bound", "14")
+        message = "BoundExceeded: min*max generator product 15 exceeds bound 14\n"
+        assert (code, out, err) == (2, "", message)
+        code, out, err = run_cli(capsys, "invariants", "3", "5", "--bound", "15")
+        assert (code, err) == (0, "")
+        assert "gaps: 1 2 4 7" in out
 
 
 class TestHilbert:
@@ -183,12 +192,11 @@ class TestTn:
         assert code == 2
         assert "ValueError" in err
 
-    def test_symbolic_limit_refused_up_front(self, capsys, monkeypatch):
-        def never(n):
-            raise AssertionError(f"t_symbolic({n}) ran")
-
-        monkeypatch.setattr(cli, "t_symbolic", never)
+    def test_symbolic_limit_refused_up_front(self, capsys):
+        # t_symbolic refuses at entry: the refused call builds no row
+        t_symbolic.cache_clear()
         code, out, err = run_cli(capsys, "tn", str(SYMBOLIC_N_MAX + 1))
+        assert t_symbolic.cache_info().currsize == 0
         assert code == 2
         assert out == ""
         assert err.startswith("SymbolicOrderTooLarge")
@@ -207,7 +215,7 @@ class TestTn:
         def reached(*args):
             raise SeriesReached
 
-        monkeypatch.setattr(cli, "t_values", reached)
+        monkeypatch.setattr(universal, "_exp_minus_one_product", reached)
         code, out, err = run_cli(capsys, "tn", str(ORDER_MAX + 1), "--at", "1")
         assert code == 2
         assert out == ""
@@ -222,7 +230,7 @@ class TestTn:
         # refused before any series is built, at the limit they are built
         def refused(n, m):
             with monkeypatch.context() as patch:
-                patch.setattr(cli, "t_values", never)
+                patch.setattr(universal, "_exp_minus_one_product", never)
                 code, out, err = run_cli(capsys, "tn", str(n), "--at", ",".join(["1"] * m))
             assert (code, out) == (2, "")
             assert err.startswith("OrderTooLarge")
@@ -407,6 +415,19 @@ class TestVerify:
             assert code == 2
             assert out == ""
             assert err.startswith("ValueError") and "--count" in err
+
+    def test_random_count_limit_is_inclusive(self, capsys, monkeypatch):
+        # COUNT_MAX draws pass the count guard, one more is refused; the checks
+        # are stubbed, so only the draws and the rendering run
+        monkeypatch.setattr(cli, "verify_companions", lambda *args: VerificationReport(None))
+        monkeypatch.setattr(cli, "verify_semigroup", lambda S, *a: VerificationReport(S.generators))
+        argv = ("verify", "--random", "--count", str(cli.COUNT_MAX), "--format", "json")
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert len(json.loads(out)["reports"]) == cli.COUNT_MAX + 1
+        code, out, err = run_cli(capsys, "verify", "--random", "--count", str(cli.COUNT_MAX + 1))
+        message = f"ValueError: --count is limited to {cli.COUNT_MAX}, got {cli.COUNT_MAX + 1}\n"
+        assert (code, out, err) == (2, "", message)
 
     def test_random_flags_refused_without_random(self, capsys, monkeypatch):
         def never(*args):

@@ -113,6 +113,10 @@ DIGESTS = {
     ("verify", "4", "5", "6", "--p-max", "2", "--samples", "7", "--seed", "99", "--format", "json"): (
         "76997559bf155e6bb88bf33141d3bd8cf46ed72fcb30a3688cfd5cd11602d5b1"
     ),
+    # at p_max 0 the bundle's G runs one index past the series order
+    ("verify", "5", "6", "8", "9", "--p-max", "0", "--format", "json"): (
+        "cb34673139b3eef2e6b63d1d245909ace777aad954c1f7d3a02de84ef0d394e7"
+    ),
 }
 
 

@@ -140,6 +140,15 @@ class TestPowerSums:
             g = compute_gaps(make_semigroup(_random_gens(rng)))
             assert apery_gap_sums(g.apery, 0) == [g.genus]
 
+    def test_too_few_apery_sums_refused(self):
+        # G_r reads W_0 .. W_{r+1}: one sum short is refused, with the range named
+        W = power_sums(apery_set(make_semigroup([5, 6, 8, 9])), 6)
+        for r in range(6):
+            message = rf"^G_{r} needs W_0 \.\. W_{r + 1}, got {r + 1} sums$"
+            with pytest.raises(ValueError, match=message):
+                gap_power_sums(W[: r + 1], r)
+            assert gap_power_sums(W[: r + 2], r) == gap_power_sums(W, r)
+
     def test_batched_matches_single(self):
         gens = [5, 6, 8, 9]
         batch = apery_gap_sums(apery_set(make_semigroup(gens)), 6)

@@ -5,19 +5,21 @@ from math import comb, factorial, lcm
 
 import pytest
 
+from felcheck import universal
 from felcheck.exact import power_sums
 from felcheck.universal import (
+    ORDER_MAX,
     SYMBOLIC_N_MAX,
+    OrderTooLarge,
     SymbolicOrderTooLarge,
     ZeroVariable,
+    _evaluate,
     _surjection_row,
     bernoulli,
     t_symbolic,
     t_values,
     zigzag,
 )
-
-from felcheck.verify import ORDER_MAX, _evaluate, _sparse_terms
 
 from oracles import (
     bernoulli_minus,
@@ -152,6 +154,20 @@ class TestGeneratingSeries:
         with pytest.raises(ZeroVariable):
             t_values((3, 0), 2)
 
+    def test_order_limit_refused_before_any_series(self, monkeypatch):
+        # T_n at m values reads series row n + m, at most ORDER_MAX + 1, and the
+        # refusal, with `tn --at`'s message, comes before the variables are read
+        def never(*args):
+            raise AssertionError("a series was built")
+
+        monkeypatch.setattr(universal, "_exp_minus_one_product", never)
+        message = f"^series order is limited to {ORDER_MAX}, got {ORDER_MAX + 1}$"
+        for x, n_max in (((1,), ORDER_MAX + 1), ((1, 1), ORDER_MAX), ((0,), ORDER_MAX + 1)):
+            with pytest.raises(OrderTooLarge, match=message):
+                t_values(x, n_max)
+        with pytest.raises(ValueError, match="^n_max must be nonnegative$"):
+            t_values((1,) * (ORDER_MAX + 5), -1)
+
     def test_delta_series_single_unit(self):
         # the two factors cancel exactly
         assert delta_by_series((1,), 4) == [1, 0, 0, 0, 0]
@@ -254,6 +270,18 @@ class TestSymbolic:
             t_symbolic(4).pretty() == "(15*s1^4 + 30*s1^2*s2 + 5*s2^2 - 2*s4)/240"
         )
 
+    def test_sparse_view(self):
+        # one cached view per T_n, zero exponents dropped, in pretty()'s order
+        poly = t_symbolic(4)
+        assert poly.sparse is poly.sparse
+        assert poly.sparse == (
+            (15, ((0, 4),)),
+            (30, ((0, 2), (1, 1))),
+            (5, ((1, 2),)),
+            (-2, ((3, 1),)),
+        )
+        assert F(_evaluate(poly.sparse, [1, 1, 1, 1]), poly.den) == F(1, 5)  # T_4(1) = 1/5
+
     def test_limit(self):
         with pytest.raises(SymbolicOrderTooLarge):
             t_symbolic(SYMBOLIC_N_MAX + 1)
@@ -274,9 +302,8 @@ class TestSymbolic:
             poly = t_symbolic(n)
             assert _weights(poly) == {n}
             assert len(poly.terms) == sum(partition_count(i) for i in range(n // 2 + 1))
-            den, terms = _sparse_terms(poly)
             for x, q, ps in scaled:
-                value = F(_evaluate(terms, power_sums(ps, n)[1:]), den * q**n)
+                value = F(_evaluate(poly.sparse, power_sums(ps, n)[1:]), poly.den * q**n)
                 assert value == t_value(x, n), (n, x)
 
 
