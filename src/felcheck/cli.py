@@ -207,7 +207,7 @@ def cmd_hilbert(args) -> dict:
     c = alternating_syzygy_sums(h, S.m + args.p_max)
     return {
         "generators": list(S.generators),
-        "Q": h.numerator.sparse_str(),
+        "Q": str(h.numerator),
         "C": [str(v) for v in c],
         "K": [_fraction_str(c[S.m + p], k_denominator(S, p)) for p in range(args.p_max + 1)],
     }
@@ -286,7 +286,7 @@ def cmd_examples(args) -> dict:
         S = make_semigroup(gens)
         gaps = compute_gaps(S)
         h = hilbert_numerator(S, gaps.apery)
-        q = h.numerator.sparse_str()
+        q = str(h.numerator)
         c = alternating_syzygy_sums(h, EXAMPLE_C_MAX)
         fields = [("gaps", list(gaps.gaps), list(gold_gaps)), ("numerator", q, gold_q)]
         fields += [(f"C[{r}]", c[r], _golden_c(gold_q, r)) for r in range(EXAMPLE_C_MAX + 1)]

@@ -8,8 +8,8 @@ is part of the value. power_sums is the one power-sum kernel of the
 semigroup pipeline; the companion checks in verify compute the power sums of
 their sample points inline, from running products.
 No floating point appears anywhere. Only the benchmark's probes
-(perfbench/spans.py) and the tests use IntPolynomial.at_exp and .exact_div
-and RationalSeries; no other module in the library calls them.
+(perfbench/spans.py) keep alive IntPolynomial's dense constructor, coeffs,
+degree, *, exact_div and at_exp, RationalSeries and NonInvertibleConstantTerm.
 """
 
 from __future__ import annotations
@@ -147,9 +147,6 @@ class IntPolynomial:
             return NotImplemented
         return self._exps == other._exps and self._coefs == other._coefs
 
-    def __hash__(self):
-        return hash((self._exps, self._coefs))
-
     def __mul__(self, other):
         if not isinstance(other, IntPolynomial):
             return NotImplemented
@@ -209,12 +206,8 @@ class IntPolynomial:
         sums = self.power_sums(order)
         return RationalSeries(Fraction(s, factorial(n)) for n, s in enumerate(sums))
 
-    def sparse_str(self) -> str:
-        """Nonzero terms as ascending "degree:coefficient" pairs."""
-        return " ".join(f"{e}:{c}" for e, c in self.items())
-
-    def __str__(self):
-        return self.sparse_str() if self else "0"
+    def __str__(self):  # nonzero terms as ascending "degree:coefficient" pairs
+        return " ".join(f"{e}:{c}" for e, c in self.items()) or "0"
 
     def __repr__(self):
         return f"IntPolynomial.from_terms({list(self.items())!r})"
@@ -248,14 +241,6 @@ class RationalSeries:
             raise ValueError("cannot extend a truncated series")
         return RationalSeries(self.coeffs[: order + 1])
 
-    def __eq__(self, other):
-        if not isinstance(other, RationalSeries):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
     def __mul__(self, other):
         if not isinstance(other, RationalSeries):
             return NotImplemented
@@ -284,10 +269,3 @@ class RationalSeries:
                 acc -= out[j] * other.coeffs[k - j]
             out.append(acc / b0)
         return RationalSeries(out)
-
-    def __str__(self):
-        return " ".join(str(c) for c in self.coeffs)
-
-    def __repr__(self):
-        return f"RationalSeries([{', '.join(str(c) for c in self.coeffs)}])"
-

@@ -1,7 +1,7 @@
 """Hilbert numerators of semigroup rings and alternating syzygy power sums.
 
 The Hilbert series of the semigroup is Q(z) / prod_i (1 - z^{d_i}). It also
-equals Ap(z) / (1 - z^a), where a is the least generator and Ap(z) has a unit
+equals Ap(z) / (1 - z^a), where a is any generator and Ap(z) has a unit
 coefficient at each element of the Apéry set of a. So the numerator is the
 sparse product Q = Ap(z) * prod (1 - z^{d_i}) over every generator except one
 copy of a, built from the Apéry set alone without any series truncation.
@@ -51,10 +51,11 @@ def product_polynomial(S: SemigroupSpec) -> IntPolynomial:
 
 def hilbert_numerator(S: SemigroupSpec, apery) -> HilbertData:
     """Exact Hilbert numerator computed as Ap(z) * prod_{i != i0} (1 - z^{d_i}),
-    where d_{i0} is one copy of the least generator and apery is its Apéry
-    set (semigroup.apery_set)."""
+    where apery is the Apéry set of one copy of d_{i0}, read off as its size:
+    semigroup.apery_set gives that of the least generator, but the box Apéry
+    set of a free semigroup is that of its first, which need not be least."""
     rest = list(S.generators)
-    rest.remove(min(rest))
+    rest.remove(len(apery))
     return HilbertData(product_polynomial(S), _times_binomials(dict.fromkeys(apery, 1), rest))
 
 

@@ -496,6 +496,22 @@ class TestVerify:
             assert err.startswith("OrderTooLarge")
             assert f"limited to {ORDER_MAX}" in err
 
+    @pytest.mark.parametrize("p_max, row", [(0, 6), (4, 9)])
+    def test_deepest_series_row(self, capsys, monkeypatch, p_max, row):
+        # E is built to row max(order, m + 3) + 1: on 3 5 the default order
+        # m + p_max + 2 is 4 at --p-max 0, so m + 3 = 5 decides, and 8 at 4
+        rows = []
+        build = verify._exp_minus_one_product
+
+        def recording(ps, n_max):
+            rows.append((tuple(ps), n_max))
+            return build(ps, n_max)
+
+        monkeypatch.setattr(verify, "_exp_minus_one_product", recording)
+        code, _, _ = run_cli(capsys, "verify", "3", "5", "--p-max", str(p_max))
+        assert code == 0
+        assert rows == [((3, 5), row)]
+
     def test_m_max_limit_refused_before_any_draw(self, capsys, monkeypatch):
         class Drawn(Exception):
             pass

@@ -63,7 +63,7 @@ class TestIntPolynomial:
             assert (a * b).exact_div(b) == a
 
     def test_sparse_str(self):
-        assert P(1, 0, 0, 0, 0, 0, 0, 0, 0, 0, -1).sparse_str() == "0:1 10:-1"
+        assert str(P(1, 0, 0, 0, 0, 0, 0, 0, 0, 0, -1)) == "0:1 10:-1"
         assert str(P()) == "0"
 
 
@@ -73,7 +73,7 @@ class TestAtExp:
         assert s.coeffs == (F(0), F(-15), F(-225, 2))
 
     def test_constant(self):
-        assert P(1).at_exp(3) == RationalSeries([1, 0, 0, 0])
+        assert P(1).at_exp(3).coeffs == (F(1), F(0), F(0), F(0))
 
     def test_gap_polynomial_moments(self):
         # z + z^2 + z^4 + z^7: n! times the t^n coefficient is 1 + 2^n + 4^n + 7^n
@@ -95,7 +95,7 @@ class TestAtExp:
             a = P(*[rng.randint(-3, 3) for _ in range(rng.randint(0, 5))])
             b = P(*[rng.randint(-3, 3) for _ in range(rng.randint(0, 5))])
             o = rng.randint(0, 8)
-            assert (a * b).at_exp(o) == a.at_exp(o) * b.at_exp(o)
+            assert (a * b).at_exp(o).coeffs == (a.at_exp(o) * b.at_exp(o)).coeffs
 
 
 def _factorial(n):
@@ -115,7 +115,7 @@ class TestRationalSeries:
     def test_division(self):
         num = RationalSeries([1, 0, 0, 0])
         den = RationalSeries([1, 1, F(1, 2), F(1, 6)])  # e^t
-        assert num / den == RationalSeries([1, -1, F(1, 2), F(-1, 6)])
+        assert (num / den).coeffs == (F(1), F(-1), F(1, 2), F(-1, 6))
 
     def test_division_requires_unit(self):
         with pytest.raises(NonInvertibleConstantTerm):

@@ -11,7 +11,7 @@ from felcheck.hilbert import (
 )
 from felcheck.semigroup import compute_gaps, make_semigroup
 
-from oracles import gaps_by_table, poly_sub, representable_table
+from oracles import gaps_by_table, numerator_by_membership, poly_sub, representable_table
 
 F = Fraction
 
@@ -116,6 +116,19 @@ class TestHilbertNumerator:
             product = hilbert_series * h.prod
             truncated = IntPolynomial(product.coeffs[: limit + 1])
             assert truncated == h.numerator
+
+    def test_apery_set_of_any_generator(self):
+        # the generator removed from the product is the one whose Apéry set is
+        # given, read off the set's size; here the sets are brute-forced from
+        # the membership table for every generator, the least included
+        for gens in [(5, 6, 8, 9), (4, 5, 6), (6, 10, 15), (5, 5, 7), (2, 3, 3), (1,)]:
+            S = make_semigroup(gens)
+            expected = IntPolynomial(numerator_by_membership(gens))
+            limit = max(gaps_by_table(gens), default=0) + max(gens)
+            member = representable_table(gens, limit)
+            for d in sorted(set(gens)):
+                apery = [min(x for x in range(r, limit + 1, d) if member[x]) for r in range(d)]
+                assert hilbert_numerator(S, apery).numerator == expected, (gens, d)
 
     def test_m2_closed_form(self):
         rng = random.Random(97)
