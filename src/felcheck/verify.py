@@ -95,6 +95,19 @@ so entry 1 is read for m <= 2 alone. No record catches a wrong Apéry set
 for m >= 3: Q, W, G and Phi are all read off that one set, and Fel's
 formula holds for any set that Q and G are both built from.
 
+verify_companions samples the two companion identities for T_n, which do
+not depend on the semigroup. What a sample does not change is one plan per
+order n, built once per process: _zigzag_plan holds the T_j over one
+denominator with the tangent numbers folded into the right side, and
+_signflip_plan T_n's terms split by reading, the nine umbral factors and
+their EGF products for every pair, so that a sample's umbral side is one
+lookup or one dot product (_umbral_side). Each plan is cached on n, on the
+t_symbolic rows it reads and on the kernels it is built from, as this
+module's globals hold them at the call: zigzag, or _umbral_factor and
+_scaled_bernoulli. A kernel perturbed as in the table above, or T_n rows
+rebuilt after t_symbolic.cache_clear(), build their own plan; no key holds
+a seed, a sample count or a draw.
+
 A record prints each value num/den in lowest terms, reduced by gcd with no
 Fraction made, and a passing record prints one value for both sides.
 """
@@ -103,6 +116,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import lru_cache
+from itertools import combinations_with_replacement
 from math import comb, factorial, gcd, lcm
 from operator import add, mul
 
@@ -489,35 +504,73 @@ def _sample_point(rng) -> tuple[str, list[int]]:
             return ", ".join(f"{num}/{den}" if den != 1 else str(num) for num, den in x), ps
 
 
-def _umbral_coefficient(factors, ks, rows) -> int:
-    """Coefficient n of the EGF product of the factors, n = len(rows) - 1.
+@lru_cache(maxsize=None)
+def _zigzag_plan(n: int, rows: tuple, tangent) -> tuple:
+    """What FEL2_ZIGZAG at n reads, with T_j = rows[j] and A_i = tangent(i):
+    the terms of w_K and w_1, V, V^K and the right side's (coefficient,
+    terms) pairs."""
+    K = 2 * n + 1
+    # T_j = w_j / V for the T_j the identity reads, V the lcm of their denominators
+    polys = {j: rows[j] for j in (*range(0, K, 2), 1, K)}
+    V = lcm(*(poly.den for poly in polys.values()))
+    w = {j: tuple((c * (V // poly.den), pairs) for c, pairs in poly.sparse) for j, poly in polys.items()}
+    # T_K = sum_j (-1)^j A_{2j+1} C(K, 2j+1) T_{2n-2j} T_1^(2j+1), A the
+    # tangent numbers. Times V^(K+1) both sides are integers, over the one
+    # denominator w_1^K V = T_1^K V^(K+1):
+    # w_K V^K = sum_j (-1)^j A_{2j+1} C(K, 2j+1) V^(2n-2j) w_{2n-2j} w_1^(2j+1)
+    rhs_terms = tuple(
+        ((-1) ** j * tangent(2 * j + 1) * comb(K, 2 * j + 1) * V ** (2 * n - 2 * j), w[2 * n - 2 * j])
+        for j in range(n + 1)
+    )
+    return w[K], w[1], V, V**K, rhs_terms
 
-    Each factor holds its EGF coefficients to order n and is zero off the
-    indices ks; rows[m] is row m of Pascal's triangle. The product of all
-    factors but the last is formed to order n, each factor convolving only
-    its entries at ks into it; of the full product only coefficient n is
-    formed.
+
+@lru_cache(maxsize=None)
+def _signflip_plan(n: int, poly, factor, scaled_bernoulli) -> tuple:
+    """What FEL1_SIGNFLIP at n reads of T_n = poly and of the umbral factors.
+
+    The denominator of T_n, its sparse terms split by whether the narrow
+    reading agrees with the wide one (see verify_companions), the powers
+    L^m for m <= 4, and two tables of the EGF products of one or two of
+    the factors factor(v, n), v in 1..9, keyed on their entries in draw
+    order: heads holds each product reversed, so that heads[d][0] is its
+    coefficient n, and tails each product's coefficient k times C(n, k).
+    _umbral_side reads the coefficient n of the product of any one to four
+    factors off these tables.
     """
-    n = len(rows) - 1
-    u, *rest = factors
-    if not rest:
-        return u[n]
-    *middle, last = rest
-    for f in middle:
-        v = [0] * (n + 1)
-        for k in ks:
-            a = f[k]
-            for m in range(k, n + 1):
-                v[m] += rows[m][k] * a * u[m - k]
-        u = v
-    row = rows[n]
-    return sum([row[k] * last[k] * u[n - k] for k in ks])
+    # The wide reading negates every even-index s_k (index i holds s_{i+1});
+    # the narrow one negates only s2 and sn, so it differs from the wide
+    # one on the terms with an odd total exponent of the other even s_k.
+    same, differ = [], []
+    for c, pairs in poly.sparse:
+        if sum(e for i, e in pairs if i % 2) % 2:
+            c = -c
+        odd = sum(e for i, e in pairs if i % 2 and i + 1 not in (2, n)) % 2
+        (differ if odd else same).append((c, pairs))
+    L = scaled_bernoulli(n)[0]
+    # L times the EGF coefficients of v t/(1 - e^{-v t}), and their pairwise products
+    products = {(v,): factor(v, n) for v in range(1, 10)}
+    for v, w in combinations_with_replacement(range(1, 10), 2):
+        products[v, w] = products[w, v] = _egf_mul(products[v,], products[w,], n)
+    row = _binomial_row(n)
+    heads = {d: tuple(f[n::-1]) for d, f in products.items()}
+    tails = {d: tuple(map(mul, row, f)) for d, f in products.items()}
+    return poly.den, tuple(same), tuple(differ), tuple(L**m for m in range(5)), heads, tails
+
+
+def _umbral_side(heads, tails, d) -> int:
+    """Coefficient n of the EGF product of the factors of the 1 to 4 entries
+    d, from the tables of _signflip_plan(n, ...): heads[d][0] for up to two
+    entries, else sum_k C(n, k) P[n - k] R[k] with P the product for d[:2]
+    and R that for d[2:]."""
+    head = heads[d[:2]]
+    return head[0] if len(d) <= 2 else sum(map(mul, head, tails[d[2:]]))
 
 
 ZIGZAG_N = 3  # FEL2_ZIGZAG for n = 1..3
 SIGNFLIP_N = 7  # FEL1_SIGNFLIP for n = 2..7
 # Cost is linear in samples: `felcheck verify 3 5 --samples 10000 --format json`
-# takes about 2.4 s (the companion checks 1.5-1.9 s of it) and 110 MB on a
+# takes about 1.2 s (the companion checks about 0.9 s of it) and 110 MB on a
 # 2-core VM, most of the memory for the 90,000 records and the 22 MB document.
 SAMPLES_MAX = 10_000
 
@@ -551,16 +604,27 @@ def verify_companions(samples: int = 20, seed: int = 0) -> VerificationReport:
       summed by _evaluate) over one denominator V per n, at s_k = sum_i p_i^k, which
       come from running products of the p_i; the right side reads the
       tangent numbers (zigzag), with V^(2n-2j) folded into its coefficients
-      once per n.
+      (_zigzag_plan).
     - FEL1_SIGNFLIP reads the same form of T_n at the power sums of the entries
       d_i, added up from a table of v^k for v in 1..9; both readings come
       from one pass over those terms. The umbral side is n! L^m times the
       t^n coefficient of the product of the m factors d_i t/(1 - e^{-d_i t})
-      (universal._umbral_factor), whose EGF coefficients vanish at the odd
-      k >= 3; _umbral_coefficient convolves only the others. It shares no
-      code with T_n but bernoulli(), which t_symbolic's recurrence reads
-      directly and the factors through _scaled_bernoulli, and which the
-      tests pin against sympy.
+      (universal._umbral_factor). _signflip_plan forms the EGF products of
+      every pair of the nine factors to order n, so that the coefficient is
+      one lookup for m <= 2 and one dot product of at most n + 1 terms for
+      m = 3 or 4 (_umbral_side). It shares no code with T_n but bernoulli(),
+      which t_symbolic's recurrence reads directly and the factors through
+      _scaled_bernoulli, and which the tests pin against sympy.
+
+    The two plans hold all that does not depend on a draw, and each is built
+    once per process for each n and each input it reads: _zigzag_plan is
+    cached on (n, the rows T_0 .. T_K, zigzag), _signflip_plan on (n, T_n,
+    _umbral_factor, _scaled_bernoulli), the rows as t_symbolic returns them
+    and the kernels as this module's globals hold them at the call. A kernel
+    swapped in by a test, or a T_n row rebuilt, builds its own plan, and the
+    real one is back when the swap is undone. No cache key holds the seed,
+    the sample count or a drawn value: every call draws, computes and
+    compares all of its records.
 
     Each record holds one value: the two sides, over one denominator, are
     compared as integers, and the value is printed once when they agree.
@@ -571,24 +635,8 @@ def verify_companions(samples: int = 20, seed: int = 0) -> VerificationReport:
 
     for n in range(1, ZIGZAG_N + 1):
         K = 2 * n + 1
-        # T_j = w_j / V for the T_j the identity reads, V the lcm of their denominators
-        polys = {j: t_symbolic(j) for j in (*range(0, K, 2), 1, K)}
-        V = lcm(*(poly.den for poly in polys.values()))
-        w = {
-            j: [(c * (V // poly.den), pairs) for c, pairs in poly.sparse] for j, poly in polys.items()
-        }
-        # T_K = sum_j (-1)^j A_{2j+1} C(K, 2j+1) T_{2n-2j} T_1^(2j+1), A the
-        # tangent numbers. Times V^(K+1) both sides are integers, over the one
-        # denominator w_1^K V = T_1^K V^(K+1):
-        # w_K V^K = sum_j (-1)^j A_{2j+1} C(K, 2j+1) V^(2n-2j) w_{2n-2j} w_1^(2j+1)
-        rhs_terms = [
-            (
-                (-1) ** j * zigzag(2 * j + 1) * comb(K, 2 * j + 1) * V ** (2 * n - 2 * j),
-                w[2 * n - 2 * j],
-            )
-            for j in range(n + 1)
-        ]
-        top, one, VK = w[K], w[1], V**K
+        rows = tuple(map(t_symbolic, range(K + 1)))
+        top, one, V, VK, rhs_terms = _zigzag_plan(n, rows, zigzag)
         for i in range(samples):
             x, ps = _sample_point(rng)
             s = [0] * K
@@ -609,22 +657,8 @@ def verify_companions(samples: int = 20, seed: int = 0) -> VerificationReport:
     # row v holds v^k for k = 1..SIGNFLIP_N; a sample's power sums add its entries' rows
     powers = {v: [v**k for k in range(1, SIGNFLIP_N + 1)] for v in range(1, 10)}
     for n in range(2, SIGNFLIP_N + 1):
-        poly = t_symbolic(n)
-        den = poly.den
-        # The wide reading negates every even-index s_k (index i holds s_{i+1});
-        # the narrow one negates only s2 and sn, so it differs from the wide
-        # one on the terms with an odd total exponent of the other even s_k.
-        same, differ = [], []
-        for c, pairs in poly.sparse:
-            if sum(e for i, e in pairs if i % 2) % 2:
-                c = -c
-            odd = sum(e for i, e in pairs if i % 2 and i + 1 not in (2, n)) % 2
-            (differ if odd else same).append((c, pairs))
-        L = _scaled_bernoulli(n)[0]
-        # L times the EGF coefficients of d t/(1 - e^{-d t}), zero off the indices ks
-        factors = {v: _umbral_factor(v, n) for v in range(1, 10)}
-        ks = [k for k, column in enumerate(zip(*factors.values())) if any(column)]
-        rows = [_binomial_row(m) for m in range(n + 1)]
+        plan = _signflip_plan(n, t_symbolic(n), _umbral_factor, _scaled_bernoulli)
+        den, same, differ, scales, heads, tails = plan
         for i in range(samples):
             d = tuple([_randint(rng, 1, 9) for _ in range(_randint(rng, 1, 4))])
             s = powers[d[0]]
@@ -632,8 +666,8 @@ def verify_companions(samples: int = 20, seed: int = 0) -> VerificationReport:
                 s = list(map(add, s, powers[v]))
             kept, flipped = _evaluate(same, s), _evaluate(differ, s)
             # n! L^m times the t^n coefficient of prod_i d_i t/(1 - e^{-d_i t})
-            umbral = _umbral_coefficient([factors[v] for v in d], ks, rows)
-            scale = L ** len(d)
+            umbral = _umbral_side(heads, tails, d)
+            scale = scales[len(d)]
             note = f"sample {i}: d = {d}"
             if flipped:
                 note += (

@@ -15,6 +15,9 @@ verify_companions replaced, kept to pin that kernel's records. It reuses the
 library's E kernel (_exp_minus_one_product) for the zig-zag values, the
 symbolic T_n terms, zigzag and the record helpers; its sign-flip side is
 the multinomial umbral power and the Fraction evaluator here.
+_umbral_coefficient, the per-sample convolution of the umbral factors that
+verify_companions once ran, is kept to pin the pair-product tables that
+replaced it.
 """
 
 import itertools
@@ -337,6 +340,33 @@ def umbral_by_series(d, order):
     for di in d:
         out = series_div(out, unit_factor(di, order))
     return out
+
+
+def _umbral_coefficient(factors, ks, rows) -> int:
+    """Coefficient n of the EGF product of the factors, n = len(rows) - 1:
+    the m-fold direct convolution that verify_companions ran per sample
+    before it read the umbral side off pairwise factor products.
+
+    Each factor holds its EGF coefficients to order n and is zero off the
+    indices ks; rows[m] is row m of Pascal's triangle. The product of all
+    factors but the last is formed to order n, each factor convolving only
+    its entries at ks into it; of the full product only coefficient n is
+    formed.
+    """
+    n = len(rows) - 1
+    u, *rest = factors
+    if not rest:
+        return u[n]
+    *middle, last = rest
+    for f in middle:
+        v = [0] * (n + 1)
+        for k in ks:
+            a = f[k]
+            for m in range(k, n + 1):
+                v[m] += rows[m][k] * a * u[m - k]
+        u = v
+    row = rows[n]
+    return sum([row[k] * last[k] * u[n - k] for k in ks])
 
 
 def _random_rational_vector(rng):

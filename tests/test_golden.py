@@ -11,7 +11,9 @@ Fractions, before they became integers over one denominator. The two
 `tn 9 --at` digests were recorded while T_n(x) was still read off a
 RationalSeries of T_n(x)/n!. The two verify digests with non-default
 --samples and --seed were recorded while each companion sample still went
-through exact.power_sums and the dense umbral product. The
+through exact.power_sums and the dense umbral product; the 2,000-sample
+one while each sign-flip sample still convolved its umbral factors one by
+one, before the umbral side was read off pairwise factor products. The
 `invariants ... --p-max 12 --format json` digest and the three
 `hilbert 5 6 8 9 --p-max 12` digests were recorded while sigma and delta
 still came from a generator_stats wrapper and K from a k_values helper.
@@ -112,6 +114,10 @@ DIGESTS = {
     ),
     ("verify", "4", "5", "6", "--p-max", "2", "--samples", "7", "--seed", "99", "--format", "json"): (
         "76997559bf155e6bb88bf33141d3bd8cf46ed72fcb30a3688cfd5cd11602d5b1"
+    ),
+    # 2,000 samples: ten times the most that the Fraction-route comparison reaches
+    ("verify", "3", "5", "--samples", "2000", "--seed", "7", "--format", "tsv"): (
+        "01b52c298338f48214e22495ed9c8280ee30e40bbd51cf5e553f77576b53242c"
     ),
     # at p_max 0 the bundle's G runs one index past the series order
     ("verify", "5", "6", "8", "9", "--p-max", "0", "--format", "json"): (

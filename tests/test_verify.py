@@ -1,23 +1,26 @@
 import random
 import sys
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, permutations
 
 import pytest
 
-from felcheck import cli, semigroup, verify
+from felcheck import cli, semigroup, universal, verify
 from felcheck.exact import IntPolynomial
 from felcheck.hilbert import alternating_syzygy_sums, hilbert_numerator, k_denominator
 from felcheck.semigroup import apery_set, make_semigroup
-from felcheck.universal import _binomial_row, _egf_mul, _umbral_factor
+from felcheck.universal import _binomial_row, _egf_mul, _scaled_bernoulli, _umbral_factor, t_symbolic, zigzag
 from felcheck.verify import (
     IDENTITIES,
     ORDER_MAX,
     SAMPLES_MAX,
+    SIGNFLIP_N,
     DigitLimitExceeded,
     OrderTooLarge,
     _randint,
-    _umbral_coefficient,
+    _signflip_plan,
+    _umbral_side,
+    _zigzag_plan,
     check_samples,
     effective_order,
     invariants,
@@ -31,8 +34,8 @@ from felcheck.verify import (
     verify_thm_kp,
 )
 
-from oracles import companions_reference
-from test_failure_paths import eq_final_and_one_minus_q
+from oracles import _umbral_coefficient, companions_reference
+from test_failure_paths import bumped_umbral_entry_2, bumped_umbral_factor, eq_final_and_one_minus_q, statuses
 
 F = Fraction
 
@@ -277,6 +280,42 @@ class TestCompanions:
         zig = [c for c in ref if c.identity == "FEL2_ZIGZAG"]
         assert verify_companions(samples, seed).checks == flip + zig
 
+    def test_swapped_kernels_build_their_own_plans(self, monkeypatch):
+        # the real plans are cached first; each swap must not read them
+        real = verify_companions(5, 0).checks
+        monkeypatch.setattr(verify, "_umbral_factor", bumped_umbral_factor)
+        found = statuses(verify_companions(5, 0).checks)
+        assert found == {"FEL1_SIGNFLIP": {"fail"}, "FEL2_ZIGZAG": {"pass"}}
+        monkeypatch.setattr(verify, "zigzag", lambda j: zigzag(j) + 1)
+        found = statuses(verify_companions(5, 0).checks)
+        assert found == {"FEL1_SIGNFLIP": {"fail"}, "FEL2_ZIGZAG": {"fail"}}
+        monkeypatch.undo()
+        assert verify_companions(5, 0).checks == real
+
+    def test_rebuilt_t_n_rows_build_their_own_plans(self, monkeypatch):
+        # a changed B_4 reaches T_n only through a rebuilt t_symbolic row; the
+        # umbral factors keep the Bernoulli table _scaled_bernoulli cached
+        real_bernoulli = universal.bernoulli
+        real = verify_companions(5, 0).checks
+        monkeypatch.setattr(
+            universal, "bernoulli", lambda k: real_bernoulli(k) + Fraction(1, 30) if k == 4 else real_bernoulli(k)
+        )
+        t_symbolic.cache_clear()
+        try:
+            found = statuses(verify_companions(5, 0).checks)
+        finally:
+            monkeypatch.undo()
+            t_symbolic.cache_clear()
+        assert found == {"FEL1_SIGNFLIP": {"pass", "fail"}, "FEL2_ZIGZAG": {"pass"}}
+        assert verify_companions(5, 0).checks == real
+
+    def test_plan_caches_do_not_grow_with_the_draws(self):
+        verify_companions(1, 0)
+        sizes = _zigzag_plan.cache_info().currsize, _signflip_plan.cache_info().currsize
+        for samples, seed in zip((1, 2, 3, 4, 5, 7, 9, 12, 16, 21), range(100, 110)):
+            verify_companions(samples, seed)
+        assert (_zigzag_plan.cache_info().currsize, _signflip_plan.cache_info().currsize) == sizes
+
 
 class TestDraws:
     # no width here is a power of two, so Random._randbelow's rejection loop
@@ -315,6 +354,21 @@ class TestUmbralCoefficient:
                 for v in d[1:]:
                     dense = _egf_mul(factors[v], dense, n)
                 assert _umbral_coefficient([factors[v] for v in d], ks, rows) == dense[n], d
+
+    @pytest.mark.parametrize("kernel", [_umbral_factor, bumped_umbral_entry_2], ids=["real", "entry_2_plus_1"])
+    def test_pair_products_equal_the_direct_convolution(self, kernel):
+        multisets = [d for m in range(1, 5) for d in combinations_with_replacement(range(1, 10), m)]
+        assert len(multisets) == 714
+        for n in range(2, SIGNFLIP_N + 1):
+            factors = {v: kernel(v, n) for v in range(1, 10)}
+            ks = [k for k in range(n + 1) if any(f[k] for f in factors.values())]
+            rows = [_binomial_row(m) for m in range(n + 1)]
+            *_, heads, tails = _signflip_plan(n, t_symbolic(n), kernel, _scaled_bernoulli)
+            for d in multisets:
+                expected = _umbral_coefficient([factors[v] for v in d], ks, rows)
+                # a sample lists its entries in the order they were drawn
+                for drawn in set(permutations(d)):
+                    assert _umbral_side(heads, tails, drawn) == expected, (n, drawn)
 
 
 class TestAssembledReport:
