@@ -15,6 +15,7 @@ from .hilbert import (
     product_polynomial,
 )
 from .semigroup import (
+    AperyRegionWitnessFailed,
     AperyTooLarge,
     BoundExceeded,
     EmptyGenerators,
@@ -42,6 +43,7 @@ from .verify import (
     CheckRecord,
     DigitLimitExceeded,
     Invariants,
+    TooManyGenerators,
     VerificationReport,
     invariants,
     random_semigroup,
@@ -57,6 +59,7 @@ from .verify import (
 __version__ = "0.1.0"
 
 __all__ = [
+    "AperyRegionWitnessFailed",
     "AperyTooLarge",
     "BoundExceeded",
     "CheckRecord",
@@ -74,6 +77,7 @@ __all__ = [
     "SemigroupSpec",
     "SigmaPolynomial",
     "SymbolicOrderTooLarge",
+    "TooManyGenerators",
     "VerificationReport",
     "ZeroVariable",
     "alternating_syzygy_sums",

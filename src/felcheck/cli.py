@@ -26,10 +26,17 @@ from functools import cache
 from json.encoder import encode_basestring_ascii
 
 from .exact import power_sums
-from .hilbert import alternating_syzygy_sums, hilbert_numerator, k_denominator
+from .hilbert import (
+    HilbertData,
+    alternating_syzygy_sums,
+    hilbert_numerator,
+    k_denominator,
+    product_polynomial,
+)
 from .semigroup import (
     APERY_MAX,
     DEFAULT_BOUND,
+    _three_generator_source,
     apery_set,
     compute_gaps,
     gap_power_sums,
@@ -203,7 +210,10 @@ def cmd_hilbert(args) -> dict:
     S = make_semigroup(args.generators)
     # C_0 .. C_{m+p_max} is a series to order m + p_max: the same limit as verify
     effective_order(S.m, args.p_max, S.m + args.p_max)
-    h = hilbert_numerator(S, apery_set(S, args.bound))
+    if S.m == 3:
+        h = HilbertData(product_polynomial(S), _three_generator_source(S, 0, args.bound)[2])
+    else:
+        h = hilbert_numerator(S, apery_set(S, args.bound))
     c = alternating_syzygy_sums(h, S.m + args.p_max)
     return {
         "generators": list(S.generators),

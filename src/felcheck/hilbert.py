@@ -9,7 +9,9 @@ Each binomial is one cancelling merge into a dict of the terms
 (_times_binomials), and only the terms that survive are sorted: for
 (999961, 999979, 999983) the 999,961 terms of Ap(z) merge into the 6 of Q.
 HilbertData holds the series as that numerator over P = prod (1 - z^{d_i}),
-built by the same merge; no gap polynomial is built.
+built by the same merge; no gap polynomial is built. For three generators
+verify and hilbert take Q from semigroup._three_generator_source instead,
+which reads it off the minimal relations with no Apéry set built.
 """
 
 from __future__ import annotations

@@ -8,10 +8,15 @@ The per-semigroup identities are checked on integers. In exponential
 generating function (EGF) form, where a sequence v stands for the series
 sum_n v[n] t^n / n!, every side of every identity is an integer sequence, or
 one divided by L (n + 1). So invariants(S, p_max, order) builds one frozen
-Invariants bundle per semigroup from the Apéry set of the least generator a.
-It reads that set twice: once into the Hilbert numerator, and once into
-W_n = sum_w w^n, the only form in which G and Phi read it. To index
-N = max(order, m + 3) + 1 the bundle holds
+Invariants bundle per semigroup from the Apéry set of one generator a, read
+twice: once into the Hilbert numerator Q, and once into W_n = sum_w w^n,
+the only form in which G and Phi read it. For m != 3 that is the Apéry set
+of the least generator, built by apery_set. For m = 3 no Apéry set is
+built: semigroup._three_generator_source gives a, W and Q from the minimal
+relations of the list, the Apéry set of a being a box (a gluing, where a
+need not be the least generator) or Herzog's L-shape, and checks its O(1)
+witness (the relations as integer equations, the region's size a) before
+any sum. To index N = max(order, m + 3) + 1 the bundle holds
 
 - E, the EGF of prod_i (e^{d_i t} - 1), expanded around z = e^t = 1: in
   v = e^t - 1 it is prod_i ((1 + v)^{d_i} - 1), and v^j has the EGF
@@ -20,7 +25,7 @@ N = max(order, m + 3) + 1 the bundle holds
 - L and D = L * (t / (e^t - 1)) * E, with L the lcm of the denominators of
   the Bernoulli numbers B_0 .. B_N;
 - c, the alternating syzygy power sums C_r of the Hilbert numerator Q;
-- W, read once from the Apéry set;
+- W, read once from the Apéry set, or from the region of its blocks;
 - G, the gap power sums, from W alone by the recurrence in
   semigroup.gap_power_sums, which makes no pass over range(a) once a
   exceeds the order;
@@ -67,33 +72,46 @@ series lemmas compare, for every n <= order:
 
 Which kernels each identity reads, as the records show it: each kernel
 perturbed once, the identities with a FAIL record on (5, 6, 8, 9) and on
-(3, 5) at p_max = 4 and in verify_companions(5, 0) (LEMMA_ left off the
-series lemmas; tests/test_failure_paths.py pins every row):
+(3, 5) at p_max = 4 and in verify_companions(5, 0), and in the last column
+on the triple (4, 5, 7), which is not a gluing, at p_max = 4 ("as 5689":
+the same identities as on (5, 6, 8, 9) in that row; "as Q above": those of
+the hilbert_numerator row on (5, 6, 8, 9); LEMMA_ left off the series
+lemmas; tests/test_failure_paths.py pins every row):
 
-  kernel, perturbed                     identities that fail
-  apery_set, class 1 raised by a        none; M2_CLOSED_FORM on (3, 5)
-  _surjection_row, last entry + 1       SERIES_P, SERIES_PDIV, SERIES_C,
-    in every row n >= 6                 ONE_MINUS_Q, EQ_FINAL, FEL_MAIN
-  _surjection_row, entry 1 + 1          none; SERIES_C and SERIES_PDIV
-    in every row n >= 6                 on (3, 5)
-  gap_power_sums, G_2 + 1               SERIES_PHI, LOW_ORDER_K,
-                                        ONE_MINUS_Q, EQ_FINAL, FEL_MAIN
-  _gap_power_sums_by_classes, Phi_2 + M SERIES_PHI, SERIES_C
-  hilbert_numerator, two extra terms    THM_KP, LOW_ORDER_K, SERIES_C,
-    in Q, Q(1) kept 0                   ONE_MINUS_Q, EQ_FINAL, FEL_MAIN;
-                                        and M2_CLOSED_FORM on (3, 5)
-  _scaled_bernoulli, L B_4 + 1          SERIES_PHI, SERIES_C, SERIES_PDIV,
-                                        ONE_MINUS_Q, EQ_FINAL, FEL_MAIN
-  zigzag, A_5 + 1                       FEL2_ZIGZAG
-  _umbral_factor, entry 2 + 1           FEL1_SIGNFLIP
-  power_sums, W_3 + 1                   no record: gap_power_sums raises
-                                        NonExactDivision in invariants
+  kernel, perturbed                     identities that fail       (4, 5, 7)
+  apery_set, class 1 raised by a        none; M2_CLOSED_FORM on    none
+                                        (3, 5)
+  _surjection_row, last entry + 1       SERIES_P, SERIES_PDIV,     as 5689
+    in every row n >= 6                 SERIES_C, ONE_MINUS_Q,
+                                        EQ_FINAL, FEL_MAIN
+  _surjection_row, entry 1 + 1          none; SERIES_C and         none
+    in every row n >= 6                 SERIES_PDIV on (3, 5)
+  gap_power_sums, G_2 + 1               SERIES_PHI, LOW_ORDER_K,   as 5689
+                                        ONE_MINUS_Q, EQ_FINAL,
+                                        FEL_MAIN
+  _gap_power_sums_by_classes, Phi_2 + M SERIES_PHI, SERIES_C       as 5689
+  hilbert_numerator, two extra terms    THM_KP, LOW_ORDER_K,       none
+    in Q, Q(1) kept 0                   SERIES_C, ONE_MINUS_Q,
+                                        EQ_FINAL, FEL_MAIN; and
+                                        M2_CLOSED_FORM on (3, 5)
+  _three_generator_source, the same     none                       as Q above
+    two extra terms in its Q
+  _scaled_bernoulli, L B_4 + 1          SERIES_PHI, SERIES_C,      as 5689
+                                        SERIES_PDIV, ONE_MINUS_Q,
+                                        EQ_FINAL, FEL_MAIN
+  zigzag, A_5 + 1                       FEL2_ZIGZAG                none
+  _umbral_factor, entry 2 + 1           FEL1_SIGNFLIP              none
+  power_sums, W_3 + 1                   no record: gap_power_sums  none
+                                        raises NonExactDivision
+                                        in invariants
 
 FEL_MAIN fails exactly when EQ_FINAL does: they compare the same integers.
 E reads only the surjection entries j >= m, and P/(1 - z) only j >= m - 1,
 so entry 1 is read for m <= 2 alone. No record catches a wrong Apéry set
 for m >= 3: Q, W, G and Phi are all read off that one set, and Fel's
-formula holds for any set that Q and G are both built from.
+formula holds for any set that Q and G are both built from. For m = 3 no
+record checks the relations either; the source's witness and the tests,
+against the Dijkstra route and a linear search, do.
 
 verify_companions samples the two companion identities for T_n, which do
 not depend on the semigroup. What a sample does not change is one plan per
@@ -122,10 +140,17 @@ from math import comb, factorial, gcd, lcm
 from operator import add, mul
 
 from .exact import IntPolynomial, power_sums
-from .hilbert import HilbertData, alternating_syzygy_sums, hilbert_numerator, k_denominator
+from .hilbert import (
+    HilbertData,
+    alternating_syzygy_sums,
+    hilbert_numerator,
+    k_denominator,
+    product_polynomial,
+)
 from .semigroup import (
     APERY_MAX,
     SemigroupSpec,
+    _three_generator_source,
     apery_set,
     gap_power_sums,
     make_semigroup,
@@ -243,9 +268,11 @@ def _ratio_record(identity, parameter, lhs, rhs, dens, note="") -> CheckRecord:
 class Invariants:
     """Everything the per-semigroup checks read, built once by invariants().
 
-    W holds the power sums W_n = sum_w w^n over the Apéry set of the least
-    generator a, so W[0] = a; Q (in h) is built from the Apéry set, G and
-    Phi from W, and neither the Apéry set nor any gap list is held. E, D
+    W holds the power sums W_n = sum_w w^n over the Apéry set of the
+    source's generator a, so W[0] = a: the least generator, or for m = 3
+    the first of a gluing's pair, which is not always the least. Q (in h)
+    is built from the same source, G and Phi from W, and neither the Apéry
+    set nor any gap list is held. E, D
     and W run to index max(order, m + 3) + 1, c, G and EG to one less; see
     the module docstring.
     """
@@ -268,18 +295,23 @@ def invariants(
 ) -> Invariants:
     """The invariants of S for identities up to p_max and series to the order.
 
-    order defaults to m + p_max + 2; effective_order refuses a negative p_max
-    and an order above ORDER_MAX, an explicit order below m + p_max raises
-    ValueError, and a least generator above bound raises AperyTooLarge.
+    order defaults to m + p_max + 2; effective_order refuses a negative
+    p_max, an order above ORDER_MAX and more than M_MAX generators, an
+    explicit order below m + p_max raises ValueError, and a least generator
+    above bound raises AperyTooLarge.
     """
     resolved, warning = effective_order(S.m, p_max, order)
     if warning:
         raise ValueError(f"order {order} is below m + p_max = {S.m + p_max}")
     order = resolved
-    apery = apery_set(S, bound)
-    h = hilbert_numerator(S, apery)
     top = max(order, S.m + 3)
-    W = power_sums(apery, top + 1)
+    if S.m == 3:
+        _, W, q = _three_generator_source(S, top + 1, bound)
+        h = HilbertData(product_polynomial(S), q)
+    else:
+        apery = apery_set(S, bound)
+        h = hilbert_numerator(S, apery)
+        W = power_sums(apery, top + 1)
     E = _exp_minus_one_product(S.generators, top + 1)
     L, bern = _scaled_bernoulli(top + 1)
     G = gap_power_sums(W, top)
@@ -700,10 +732,26 @@ def random_semigroup(rng, m_max: int, d_max: int) -> SemigroupSpec:
             return make_semigroup(gens)
 
 
+# Most generators effective_order accepts. On a 2-core VM, at --p-max 0
+# --samples 1, `felcheck verify $(seq 2 101)` (m = 100) takes 0.5 s,
+# $(seq 2 151) 1.5 s, $(seq 2 201) 5 s and $(seq 2 499) over two minutes.
+# This bounds m, not the whole cost, which also grows with the generators:
+# the 100 primes from 1009 up take 16 s at the default --p-max 8.
+M_MAX = 100
+
+
+class TooManyGenerators(ValueError):
+    """More than M_MAX generators, refused before any series is built."""
+
+    def __init__(self, m: int):
+        super().__init__(f"the number of generators is limited to {M_MAX}, got {m}")
+
+
 def effective_order(m: int, p_max: int, order: int | None) -> tuple[int, str | None]:
     """Resolve the series order: m + p_max + 2 by default, an order below
     m + p_max raised to it with a warning. The one owner of its limits: a
-    negative p_max raises ValueError, an order above ORDER_MAX OrderTooLarge."""
+    negative p_max raises ValueError, an order above ORDER_MAX OrderTooLarge,
+    then m above M_MAX TooManyGenerators."""
     if p_max < 0:
         raise ValueError("p_max must be nonnegative")
     minimum, warning = m + p_max, None
@@ -713,6 +761,8 @@ def effective_order(m: int, p_max: int, order: int | None) -> tuple[int, str | N
         order, warning = minimum, f"order raised from {order} to {minimum} (minimum is m + p_max)"
     if order > ORDER_MAX:
         raise OrderTooLarge(order)
+    if m > M_MAX:
+        raise TooManyGenerators(m)
     return order, warning
 
 

@@ -1,7 +1,8 @@
 """Independent brute-force oracles used by the tests.
 
 Nothing here shares code with the library paths it checks: gaps come from a
-boolean representability table, Bernoulli numbers from the classical
+boolean representability table, the least multiple of one generator in the
+semigroup of two others from a linear search, Bernoulli numbers from the classical
 recurrence, partition counts from the recurrence on the largest part,
 surjection numbers from inclusion-exclusion, the product of the factors
 e^{p u} - 1 from one binomial convolution per factor, the umbral powers
@@ -69,6 +70,18 @@ def gaps_by_table(gens):
             run = 0
             gaps.append(n)
     return gaps
+
+
+def least_multiple_by_search(b, a, c):
+    """(k, λ, μ): the least k >= 1 with k b = λ a + μ c for some λ, μ >= 0,
+    and the least such μ, by trying k = 1, 2, ... and μ = 0, 1, ... in turn."""
+    k = 1
+    while True:
+        n = k * b
+        for mu in range(n // c + 1):
+            if (n - mu * c) % a == 0:
+                return k, (n - mu * c) // a, mu
+        k += 1
 
 
 @lru_cache(maxsize=None)

@@ -15,7 +15,7 @@ from felcheck import cli, universal, verify
 from felcheck.exact import IntPolynomial
 from felcheck.semigroup import APERY_MAX
 from felcheck.universal import SYMBOLIC_N_MAX, t_symbolic
-from felcheck.verify import ORDER_MAX, CheckRecord, VerificationReport
+from felcheck.verify import M_MAX, ORDER_MAX, CheckRecord, VerificationReport
 
 from oracles import sigma_by_series
 from test_failure_paths import H, bumped_numerator
@@ -134,6 +134,15 @@ class TestHilbert:
         with pytest.raises(GapsReached):
             run_cli(capsys, "hilbert", "3", "5", "--p-max", str(p_max - 1))
 
+
+    def test_three_generators_take_q_from_their_relations(self, capsys, monkeypatch):
+        def never(*args):
+            raise AssertionError("the Apéry set was built")
+
+        monkeypatch.setattr(cli, "apery_set", never)
+        code, out, _ = run_cli(capsys, "hilbert", "1019", "1009", "1013", "--p-max", "0")
+        assert code == 0
+        assert "Q: 0:1 5065:-1 206845:-1 206857:-1 208883:1 209884:1" in out
 
     def test_least_generator_above_the_bound_refused(self, capsys):
         # the cost grows with the least generator a, not with max(d) or the genus
@@ -537,15 +546,34 @@ class TestVerify:
             assert (code, out) == (2, ""), argv
             assert err.startswith("OrderTooLarge") and f"limited to {ORDER_MAX}" in err
         monkeypatch.setattr(cli, "verify_companions", lambda samples, seed: VerificationReport(None))
+        # the same orders, each exactly ORDER_MAX, at an m that M_MAX accepts
         accepted = (
-            ("--m-max", str(ORDER_MAX - 10)),
-            ("--m-max", str(ORDER_MAX - 4), "--p-max", "2"),
-            ("--m-max", str(ORDER_MAX - 2), "--p-max", "2", "--order", "10"),
+            ("--m-max", str(M_MAX), "--p-max", str(ORDER_MAX - M_MAX - 2)),
+            ("--m-max", str(M_MAX - 1), "--p-max", str(ORDER_MAX - M_MAX - 1)),
+            ("--m-max", str(M_MAX), "--p-max", str(ORDER_MAX - M_MAX), "--order", "10"),
             ("--m-max", "5", "--order", str(ORDER_MAX)),
         )
         for argv in accepted:
             with pytest.raises(Drawn):
                 run_cli(capsys, "verify", "--random", *argv)
+
+    def test_generator_count_refused_before_any_draw_or_series(self, capsys, monkeypatch):
+        def never(*args):
+            raise AssertionError("a semigroup was drawn, or a check or series ran")
+
+        for name in ("random_semigroup", "verify_companions", "verify_semigroup"):
+            monkeypatch.setattr(cli, name, never)
+        message = f"TooManyGenerators: the number of generators is limited to {M_MAX}, got {M_MAX + 1}\n"
+        gens = [str(d) for d in range(2, M_MAX + 3)]
+        for argv in (gens, ["--random", "--m-max", str(M_MAX + 1)]):
+            code, out, err = run_cli(capsys, "verify", *argv, "--p-max", "0", "--samples", "10000")
+            assert (code, out, err) == (2, "", message), argv[:2]
+        # hilbert resolves its order through the same owner
+        monkeypatch.setattr(cli, "apery_set", never)
+        assert run_cli(capsys, "hilbert", *gens, "--p-max", "0") == (2, "", message)
+        # M_MAX itself passes the guard and goes on to the draws
+        with pytest.raises(AssertionError, match="was drawn"):
+            run_cli(capsys, "verify", "--random", "--m-max", str(M_MAX), "--samples", "1")
 
     def test_least_generator_above_the_bound_refused(self, capsys):
         a = APERY_MAX + 1

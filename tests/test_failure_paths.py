@@ -2,8 +2,9 @@
 report fail, while the checks that do not read it keep passing.
 
 The corrupt input goes in where the invariants bundle is built, by
-replacing the apery_set or hilbert_numerator that verify calls, or the
-surjection-number rows that E is built from; in the power sums W of the
+replacing the apery_set or hilbert_numerator that verify calls for m != 3,
+the three-generator source it calls for m = 3, or the surjection-number
+rows that E is built from; in the power sums W of the
 Apéry set held by a built bundle, which G has already been computed from,
 so that only the Phi route of the series lemmas reads the corrupted sums;
 in the G or c of a built bundle, for the LOW_ORDER_K records; for the
@@ -12,7 +13,8 @@ factors that verify reads; for symbolic T_n, by replacing the Bernoulli
 numbers that t_symbolic reads, with its cache cleared before and after.
 test_each_kernel_fails_exactly_its_readers perturbs each kernel that verify
 reads once and pins the exact set of identities that fail, the table in
-verify's module docstring."""
+verify's module docstring. A three-generator relation or region changed by
+one makes the source's witness raise before any record is made."""
 
 import hashlib
 from dataclasses import replace
@@ -21,10 +23,16 @@ from math import factorial
 
 import pytest
 
-from felcheck import universal, verify
+from felcheck import semigroup, universal, verify
 from felcheck.exact import IntPolynomial, NonExactDivision, power_sums
 from felcheck.hilbert import hilbert_numerator
-from felcheck.semigroup import apery_set, gap_power_sums, make_semigroup
+from felcheck.semigroup import (
+    AperyRegionWitnessFailed,
+    _three_generator_source,
+    apery_set,
+    gap_power_sums,
+    make_semigroup,
+)
 from felcheck.universal import _scaled_bernoulli, _surjection_row, _umbral_factor, t_values, zigzag
 from felcheck.verify import (
     invariants,
@@ -252,8 +260,11 @@ def test_changed_bernoulli_number_fails_the_universal_identity(monkeypatch, chan
 
 
 # Each kernel that verify reads, perturbed once: the replacements, then the
-# identities with a FAIL record on (5, 6, 8, 9) and on (3, 5) at p_max 4, and
-# in verify_companions(5, 0). The same table is in verify's module docstring.
+# identities with a FAIL record on (5, 6, 8, 9), on (3, 5) and on (4, 5, 7)
+# at p_max 4, and in verify_companions(5, 0). (4, 5, 7) is a triple that is
+# not a gluing, so its W and Q come from _three_generator_source, not from
+# apery_set and hilbert_numerator. The same table is in verify's module
+# docstring.
 REAL_PHI_BY_CLASSES = verify._gap_power_sums_by_classes
 
 
@@ -276,13 +287,22 @@ def bumped_surjection_entry(j):
     return [(universal, "_surjection_row", corrupt), (verify, "_surjection_row", corrupt)]
 
 
-def two_extra_q_terms(S, apery):
+def two_extra_terms(q):
     # + z^(D+1) - z^(D+2), D = deg Q: Q(1) stays 0, C_1 moves by 1
-    h = hilbert_numerator(S, apery)
-    terms = dict(h.numerator.items())
+    terms = dict(q.items())
     top = max(terms)
     terms[top + 1], terms[top + 2] = 1, -1
-    return replace(h, numerator=IntPolynomial.from_terms(sorted(terms.items())))
+    return IntPolynomial.from_terms(sorted(terms.items()))
+
+
+def two_extra_q_terms(S, apery):
+    h = hilbert_numerator(S, apery)
+    return replace(h, numerator=two_extra_terms(h.numerator))
+
+
+def two_extra_source_terms(S, n_max, bound):
+    a, W, q = _three_generator_source(S, n_max, bound)
+    return a, W, two_extra_terms(q)
 
 
 def bumped_g2(W, r_max):
@@ -320,9 +340,11 @@ KERNELS = {
         fails(),
         fails("M2_CLOSED_FORM"),
         fails(),
+        fails(),
     ),
     "surjection last entry + 1": (
         bumped_surjection_entry(None),
+        fails(f"LEMMA_SERIES_P LEMMA_SERIES_PDIV LEMMA_SERIES_C {SERIES_SIDE}"),
         fails(f"LEMMA_SERIES_P LEMMA_SERIES_PDIV LEMMA_SERIES_C {SERIES_SIDE}"),
         fails(f"LEMMA_SERIES_P LEMMA_SERIES_PDIV LEMMA_SERIES_C {SERIES_SIDE}"),
         fails(),
@@ -332,15 +354,18 @@ KERNELS = {
         fails(),
         fails("LEMMA_SERIES_C LEMMA_SERIES_PDIV"),
         fails(),
+        fails(),
     ),
     "G_2 + 1": (
         [(verify, "gap_power_sums", bumped_g2)],
+        fails(f"LEMMA_SERIES_PHI LOW_ORDER_K {SERIES_SIDE}"),
         fails(f"LEMMA_SERIES_PHI LOW_ORDER_K {SERIES_SIDE}"),
         fails(f"LEMMA_SERIES_PHI LOW_ORDER_K {SERIES_SIDE}"),
         fails(),
     ),
     "Phi_2 + M": (
         [(verify, "_gap_power_sums_by_classes", bumped_phi2)],
+        fails("LEMMA_SERIES_PHI LEMMA_SERIES_C"),
         fails("LEMMA_SERIES_PHI LEMMA_SERIES_C"),
         fails("LEMMA_SERIES_PHI LEMMA_SERIES_C"),
         fails(),
@@ -350,9 +375,11 @@ KERNELS = {
         fails(f"THM_KP LOW_ORDER_K LEMMA_SERIES_C {SERIES_SIDE}"),
         fails(f"THM_KP LOW_ORDER_K LEMMA_SERIES_C M2_CLOSED_FORM {SERIES_SIDE}"),
         fails(),
+        fails(),
     ),
     "L B_4 + 1": (
         [(verify, "_scaled_bernoulli", bumped_b4)],
+        fails(f"LEMMA_SERIES_PHI LEMMA_SERIES_C LEMMA_SERIES_PDIV {SERIES_SIDE}"),
         fails(f"LEMMA_SERIES_PHI LEMMA_SERIES_C LEMMA_SERIES_PDIV {SERIES_SIDE}"),
         fails(f"LEMMA_SERIES_PHI LEMMA_SERIES_C LEMMA_SERIES_PDIV {SERIES_SIDE}"),
         fails(),
@@ -361,13 +388,22 @@ KERNELS = {
         [(verify, "zigzag", lambda j: zigzag(j) + (j == 5))],
         fails(),
         fails(),
+        fails(),
         fails("FEL2_ZIGZAG"),
     ),
     "umbral factor entry 2 + 1": (
         [(verify, "_umbral_factor", bumped_umbral_entry_2)],
         fails(),
         fails(),
+        fails(),
         fails("FEL1_SIGNFLIP"),
+    ),
+    "two extra terms in the source's Q": (
+        [(verify, "_three_generator_source", two_extra_source_terms)],
+        fails(),
+        fails(),
+        fails(f"THM_KP LOW_ORDER_K LEMMA_SERIES_C {SERIES_SIDE}"),
+        fails(),
     ),
 }
 
@@ -378,14 +414,15 @@ def failing(records):
 
 @pytest.mark.parametrize("kernel", KERNELS)
 def test_each_kernel_fails_exactly_its_readers(monkeypatch, kernel):
-    patches, on_5689, on_35, in_companions = KERNELS[kernel]
+    patches, on_5689, on_35, on_457, in_companions = KERNELS[kernel]
     _surjection_row(40)  # every true row read is cached before any swap
     for module, name, replacement in patches:
         monkeypatch.setattr(module, name, replacement)
     found = [
-        failing(verify_semigroup(make_semigroup(gens), p_max=4).checks) for gens in (S.generators, [3, 5])
+        failing(verify_semigroup(make_semigroup(gens), p_max=4).checks)
+        for gens in (S.generators, [3, 5], [4, 5, 7])
     ]
-    assert found == [on_5689, on_35]
+    assert found == [on_5689, on_35, on_457]
     assert failing(verify.verify_companions(5, 0).checks) == in_companions
     # FEL_MAIN and EQ_FINAL compare the same integers
     for identities in found:
@@ -405,3 +442,50 @@ def test_wrong_apery_power_sum_raises_instead_of_failing_a_record(monkeypatch):
     for gens in ([5, 6, 8, 9], [3, 5]):
         with pytest.raises(NonExactDivision, match="G_2 from the Apéry set is not an integer"):
             verify_semigroup(make_semigroup(gens), p_max=4)
+
+
+def test_three_generators_take_no_apery_power_sums(monkeypatch):
+    # the power_sums patch above makes (5, 6, 8, 9) and (3, 5) raise; the
+    # W of a triple comes from its region, and every record passes
+    def bumped_w3(values, k):
+        W = power_sums(values, k)
+        W[3] += 1
+        return W
+
+    monkeypatch.setattr(verify, "power_sums", bumped_w3)
+    assert verify_semigroup(make_semigroup([4, 5, 7]), p_max=4).passed
+
+
+def no_records(*args, **kwargs):
+    raise AssertionError("a record was made")
+
+
+def test_bumped_relation_raises_before_any_record(monkeypatch):
+    real = semigroup._least_multiple
+
+    def bumped(b, a, c):
+        k, lam, mu = real(b, a, c)
+        return k, lam + 1, mu
+
+    monkeypatch.setattr(semigroup, "_least_multiple", bumped)
+    monkeypatch.setattr(verify, "CheckRecord", no_records)
+    relation = r"^\d+\*\d+ = \d+\*\d+ \+ \d+\*\d+ does not hold$"
+    # an L-shape, a gluing and a list with a redundant entry
+    for gens in ([4, 5, 7], [6, 10, 15], [3, 9, 5]):
+        with pytest.raises(AperyRegionWitnessFailed, match=relation):
+            verify_semigroup(make_semigroup(gens), p_max=4)
+
+
+def test_region_with_a_point_too_many_raises_before_any_record(monkeypatch):
+    real = semigroup._three_generator_region
+
+    def widened(gens):
+        a, b, c, blocks, relations = real(gens)
+        (U, V0, V1), *rest = blocks
+        return a, b, c, [(U + 1, V0, V1), *rest], relations
+
+    monkeypatch.setattr(semigroup, "_three_generator_region", widened)
+    monkeypatch.setattr(verify, "CheckRecord", no_records)
+    message = r"the blocks \[\(4, 0, 1\), \(1, 1, 2\)\] of 5 and 7 are not an Apéry set of 4"
+    with pytest.raises(AperyRegionWitnessFailed, match=message):
+        verify_semigroup(make_semigroup([4, 5, 7]), p_max=4)

@@ -1,5 +1,6 @@
 """Property tests: the Apéry-built Hilbert numerator against two independent
 routes, and its cancelling merge against the IntPolynomial product; the
+three-generator source's Q and gap power sums against the Dijkstra route; the
 Apéry-built gap power sums against the gap list of a representability
 table, and the sums of r^n over r < a by their recurrence against the
 power-sum kernel; the Faulhaber sums per residue class that verify reads
@@ -17,13 +18,14 @@ from math import comb, factorial, gcd, lcm
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import example, given, settings  # noqa: E402
+from hypothesis import assume, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from felcheck.exact import IntPolynomial, NonExactDivision, power_sums  # noqa: E402
 from felcheck.hilbert import hilbert_numerator, k_denominator, product_polynomial  # noqa: E402
 from felcheck.semigroup import (  # noqa: E402
     _range_power_sums,
+    _three_generator_source,
     apery_set,
     compute_gaps,
     gap_power_sums,
@@ -90,6 +92,45 @@ def test_apery_numerator_matches_both_oracles(gens):
     one_minus_z = IntPolynomial.one_minus_pow(1)
     phi = IntPolynomial.from_terms((g, 1) for g in gaps.gaps)
     assert h.numerator == poly_sub(h.prod.exact_div(one_minus_z), phi * h.prod)
+
+
+# Three entries in 2..10^4 with gcd 1, in any order: any three, a gluing
+# (g x, g y, z) with z in <x, y>, or a list with a duplicate. Lists that hold
+# a 1 are among the examples: drawn, they would crowd out the rest.
+@st.composite
+def three_entry_lists(draw, d_max=10**4):
+    kind = draw(st.sampled_from(("any", "glued", "duplicate")))
+    entry = st.integers(2, d_max)
+    if kind == "glued":
+        g = draw(st.integers(2, 30))
+        x, y = draw(st.integers(2, d_max // 30)), draw(st.integers(2, d_max // 30))
+        z = draw(st.integers(0, 14)) * x + draw(st.integers(0, 14)) * y
+        assume(z > 0 and gcd(x, y) == 1)
+        gens = [g * x, g * y, z]
+    elif kind == "duplicate":
+        d = draw(entry)
+        gens = [d, d, draw(entry)]
+    else:
+        gens = [draw(entry) for _ in range(3)]
+    assume(gcd(*gens) == 1)
+    return draw(st.permutations(gens))
+
+
+@settings(max_examples=100, deadline=None)
+@given(three_entry_lists(), st.integers(0, 14))
+@example([7, 4, 5], 6)
+@example([15, 10, 6], 6)
+@example([3, 3, 1], 0)
+@example([1, 9973, 9973], 14)
+@example([9967, 1, 4], 3)
+@example([1, 1, 1], 2)
+def test_three_generator_source_matches_the_dijkstra_route(gens, r_max):
+    S = make_semigroup(gens)
+    apery = apery_set(S)
+    a, W, Q = _three_generator_source(S, r_max + 1)
+    assert W[0] == a and len(W) == r_max + 2
+    assert Q == hilbert_numerator(S, apery).numerator
+    assert gap_power_sums(W, r_max) == gap_power_sums(power_sums(apery, r_max + 1), r_max)
 
 
 small_coeffs = st.lists(st.integers(-4, 4), max_size=9)

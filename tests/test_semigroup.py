@@ -1,23 +1,30 @@
 import random
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from math import gcd
 
 import pytest
 
+from felcheck import semigroup
 from felcheck.exact import power_sums
+from felcheck.hilbert import hilbert_numerator
 from felcheck.semigroup import (
+    AperyTooLarge,
     BoundExceeded,
     EmptyGenerators,
     GcdNotOne,
     NonIntegerGenerator,
     NonPositiveGenerator,
+    _least_multiple,
+    _three_generator_region,
+    _three_generator_source,
     apery_set,
     compute_gaps,
     gap_power_sums,
     make_semigroup,
 )
 
-from oracles import gaps_by_table, representable_table
+from oracles import gaps_by_table, least_multiple_by_search, representable_table
 
 
 def _random_gens(rng, m_max=5, d_max=60):
@@ -181,3 +188,57 @@ class TestGeneratorStats:
             for k in range(1, 7):
                 assert delta[k - 1] * 2**k + 1 == sigma[k - 1]
                 assert sigma[k - 1] >= S.m
+
+
+def coprime_lists(d_max):
+    """Every sorted list of three entries in 1..d_max with gcd 1."""
+    return [t for t in combinations_with_replacement(range(1, d_max + 1), 3) if gcd(*t) == 1]
+
+
+def dijkstra_route(S, n_max):
+    """(Q, W_0 .. W_n_max) from the Apéry set of the least generator."""
+    apery = apery_set(S)
+    return hilbert_numerator(S, apery).numerator, power_sums(apery, n_max)
+
+
+class TestThreeGeneratorSource:
+    def test_least_multiple_matches_the_linear_search(self):
+        # each entry against the other two, duplicates (pairs) included
+        for x, y, z in coprime_lists(60):
+            for b, a, c in ((x, y, z), (y, x, z), (z, x, y)):
+                assert _least_multiple(b, a, c) == least_multiple_by_search(b, a, c), (b, a, c)
+
+    @pytest.mark.parametrize("per_order", [0, 10**9], ids=["blocks", "points"])
+    def test_every_small_list_matches_the_dijkstra_route(self, monkeypatch, per_order):
+        # both routes to W: EGF products over the blocks, and the listed points
+        monkeypatch.setattr(semigroup, "_POINTS_PER_ORDER", per_order)
+        lists = coprime_lists(30)
+        assert len(lists) == 4027
+        for gens in lists:
+            S = make_semigroup(gens)
+            q, W = dijkstra_route(S, 9)
+            a, W3, Q3 = _three_generator_source(S, 9)
+            assert Q3 == q, gens
+            assert W3[0] == a and gap_power_sums(W3, 8) == gap_power_sums(W, 8), gens
+
+    def test_regions(self):
+        # L-shape: 3*4 = 5 + 7, 3*5 = 2*4 + 7 and 2*7 = 4 + 2*5
+        assert _three_generator_region((7, 4, 5)) == (
+            4, 5, 7, [(3, 0, 1), (1, 1, 2)],
+            [(3, 4, 1, 5, 1, 7), (3, 5, 2, 4, 1, 7), (2, 7, 1, 4, 2, 5)],
+        )
+        # gluing: gcd(6, 10) = 2 and 2*15 = 5*6, so the box of 6 is 3 by 2
+        assert _three_generator_region((6, 10, 15))[:4] == (6, 10, 15, [(3, 0, 2)])
+        # 9 = 3*3 is dropped as a side of 1; with a 1 every other entry is
+        assert _three_generator_region((9, 5, 3))[:4] == (3, 5, 9, [(3, 0, 1)])
+        assert _three_generator_region((1, 4, 4))[:4] == (1, 4, 4, [(1, 0, 1)])
+
+    def test_large_generators_take_logarithmic_steps(self):
+        S = make_semigroup([999983, 999961, 999979])
+        a, W, Q = _three_generator_source(S, 8)
+        assert str(Q) == (
+            "0:1 10999769:-1 90905454549:-1 90906454564:-1 90908454486:1 90914454396:1"
+        )
+        assert a == 999961 and len(W) == 9
+        with pytest.raises(AperyTooLarge, match="least generator 999961 exceeds bound 999960"):
+            _three_generator_source(S, 8, 999960)
