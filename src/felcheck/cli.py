@@ -45,7 +45,10 @@ from .semigroup import (
 )
 from .universal import t_symbolic, t_values
 from .verify import (
+    FAIL,
     IDENTITIES,
+    PASS,
+    SKIP,
     _fraction_str,
     check_samples,
     effective_order,
@@ -337,13 +340,29 @@ _CHECK_JSON = (
     '          "note": {}\n'
     "        }}"
 )
+# The encodings of every identity and status a record can hold.
+_JSON_NAMES = {name: encode_basestring_ascii(name) for name in (*IDENTITIES, PASS, FAIL, SKIP)}
+
+
+def _check_json(c) -> str:
+    """One record as _CHECK_JSON lays it out; a passing record's one text,
+    its lhs and its rhs, is encoded once."""
+    lhs = encode_basestring_ascii(c.lhs)
+    return _CHECK_JSON.format(
+        _JSON_NAMES[c.identity],
+        "null" if c.parameter is None else c.parameter,
+        _JSON_NAMES[c.status],
+        lhs,
+        lhs if c.rhs is c.lhs else encode_basestring_ascii(c.rhs),
+        encode_basestring_ascii(c.note),
+    )
 
 
 def _verify_json(doc: dict) -> str:
     """The verify document as JSON, laid out as above.
 
     The document, each report a shell with an empty check list, goes through
-    json.dumps; the records are written from _CHECK_JSON, each string by
+    json.dumps; the records are written by _check_json, each string by
     encode_basestring_ascii, the encoder json.dumps uses, and put in place of
     the empty lists. A string holds no raw newline, so _NO_CHECKS is found
     once per report and nowhere else.
@@ -362,17 +381,7 @@ def _verify_json(doc: dict) -> str:
     rests = json.dumps(dict(doc, reports=shells), indent=2).split(_NO_CHECKS)
     out = [rests[0]]
     for report, rest in zip(reports, rests[1:]):
-        records = ",\n".join(
-            _CHECK_JSON.format(
-                encode_basestring_ascii(c.identity),
-                "null" if c.parameter is None else c.parameter,
-                encode_basestring_ascii(c.status),
-                encode_basestring_ascii(c.lhs),
-                encode_basestring_ascii(c.rhs),
-                encode_basestring_ascii(c.note),
-            )
-            for c in report.checks
-        )
+        records = ",\n".join(map(_check_json, report.checks))
         out.append(f'\n      "checks": [\n{records}\n      ],' if records else _NO_CHECKS)
         out.append(rest)
     return "".join(out)

@@ -53,10 +53,12 @@ class ZeroVariable(ValueError):
 
 
 # Largest series order verify.invariants() builds (t_values reads row ORDER_MAX + 1
-# at most); the O(N^2) big-integer convolutions D and EG and the surjection-number
-# sums of E dominate. At N = 500 on a 2-core VM (medians of 3, two passes), `felcheck
-# verify 3 5 --order N` takes 0.9-1.4 s, 20 29 37 41 53 59 take 1.7-2.3 s, 211 223 227
-# 3.0-4.8 s and 1009 1013 1019 6.4-7.2 s: the limit bounds the order, not the cost.
+# at most); the O(N^2) big-integer sums of D and EG, D's table of C(n, k) L B_k and
+# the surjection-number sums of E dominate. At N = 500 on a 2-core VM (three runs
+# each), `felcheck verify 3 5 --order N` takes 0.8-1.2 s and 90 MB, 13 MB of it the
+# Bernoulli table of D, of which verify keeps eight; 20 29 37 41 53 59 take 1.6-2.3 s,
+# 211 223 227 2.7-3.1 s and 1009 1013 1019 4.0-5.5 s and 100 MB: the limit bounds
+# the order, not the cost.
 ORDER_MAX = 500
 
 

@@ -23,7 +23,12 @@ any sum. To index N = max(order, m + 3) + 1 the bundle holds
   coefficients j! S(n, j) (universal._exp_minus_one_product); E[n] = 0 for
   n < m;
 - L and D = L * (t / (e^t - 1)) * E, with L the lcm of the denominators of
-  the Bernoulli numbers B_0 .. B_N;
+  the Bernoulli numbers B_0 .. B_N. Since B_k = 0 for the odd k >= 3,
+  D[n] = sum_k C(n, k) L B_k E[n-k] over k = 0 and the even k, plus
+  n L B_1 E[n-1]: one product per nonzero term, with the C(n, k) L B_k
+  taken from a table built once per order (_bernoulli_plan, the last eight
+  kept), which also holds the n! and (n+1)! L that the series lemmas print
+  over;
 - c, the alternating syzygy power sums C_r of the Hilbert numerator Q;
 - W, read once from the Apéry set, or from the region of its blocks;
 - G, the gap power sums, from W alone by the recurrence in
@@ -127,7 +132,15 @@ rebuilt after t_symbolic.cache_clear(), build their own plan; no key holds
 a seed, a sample count or a draw.
 
 A record prints each value num/den in lowest terms, reduced by gcd with no
-Fraction made, and a passing record prints one value for both sides.
+Fraction made, and a passing record prints one value for both sides. Each
+value is reduced once per semigroup: C_n/n! is the passing text of
+LEMMA_SERIES_C and the left side of LEMMA_ONE_MINUS_Q and of every
+EQ_FINAL. Where a side is an integer over a scaled denominator, its value
+is reduced from the smaller one: LEMMA_SERIES_PDIV prints (P/(1 - z))(e^t)
+over n!, not over (n+1)! L, and FEL_MAIN prints c[n]/k_denominator(S, p),
+not over (n+1) L k_denominator(S, p); both are the same rationals, so the
+same text. A failing record renders its other side over the scaled
+denominator, as both sides were rendered before.
 """
 
 from __future__ import annotations
@@ -135,7 +148,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations_with_replacement
+from itertools import accumulate, combinations_with_replacement
 from math import comb, factorial, gcd, lcm
 from operator import add, mul
 
@@ -246,22 +259,27 @@ def _fraction_str(v: int, d: int) -> str:
         raise DigitLimitExceeded(err) from err
 
 
-def _value_record(identity, parameter, lhs, rhs, den, note="") -> CheckRecord:
+def _value_record(identity, parameter, lhs, rhs, den, note="", lhs_text=None) -> CheckRecord:
     """Record for the one value lhs/den against rhs/den: the sides are equal
-    iff the integers are, and then one rendering serves both."""
-    text = _fraction_str(lhs, den)
+    iff the integers are, and then one rendering serves both. lhs_text, if
+    given, is the rendering of lhs/den, made already."""
+    text = lhs_text or _fraction_str(lhs, den)
     if lhs == rhs:
         return CheckRecord(identity, parameter, text, text, PASS, note)
     return CheckRecord(identity, parameter, text, _fraction_str(rhs, den), FAIL, note)
 
 
-def _ratio_record(identity, parameter, lhs, rhs, dens, note="") -> CheckRecord:
-    """Record for the sides with entries lhs[n]/dens[n] and rhs[n]/dens[n]:
-    they are equal iff the integer lists are, and then one rendering serves both."""
-    text = " ".join(map(_fraction_str, lhs, dens))
-    if list(lhs) == list(rhs):
+def _ratio_record(identity, parameter, lhs, rhs, dens, note="", lhs_text=None, rhs_text=None) -> CheckRecord:
+    """Record for the sides with entries lhs[n]/dens[n] and rhs[n]/dens[n],
+    lhs and rhs lists: they are equal iff the lists are, and then one
+    rendering serves both. A side's text, if given, is its rendering, made
+    already; a failing record renders the other side over dens."""
+    if lhs == rhs:
+        text = lhs_text or rhs_text or " ".join(map(_fraction_str, lhs, dens))
         return CheckRecord(identity, parameter, text, text, PASS, note)
-    return CheckRecord(identity, parameter, text, " ".join(map(_fraction_str, rhs, dens)), FAIL, note)
+    lhs_text = lhs_text or " ".join(map(_fraction_str, lhs, dens))
+    rhs_text = rhs_text or " ".join(map(_fraction_str, rhs, dens))
+    return CheckRecord(identity, parameter, lhs_text, rhs_text, FAIL, note)
 
 
 @dataclass(frozen=True)
@@ -290,6 +308,24 @@ class Invariants:
     EG: tuple[int, ...]
 
 
+# One table at order 500 holds about 11 MB, so a --random sweep over many m
+# at a deep order keeps the 8 it used last, not one per order.
+@lru_cache(maxsize=8)
+def _bernoulli_plan(n_max: int, scaled_bernoulli) -> tuple:
+    """What D and the series lemmas read of the Bernoulli numbers and the
+    factorials to index n_max, with L and L B_k from scaled_bernoulli(n_max):
+    L; L B_1; for each n <= n_max the row of C(n, k) L B_k for k = 0 and the
+    even k <= n, so that D[n] = sum row E[n::-2] + n L B_1 E[n-1], since
+    B_k = 0 for the odd k >= 3; the n! for n <= n_max; and the (n+1)! L for
+    n < n_max. Cached on n_max and on the kernel, as verify's globals hold it
+    at the call, like the companion plans.
+    """
+    L, bern = scaled_bernoulli(n_max)
+    rows = tuple(tuple(map(mul, _binomial_row(n)[::2], bern[::2])) for n in range(n_max + 1))
+    facts = tuple(accumulate(range(1, n_max + 1), mul, initial=1))
+    return L, bern[1], rows, facts, tuple(L * f for f in facts[1:])
+
+
 def invariants(
     S: SemigroupSpec, p_max: int = 8, order: int | None = None, bound: int = APERY_MAX
 ) -> Invariants:
@@ -313,7 +349,7 @@ def invariants(
         h = hilbert_numerator(S, apery)
         W = power_sums(apery, top + 1)
     E = _exp_minus_one_product(S.generators, top + 1)
-    L, bern = _scaled_bernoulli(top + 1)
+    L, half, rows, _, _ = _bernoulli_plan(top + 1, _scaled_bernoulli)
     G = gap_power_sums(W, top)
     return Invariants(
         S,
@@ -323,7 +359,7 @@ def invariants(
         order,
         tuple(E),
         L,
-        tuple(_egf_mul(bern, E, top + 1)),
+        tuple(sum(map(mul, row, E[n::-2])) + n * half * E[n - 1] for n, row in enumerate(rows)),
         tuple(alternating_syzygy_sums(h, top)),
         tuple(G),
         tuple(_egf_mul(E, G, top)),
@@ -339,18 +375,21 @@ def verify_fel_main(inv: Invariants) -> list[CheckRecord]:
     sigma_k and delta_k as the paper states the formula, which only the
     tests check (test_fel_formula_as_stated). Each record compares
     (n+1) L c[n] against (-1)^m (D[n+1] + (n+1) L EG[n]) with n = m + p,
-    over (n+1) L k_denominator(S, p), so that it prints K_p. The
-    un-normalized form, EQ_FINAL, compares the same integers and comes from
-    verify_series_lemmas.
+    both over (n+1) L k_denominator(S, p), so that its value is K_p, which
+    it prints as c[n]/k_denominator(S, p) reduced; a failing record prints
+    its right side over the scaled denominator. The un-normalized form,
+    EQ_FINAL, compares the same integers and comes from verify_series_lemmas.
     """
     S, L = inv.S, inv.L
     sign = (-1) ** S.m
     records = []
     for p in range(inv.p_max + 1):
         n = S.m + p
+        k = k_denominator(S, p)
         lhs = (n + 1) * L * inv.c[n]
         rhs = sign * (inv.D[n + 1] + (n + 1) * L * inv.EG[n])
-        records.append(_value_record("FEL_MAIN", p, lhs, rhs, (n + 1) * L * k_denominator(S, p)))
+        text = _fraction_str(inv.c[n], k)  # K_p, the value of lhs over the denominator
+        records.append(_value_record("FEL_MAIN", p, lhs, rhs, (n + 1) * L * k, lhs_text=text))
     return records
 
 
@@ -463,14 +502,20 @@ def verify_series_lemmas(inv: Invariants) -> list[CheckRecord]:
 
     Each side is an integer EGF sequence, compared entry by entry over the
     denominator n! (or (n+1)! L); see the module docstring. EQ_FINAL at p is
-    entry n = m + p of LEMMA_ONE_MINUS_Q, read from that lemma's lists.
+    entry n = m + p of LEMMA_ONE_MINUS_Q, read from that lemma's lists, and
+    prints its text of C_n/n!.
     """
     order, L, h, m = inv.order, inv.L, inv.h, inv.S.m
     sign = (-1) ** m
     ns = range(order + 1)
-    c = inv.c[: order + 1]
-    facts = [factorial(n) for n in ns]
-    scaled = [factorial(n + 1) * L for n in ns]
+    c = list(inv.c[: order + 1])
+    G = list(inv.G[: order + 1])
+    # n! and (n+1)! L, the denominators of the sides, with the Bernoulli
+    # table that D was built from; map and zip stop at the order
+    *_, facts, scaled = _bernoulli_plan(len(inv.D) - 1, _scaled_bernoulli)
+    # C_n/n!, the passing text of SERIES_C, the lhs of ONE_MINUS_Q and of EQ_FINAL
+    c_texts = list(map(_fraction_str, c, facts))
+    c_text = " ".join(c_texts)
 
     # M Phi, with M = 1 unless some Phi_n is not an integer; then the
     # records of C and Phi compare every side times M
@@ -479,26 +524,29 @@ def verify_series_lemmas(inv: Invariants) -> list[CheckRecord]:
     p_div = _quotient_power_sums(h.prod, order)
     phi_p = _egf_mul(phi, p_sums, order)
     one_minus_q = [M * ((n == 0) - p_div[n]) + phi_p[n] for n in ns]
-    m_facts = [M * f for f in facts]
-    m_c = [M * v for v in c]
-    m_G = [M * g for g in inv.G[: order + 1]]
-    note = "" if M == 1 else "Phi from the Apéry set is not an integer"
+    m_facts, m_c, m_G, note = facts, c, G, ""
+    if M != 1:
+        m_facts = [M * f for f in facts]
+        m_c = [M * v for v in c]
+        m_G = [M * g for g in G]
+        note = "Phi from the Apéry set is not an integer"
     rhs_p = [sign * e for e in inv.E[: order + 1]]
     lhs_pdiv = [(n + 1) * L * v for n, v in zip(ns, p_div)]
     rhs_pdiv = [-sign * inv.D[n + 1] for n in ns]
+    pdiv_text = " ".join(map(_fraction_str, p_div, facts))  # the value of lhs_pdiv over scaled
     lhs_q = [(n + 1) * L * v for n, v in zip(ns, c)]
     assembled = [
         (n == 0) * L + sign * ((n + 1) * L * inv.EG[n] + inv.D[n + 1]) for n in ns
     ]
     return [
-        _ratio_record("LEMMA_SERIES_C", order, one_minus_q, m_c, m_facts),
+        _ratio_record("LEMMA_SERIES_C", order, one_minus_q, m_c, m_facts, rhs_text=c_text),
         _ratio_record("LEMMA_SERIES_PHI", order, phi, m_G, m_facts, note),
         _ratio_record("LEMMA_SERIES_P", order, p_sums, rhs_p, facts),
-        _ratio_record("LEMMA_SERIES_PDIV", order, lhs_pdiv, rhs_pdiv, scaled),
-        _ratio_record("LEMMA_ONE_MINUS_Q", order, lhs_q, assembled, scaled),
+        _ratio_record("LEMMA_SERIES_PDIV", order, lhs_pdiv, rhs_pdiv, scaled, lhs_text=pdiv_text),
+        _ratio_record("LEMMA_ONE_MINUS_Q", order, lhs_q, assembled, scaled, lhs_text=c_text),
         *(
-            _value_record("EQ_FINAL", p, lhs_q[m + p], assembled[m + p], scaled[m + p])
-            for p in range(inv.p_max + 1)
+            _value_record("EQ_FINAL", p, lhs_q[n], assembled[n], scaled[n], lhs_text=c_texts[n])
+            for p, n in enumerate(range(m, m + inv.p_max + 1))
         ),
     ]
 

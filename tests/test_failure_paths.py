@@ -13,8 +13,10 @@ factors that verify reads; for symbolic T_n, by replacing the Bernoulli
 numbers that t_symbolic reads, with its cache cleared before and after.
 test_each_kernel_fails_exactly_its_readers perturbs each kernel that verify
 reads once and pins the exact set of identities that fail, the table in
-verify's module docstring. A three-generator relation or region changed by
-one makes the source's witness raise before any record is made."""
+verify's module docstring, and the JSON of two runs with a changed
+Bernoulli number is pinned byte for byte. A three-generator relation or
+region changed by one makes the source's witness raise before any record is
+made."""
 
 import hashlib
 from dataclasses import replace
@@ -23,7 +25,7 @@ from math import factorial
 
 import pytest
 
-from felcheck import semigroup, universal, verify
+from felcheck import cli, semigroup, universal, verify
 from felcheck.exact import IntPolynomial, NonExactDivision, power_sums
 from felcheck.hilbert import hilbert_numerator
 from felcheck.semigroup import (
@@ -406,6 +408,26 @@ KERNELS = {
         fails(),
     ),
 }
+
+
+# SHA-256 of the JSON of `verify <gens> --p-max 4` with L B_4 + 1 in verify's
+# Bernoulli table. Recorded while D was still the convolution of E with every
+# L B_k and each record reduced its own text: the FAIL records of
+# LEMMA_SERIES_PDIV, LEMMA_ONE_MINUS_Q, EQ_FINAL and FEL_MAIN now print a text
+# shared with another record, or one reduced over a smaller denominator.
+BUMPED_B4_DIGESTS = {
+    ("5", "6", "8", "9"): "9e54dc4a39f63b98c6b9e05ecdec0340f0b406a8d64cff3363997a800386392f",
+    ("3", "5"): "bd2fa7b5a539d61112712c2b01fcaee8c075e888b8c41b975d24ef0c72c19fe2",
+}
+
+
+@pytest.mark.parametrize("gens", BUMPED_B4_DIGESTS, ids=" ".join)
+def test_changed_bernoulli_table_keeps_the_fail_bytes(monkeypatch, capsys, gens):
+    monkeypatch.setattr(verify, "_scaled_bernoulli", bumped_b4)
+    code = cli.main(["verify", *gens, "--p-max", "4", "--format", "json"])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert hashlib.sha256(out.encode()).hexdigest() == BUMPED_B4_DIGESTS[gens]
 
 
 def failing(records):

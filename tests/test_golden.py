@@ -19,7 +19,10 @@ one, before the umbral side was read off pairwise factor products. The
 still came from a generator_stats wrapper and K from a k_values helper.
 The `verify --random ... --d-max 600` digest was recorded while
 random_semigroup still drew through random.Random.randint and the CLI
-still printed K_p and delta_k through str(Fraction).
+still printed K_p and delta_k through str(Fraction). The two six-generator
+`verify ... --p-max 64` digests were recorded while D was still the
+convolution of E with every Bernoulli number and each record reduced its
+own text over its own denominator.
 Any change to what the CLI prints, however small, fails here.
 """
 
@@ -122,6 +125,13 @@ DIGESTS = {
     # at p_max 0 the bundle's G runs one index past the series order
     ("verify", "5", "6", "8", "9", "--p-max", "0", "--format", "json"): (
         "cb34673139b3eef2e6b63d1d245909ace777aad954c1f7d3a02de84ef0d394e7"
+    ),
+    # six generators at p_max 64: order-70 lemma lists and 65 K_p values
+    ("verify", "20", "29", "37", "41", "53", "59", "--p-max", "64", "--format", "json"): (
+        "05caef3a26ef379f36b320b40b22ea68a199b8f41cd79d14b02c7e332bc4b072"
+    ),
+    ("verify", "20", "29", "37", "41", "53", "59", "--p-max", "64", "--format", "tsv"): (
+        "c29a3aedc6af1988068d1e9a878c85aa19807d5a5d9d1495dfc09de068957642"
     ),
 }
 

@@ -8,10 +8,13 @@ for Phi(e^t) against a scan of the gap list and against the full Bernoulli
 convolution; the sparse IntPolynomial
 against dense reference arithmetic, and the integer-built values T_n(x) against the Fraction
 series route; the surjection-number kernel for prod (e^{p u} - 1) and for
-P/(1 - z) at z = e^t against binomial convolution and long division; and
-K_p from Q against Fel's formula as the paper states it, with T_n from the
-Fraction series."""
+P/(1 - z) at z = e^t against binomial convolution and long division; D
+from its rows of the nonzero Bernoulli numbers against the full
+convolution; K_p from Q against Fel's formula as the paper states it, with
+T_n from the Fraction series; and the verify JSON writer's records against
+json.dumps."""
 
+import json
 from fractions import Fraction
 from math import comb, factorial, gcd, lcm
 
@@ -21,6 +24,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from felcheck import cli  # noqa: E402
 from felcheck.exact import IntPolynomial, NonExactDivision, power_sums  # noqa: E402
 from felcheck.hilbert import hilbert_numerator, k_denominator, product_polynomial  # noqa: E402
 from felcheck.semigroup import (  # noqa: E402
@@ -38,6 +42,8 @@ from felcheck.universal import (  # noqa: E402
     t_values,
 )
 from felcheck.verify import (  # noqa: E402
+    CheckRecord,
+    VerificationReport,
     _gap_power_sums_by_classes,
     _quotient_power_sums,
     invariants,
@@ -57,6 +63,7 @@ from oracles import (  # noqa: E402
     poly_sub,
     sigma_by_series,
 )
+from test_cli import report_dict  # noqa: E402
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -326,6 +333,19 @@ def test_phi_skipping_zero_bernoulli_entries_matches_the_full_convolution(values
     assert _gap_power_sums_by_classes(W, order) == phi_by_full_convolution(W, order)
 
 
+@SETTINGS
+@given(generator_lists(max_size=6), st.integers(0, 12))
+@example([1], 0)
+@example([2, 3], 0)
+@example([5, 6, 8, 9], 12)
+def test_d_skipping_zero_bernoulli_entries_matches_the_full_convolution(gens, p_max):
+    # D's rows hold L B_k for k = 0 and the even k, with L B_1 apart
+    inv = invariants(make_semigroup(gens), p_max)
+    L, bern = _scaled_bernoulli(len(inv.D) - 1)
+    assert inv.L == L
+    assert list(inv.D) == _egf_mul(bern, inv.E, len(inv.D) - 1)
+
+
 # Signed integer vectors for the product of the factors e^{p u} - 1: lengths
 # 0-6 with |p| <= 60; a drawn flag repeats the first entry.
 @st.composite
@@ -386,3 +406,23 @@ def test_fel_formula_as_stated(gens):
         stated = sum(comb(p, r) * T[p - r] * G[r] for r in range(p + 1))
         stated += Fraction(2 ** (p + 1), p + 1) * T_delta[p + 1]
         assert K[p] == stated
+
+
+# What a record's texts may hold: the characters of a value, the two that
+# JSON escapes, the control characters, the "é" of the Apéry note and U+2028.
+RECORD_TEXT = st.text(
+    st.sampled_from([*"0123456789/- ", '"', "\\", *map(chr, range(0x20)), "\x7f", "é", "\u2028"])
+)
+
+
+@SETTINGS
+@given(RECORD_TEXT, RECORD_TEXT, RECORD_TEXT, st.booleans())
+@example("", "", "", True)
+@example("", "", "", False)
+@example("1/2 -3", "-3", "Phi from the Apéry set is not an integer", False)
+def test_verify_json_writes_a_record_as_json_dumps_does(lhs, rhs, note, passed):
+    # a passing record holds one text object as its lhs and its rhs, as verify makes it
+    record = CheckRecord("EQ_FINAL", 3, lhs, lhs if passed else rhs, "pass" if passed else "fail", note)
+    report = VerificationReport((3, 5), [record], [], order=7)
+    doc = {"command": "verify", "reports": [report], "passed": report.passed}
+    assert cli.render_json(doc) == json.dumps(dict(doc, reports=[report_dict(report)]), indent=2)

@@ -2,6 +2,7 @@ import random
 import sys
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations
+from math import factorial, gcd
 
 import pytest
 
@@ -34,7 +35,7 @@ from felcheck.verify import (
     verify_thm_kp,
 )
 
-from oracles import _umbral_coefficient, companions_reference
+from oracles import _umbral_coefficient, companions_reference, numerator_by_gap_route
 from test_failure_paths import bumped_umbral_entry_2, bumped_umbral_factor, eq_final_and_one_minus_q, statuses
 
 F = Fraction
@@ -431,6 +432,40 @@ class TestAssembledReport:
             S = random_semigroup(rng, 4, 30)
             report = verify_semigroup(S, p_max=6)
             assert report.passed
+
+
+class TestPrintedValues:
+    """The values that passing records print, against str(Fraction) of C_n
+    from the gap-route numerator of the oracles: FEL_MAIN and LOW_ORDER_K
+    print K_p, EQ_FINAL and the entries of LEMMA_ONE_MINUS_Q print C_n/n!.
+    A wrong denominator here passes every record, since both sides share it."""
+
+    @staticmethod
+    def _drawn(count, seed):
+        rng = random.Random(seed)
+        while count:
+            gens = rng.sample(range(2, 41), rng.randint(2, 6))
+            if gcd(*gens) == 1:
+                count -= 1
+                yield make_semigroup(gens)
+
+    def test_k_p_and_c_n_over_n_factorial(self):
+        p_max = 8
+        for S in self._drawn(30, 113):
+            m, q = S.m, numerator_by_gap_route(S.generators)
+            report = verify_semigroup(S, p_max)
+            assert report.passed, S.generators
+            C = [(n == 0) - sum(c * e**n for e, c in enumerate(q)) for n in range(report.order + 1)]
+            sign = (-1) ** m
+            K = [str(F(C[m + p], sign * S.pi * factorial(m + p) // factorial(p))) for p in range(p_max + 1)]
+            c_n = [str(F(C[n], factorial(n))) for n in range(report.order + 1)]
+            fel = [c.lhs for c in _by_identity(report.checks, "FEL_MAIN")]
+            low = [c.lhs for c in _by_identity(report.checks, "LOW_ORDER_K")]
+            finals = [c.lhs for c in _by_identity(report.checks, "EQ_FINAL")]
+            (lemma,) = _by_identity(report.checks, "LEMMA_ONE_MINUS_Q")
+            assert (fel, low) == (K, K[:4]), S.generators
+            assert finals == c_n[m : m + p_max + 1], S.generators
+            assert lemma.lhs.split(" ") == c_n, S.generators
 
 
 @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no digit limit")
