@@ -49,7 +49,10 @@ series lemmas compare, for every n <= order:
 
 - LEMMA_SERIES_C: c against (1 - Q)(e^t), with 1 - Q assembled by the
   second route 1 - P/(1 - z) + Phi P, P = prod (1 - z^{d_i}) and Phi the
-  sum of z^g over the gaps g, at z = e^t as below;
+  sum of z^g over the gaps g, at z = e^t as below. Where LEMMA_SERIES_PHI
+  finds Phi(e^t) = G and LEMMA_SERIES_P finds P(e^t) = (-1)^m E, Phi P is
+  (-1)^m EG, read off the bundle, since the EGF product is bilinear; only
+  where one of them fails is it formed again, from the two sides as they are;
 - LEMMA_SERIES_PHI: Phi(e^t) against G. The gaps in the class r mod a are
   r + i a for 0 <= i < apery[r] // a, and Faulhaber's formula in
   Bernoulli-polynomial form sums each class; summed over the classes with
@@ -104,6 +107,9 @@ lemmas; tests/test_failure_paths.py pins every row):
   _scaled_bernoulli, L B_4 + 1          SERIES_PHI, SERIES_C,      as 5689
                                         SERIES_PDIV, ONE_MINUS_Q,
                                         EQ_FINAL, FEL_MAIN
+  _egf_mul, entry 6 + 1 in every        SERIES_C, ONE_MINUS_Q,     as 5689
+    product to order n >= 6             EQ_FINAL, FEL_MAIN;
+                                        FEL1_SIGNFLIP
   zigzag, A_5 + 1                       FEL2_ZIGZAG                none
   _umbral_factor, entry 2 + 1           FEL1_SIGNFLIP              none
   power_sums, W_3 + 1                   no record: gap_power_sums  none
@@ -111,6 +117,9 @@ lemmas; tests/test_failure_paths.py pins every row):
                                         in invariants
 
 FEL_MAIN fails exactly when EQ_FINAL does: they compare the same integers.
+Phi P is (-1)^m EG whenever SERIES_PHI and SERIES_P pass, so SERIES_C then
+shares EG with ONE_MINUS_Q, EQ_FINAL and FEL_MAIN: a wrong EGF product fails
+all four, and FEL1_SIGNFLIP through the umbral pair products it builds.
 E reads only the surjection entries j >= m, and P/(1 - z) only j >= m - 1,
 so entry 1 is read for m <= 2 alone. No record catches a wrong Apéry set
 for m >= 3: Q, W, G and Phi are all read off that one set, and Fel's
@@ -126,10 +135,10 @@ _signflip_plan T_n's terms split by reading, the nine umbral factors and
 their EGF products for every pair, so that a sample's umbral side is one
 lookup or one dot product (_umbral_side). Each plan is cached on n, on the
 t_symbolic rows it reads and on the kernels it is built from, as this
-module's globals hold them at the call: zigzag, or _umbral_factor and
-_scaled_bernoulli. A kernel perturbed as in the table above, or T_n rows
-rebuilt after t_symbolic.cache_clear(), build their own plan; no key holds
-a seed, a sample count or a draw.
+module's globals hold them at the call: zigzag, or _umbral_factor,
+_scaled_bernoulli and _egf_mul. A kernel perturbed as in the table above,
+or T_n rows rebuilt after t_symbolic.cache_clear(), build their own plan;
+no key holds a seed, a sample count or a draw.
 
 A record prints each value num/den in lowest terms, reduced by gcd with no
 Fraction made, and a passing record prints one value for both sides. Each
@@ -503,7 +512,10 @@ def verify_series_lemmas(inv: Invariants) -> list[CheckRecord]:
     Each side is an integer EGF sequence, compared entry by entry over the
     denominator n! (or (n+1)! L); see the module docstring. EQ_FINAL at p is
     entry n = m + p of LEMMA_ONE_MINUS_Q, read from that lemma's lists, and
-    prints its text of C_n/n!.
+    prints its text of C_n/n!. The Phi P term of LEMMA_SERIES_C is (-1)^m
+    EG, read from the bundle, when the sides of LEMMA_SERIES_PHI and of
+    LEMMA_SERIES_P agree; only when one of them fails is it convolved from
+    the two sides as they are.
     """
     order, L, h, m = inv.order, inv.L, inv.h, inv.S.m
     sign = (-1) ** m
@@ -522,8 +534,6 @@ def verify_series_lemmas(inv: Invariants) -> list[CheckRecord]:
     phi, M = _gap_power_sums_by_classes(inv.W, order)
     p_sums = h.prod.power_sums(order)
     p_div = _quotient_power_sums(h.prod, order)
-    phi_p = _egf_mul(phi, p_sums, order)
-    one_minus_q = [M * ((n == 0) - p_div[n]) + phi_p[n] for n in ns]
     m_facts, m_c, m_G, note = facts, c, G, ""
     if M != 1:
         m_facts = [M * f for f in facts]
@@ -531,6 +541,14 @@ def verify_series_lemmas(inv: Invariants) -> list[CheckRecord]:
         m_G = [M * g for g in G]
         note = "Phi from the Apéry set is not an integer"
     rhs_p = [sign * e for e in inv.E[: order + 1]]
+    # Phi P: where SERIES_PHI and SERIES_P pass (so M = 1), the EGF product
+    # of G and (-1)^m E, read off the bundle's EG; else the product of the
+    # two sides as they are, so that the failing records keep their bytes
+    if phi == m_G and p_sums == rhs_p:
+        phi_p = [sign * v for v in inv.EG[: order + 1]]
+    else:
+        phi_p = _egf_mul(phi, p_sums, order)
+    one_minus_q = [M * ((n == 0) - p_div[n]) + phi_p[n] for n in ns]
     lhs_pdiv = [(n + 1) * L * v for n, v in zip(ns, p_div)]
     rhs_pdiv = [-sign * inv.D[n + 1] for n in ns]
     pdiv_text = " ".join(map(_fraction_str, p_div, facts))  # the value of lhs_pdiv over scaled
@@ -606,14 +624,14 @@ def _zigzag_plan(n: int, rows: tuple, tangent) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _signflip_plan(n: int, poly, factor, scaled_bernoulli) -> tuple:
+def _signflip_plan(n: int, poly, factor, scaled_bernoulli, egf_mul) -> tuple:
     """What FEL1_SIGNFLIP at n reads of T_n = poly and of the umbral factors.
 
     The denominator of T_n, its sparse terms split by whether the narrow
     reading agrees with the wide one (see verify_companions), the powers
-    L^m for m <= 4, and two tables of the EGF products of one or two of
-    the factors factor(v, n), v in 1..9, keyed on their entries in draw
-    order: heads holds each product reversed, so that heads[d][0] is its
+    L^m for m <= 4, and two tables of the EGF products, by egf_mul, of one
+    or two of the factors factor(v, n), v in 1..9, keyed on their entries in
+    draw order: heads holds each product reversed, so that heads[d][0] is its
     coefficient n, and tails each product's coefficient k times C(n, k).
     _umbral_side reads the coefficient n of the product of any one to four
     factors off these tables.
@@ -631,7 +649,7 @@ def _signflip_plan(n: int, poly, factor, scaled_bernoulli) -> tuple:
     # L times the EGF coefficients of v t/(1 - e^{-v t}), and their pairwise products
     products = {(v,): factor(v, n) for v in range(1, 10)}
     for v, w in combinations_with_replacement(range(1, 10), 2):
-        products[v, w] = products[w, v] = _egf_mul(products[v,], products[w,], n)
+        products[v, w] = products[w, v] = egf_mul(products[v,], products[w,], n)
     row = _binomial_row(n)
     heads = {d: tuple(f[n::-1]) for d, f in products.items()}
     tails = {d: tuple(map(mul, row, f)) for d, f in products.items()}
@@ -699,12 +717,12 @@ def verify_companions(samples: int = 20, seed: int = 0) -> VerificationReport:
     The two plans hold all that does not depend on a draw, and each is built
     once per process for each n and each input it reads: _zigzag_plan is
     cached on (n, the rows T_0 .. T_K, zigzag), _signflip_plan on (n, T_n,
-    _umbral_factor, _scaled_bernoulli), the rows as t_symbolic returns them
-    and the kernels as this module's globals hold them at the call. A kernel
-    swapped in by a test, or a T_n row rebuilt, builds its own plan, and the
-    real one is back when the swap is undone. No cache key holds the seed,
-    the sample count or a drawn value: every call draws, computes and
-    compares all of its records.
+    _umbral_factor, _scaled_bernoulli, _egf_mul), the rows as t_symbolic
+    returns them and the kernels as this module's globals hold them at the
+    call. A kernel swapped in by a test, or a T_n row rebuilt, builds its own
+    plan, and the real one is back when the swap is undone. No cache key
+    holds the seed, the sample count or a drawn value: every call draws,
+    computes and compares all of its records.
 
     Each record holds one value: the two sides, over one denominator, are
     compared as integers, and the value is printed once when they agree.
@@ -737,7 +755,7 @@ def verify_companions(samples: int = 20, seed: int = 0) -> VerificationReport:
     # row v holds v^k for k = 1..SIGNFLIP_N; a sample's power sums add its entries' rows
     powers = {v: [v**k for k in range(1, SIGNFLIP_N + 1)] for v in range(1, 10)}
     for n in range(2, SIGNFLIP_N + 1):
-        plan = _signflip_plan(n, t_symbolic(n), _umbral_factor, _scaled_bernoulli)
+        plan = _signflip_plan(n, t_symbolic(n), _umbral_factor, _scaled_bernoulli, _egf_mul)
         den, same, differ, scales, heads, tails = plan
         for i in range(samples):
             d = tuple([_randint(rng, 1, 9) for _ in range(_randint(rng, 1, 4))])

@@ -14,9 +14,10 @@ numbers that t_symbolic reads, with its cache cleared before and after.
 test_each_kernel_fails_exactly_its_readers perturbs each kernel that verify
 reads once and pins the exact set of identities that fail, the table in
 verify's module docstring, and the JSON of two runs with a changed
-Bernoulli number is pinned byte for byte. A three-generator relation or
-region changed by one makes the source's witness raise before any record is
-made."""
+Bernoulli number is pinned byte for byte. A passing semigroup forms one
+EGF product, EG, and a second only beside a failing SERIES_PHI or SERIES_P.
+A three-generator relation or region changed by one makes the source's
+witness raise before any record is made."""
 
 import hashlib
 from dataclasses import replace
@@ -35,7 +36,14 @@ from felcheck.semigroup import (
     gap_power_sums,
     make_semigroup,
 )
-from felcheck.universal import _scaled_bernoulli, _surjection_row, _umbral_factor, t_values, zigzag
+from felcheck.universal import (
+    _egf_mul,
+    _scaled_bernoulli,
+    _surjection_row,
+    _umbral_factor,
+    t_values,
+    zigzag,
+)
 from felcheck.verify import (
     invariants,
     verify_fel_main,
@@ -331,6 +339,15 @@ def bumped_umbral_entry_2(d, n_max):
     return factor
 
 
+def bumped_egf_entry_6(a, b, n_max):
+    # entry 6 + 1 in every EGF product to order 6 or more: EG in the bundle,
+    # Phi P where SERIES_PHI or SERIES_P fails, and the umbral pair products
+    product = _egf_mul(a, b, n_max)
+    if n_max >= 6:
+        product[6] += 1
+    return product
+
+
 def fails(text=""):
     return frozenset(text.split())
 
@@ -407,6 +424,13 @@ KERNELS = {
         fails(f"THM_KP LOW_ORDER_K LEMMA_SERIES_C {SERIES_SIDE}"),
         fails(),
     ),
+    "egf product entry 6 + 1": (
+        [(verify, "_egf_mul", bumped_egf_entry_6)],
+        fails(f"LEMMA_SERIES_C {SERIES_SIDE}"),
+        fails(f"LEMMA_SERIES_C {SERIES_SIDE}"),
+        fails(f"LEMMA_SERIES_C {SERIES_SIDE}"),
+        fails("FEL1_SIGNFLIP"),
+    ),
 }
 
 
@@ -449,6 +473,27 @@ def test_each_kernel_fails_exactly_its_readers(monkeypatch, kernel):
     # FEL_MAIN and EQ_FINAL compare the same integers
     for identities in found:
         assert ("FEL_MAIN" in identities) == ("EQ_FINAL" in identities)
+
+
+@pytest.mark.parametrize("kernel", [None, "Phi_2 + M", "surjection last entry + 1"])
+def test_phi_p_is_read_off_eg_unless_phi_or_p_fails(monkeypatch, kernel):
+    # one EGF product, EG, where SERIES_PHI and SERIES_P pass; a second, Phi
+    # P from the two sides as they are, where either fails
+    patches, *columns, _ = KERNELS[kernel] if kernel else ([], fails(), fails(), fails(), None)
+    _surjection_row(40)
+    for module, name, replacement in patches:
+        monkeypatch.setattr(module, name, replacement)
+    calls = []
+
+    def counted(a, b, n_max):
+        calls.append(n_max)
+        return _egf_mul(a, b, n_max)
+
+    monkeypatch.setattr(verify, "_egf_mul", counted)
+    for gens, expected in zip((S.generators, [3, 5], [4, 5, 7]), columns):
+        calls.clear()
+        assert failing(verify_semigroup(make_semigroup(gens), p_max=4).checks) == expected
+        assert len(calls) == (1 if kernel is None else 2), gens
 
 
 def test_wrong_apery_power_sum_raises_instead_of_failing_a_record(monkeypatch):

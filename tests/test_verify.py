@@ -36,7 +36,13 @@ from felcheck.verify import (
 )
 
 from oracles import _umbral_coefficient, companions_reference, numerator_by_gap_route
-from test_failure_paths import bumped_umbral_entry_2, bumped_umbral_factor, eq_final_and_one_minus_q, statuses
+from test_failure_paths import (
+    bumped_egf_entry_6,
+    bumped_umbral_entry_2,
+    bumped_umbral_factor,
+    eq_final_and_one_minus_q,
+    statuses,
+)
 
 F = Fraction
 
@@ -293,6 +299,20 @@ class TestCompanions:
         monkeypatch.undo()
         assert verify_companions(5, 0).checks == real
 
+    def test_swapped_product_kernel_builds_its_own_plans(self, monkeypatch):
+        # the umbral factors' pair products come from _egf_mul: a bumped one
+        # must not read the real plans when they are cached, nor leave its
+        # own for the real kernel when they are not
+        real = verify_companions(5, 0).checks
+        for cached in (True, False):
+            if not cached:
+                _signflip_plan.cache_clear()
+            monkeypatch.setattr(verify, "_egf_mul", bumped_egf_entry_6)
+            found = statuses(verify_companions(5, 0).checks)
+            assert found == {"FEL1_SIGNFLIP": {"pass", "fail"}, "FEL2_ZIGZAG": {"pass"}}, cached
+            monkeypatch.undo()
+            assert verify_companions(5, 0).checks == real, cached
+
     def test_rebuilt_t_n_rows_build_their_own_plans(self, monkeypatch):
         # a changed B_4 reaches T_n only through a rebuilt t_symbolic row; the
         # umbral factors keep the Bernoulli table _scaled_bernoulli cached
@@ -364,7 +384,7 @@ class TestUmbralCoefficient:
             factors = {v: kernel(v, n) for v in range(1, 10)}
             ks = [k for k in range(n + 1) if any(f[k] for f in factors.values())]
             rows = [_binomial_row(m) for m in range(n + 1)]
-            *_, heads, tails = _signflip_plan(n, t_symbolic(n), kernel, _scaled_bernoulli)
+            *_, heads, tails = _signflip_plan(n, t_symbolic(n), kernel, _scaled_bernoulli, _egf_mul)
             for d in multisets:
                 expected = _umbral_coefficient([factors[v] for v in d], ks, rows)
                 # a sample lists its entries in the order they were drawn
